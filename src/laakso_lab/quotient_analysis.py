@@ -5,9 +5,19 @@ fork search with the bound arithmetic it feeds.
 
 Everything here is table-driven and space-agnostic; the tree and graph
 modules only show up through `as_map_table`.  Two deliberately independent
-routes compute the relation-restricted constant: an optimized minimum of
-distance ratios and a direct predicate evaluation.  They are cross-checked
-against each other in tests rather than merged.
+routes compute the relation-restricted constant, and they share only the
+input table:
+
+- the profile route (`lipschitz_constant`, `coarse_profile`,
+  `c_atd_infinity`, `quotient_moduli`) reads numpy arrays that each
+  `MetricMapTable` builds once, on first use: the nearest-preimage matrix
+  rho, the image-to-target distances D, and the source pairs sorted by
+  distance.  Every constant is a masked minimum or maximum over them;
+- the predicate route (`atd_violation` over `atd_pairs`) is a pure-Python
+  scan of the distance tables and the preimages.  `atd_pairs` is built once
+  per table.
+
+`cross_validate_atd` checks the two routes against each other on a grid.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 from typing import Optional, Sequence
 
@@ -29,9 +40,11 @@ TRIANGLE_SAMPLES = 20_000
 class FiniteMetricSpace:
     """Indexed points 0..n-1 with a full distance table and an optional
     strict partial order ("ancestor of").  All invariants are validated at
-    construction: symmetry, zero diagonal, positivity off the diagonal, the
-    triangle inequality (exhaustively up to 256 points, by a seeded
-    20000-triple sample above that), and strictness of the order."""
+    construction: finiteness, symmetry, zero diagonal, positivity off the
+    diagonal, the triangle inequality (exhaustively up to 256 points, by a
+    seeded 20000-triple sample above that), and strictness of the order.
+    `dist` keeps the entries as given; `array` is a read-only float64 copy.
+    """
 
     def __init__(
         self,
@@ -44,7 +57,13 @@ class FiniteMetricSpace:
             raise ValueError("distance table is not square")
         self.n = n
         self.dist = rows
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows, dtype=float).reshape(n, n)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"non-finite distance {rows[i][j]!r} at ({i},{j})"
+            )
         if n and (np.diag(arr) != 0).any():
             raise ValueError("nonzero diagonal in distance table")
         if not np.array_equal(arr, arr.T):
@@ -53,6 +72,8 @@ class FiniteMetricSpace:
         if off.size and off.min() <= 0:
             raise ValueError("non-positive distance between distinct points")
         self._validate_triangle(arr)
+        arr.flags.writeable = False
+        self.array = arr
         self.order: Optional[frozenset[tuple[int, int]]] = None
         if order is not None:
             pairs = frozenset((int(i), int(j)) for i, j in order)
@@ -104,7 +125,10 @@ class FiniteMetricSpace:
 
 class MetricMapTable:
     """A total assignment between two finite metric spaces, indexed
-    pointwise: source point i maps to target point assign[i]."""
+    pointwise: source point i maps to target point assign[i].
+
+    The profile arrays and the predicate pairs are built on first use and
+    kept on the instance; the tables themselves never change."""
 
     def __init__(
         self,
@@ -127,9 +151,55 @@ class MetricMapTable:
         for i, a in enumerate(self.assign):
             self._preimages.setdefault(a, ())
             self._preimages[a] = self._preimages[a] + (i,)
+        self._atd_pairs: Optional[tuple] = None
 
     def preimages(self, t: int) -> tuple[int, ...]:
         return self._preimages.get(t, ())
+
+    @cached_property
+    def _assign_array(self) -> np.ndarray:
+        return np.array(self.assign, dtype=np.intp)
+
+    @cached_property
+    def _nearest_preimage(self) -> np.ndarray:
+        """rho[x, y]: source distance from x to the nearest preimage of y,
+        inf where y has none.  Filled one target column at a time; the
+        source table is symmetric, so the column is a minimum over rows."""
+        sarr = self.source.array
+        rho = np.full((self.source.n, self.target.n), inf)
+        for y, pre in self._preimages.items():
+            rho[:, y] = sarr[list(pre)].min(axis=0)
+        return rho
+
+    @cached_property
+    def _image_gap(self) -> np.ndarray:
+        """D[x, y]: target distance from the image of x to y."""
+        return self.target.array[self._assign_array]
+
+    @cached_property
+    def _related(self) -> np.ndarray:
+        """related[x, y]: the image of x lies strictly below y in the
+        target order."""
+        below = np.zeros((self.target.n, self.target.n), dtype=bool)
+        pairs = np.array(list(self.target.order), dtype=np.intp)
+        pairs = pairs.reshape(-1, 2)
+        below[pairs[:, 0], pairs[:, 1]] = True
+        return below[self._assign_array]
+
+    @cached_property
+    def _source_pairs(self) -> tuple[np.ndarray, ...]:
+        """The pairs i < j of source points, sorted by source distance:
+        their source distances, image distances, flat indices i * n + j,
+        and the suffix maxima of image over source distance (so the first
+        entry is the Lipschitz constant)."""
+        n = self.source.n
+        i, j = np.triu_indices(n, 1)
+        sdist = self.source.array[i, j]
+        order = np.argsort(sdist)
+        i, j, sdist = i[order], j[order], sdist[order]
+        tdist = self.target.array[self._assign_array[i], self._assign_array[j]]
+        ratio_tail = np.maximum.accumulate((tdist / sdist)[::-1])[::-1]
+        return sdist, tdist, i * n + j, ratio_tail
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricMapTable":
@@ -162,86 +232,69 @@ class MetricMapTable:
 def lipschitz_constant(m: MetricMapTable) -> float:
     if m.source.n < 2:
         raise DomainError("need at least two source points")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
-    best = 0.0
-    for i in range(m.source.n):
-        for j in range(i + 1, m.source.n):
-            ratio = tdist[assign[i]][assign[j]] / sdist[i][j]
-            if ratio > best:
-                best = ratio
-    return best
+    return float(m._source_pairs[3][0])
 
 
 def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
     """(omega, Omega) at radius r: Omega is the largest image distance over
     source pairs within r; omega is the largest realized target radius s so
     that every target point within s of any image has a preimage within r.
-    Both are step functions of r, reported at realized distances only."""
+    Both are step functions of r, reported at realized distances only, as
+    the tables' own entries (0.0 when no pair within r moves apart)."""
     if not m.surjective:
         raise DomainError("moduli require a surjective assignment")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    if not r >= 0:
+        raise DomainError("radius must be non-negative")
+    sdist, tdist, flat, _ = m._source_pairs
+    near = tdist[: np.searchsorted(sdist, r, side="right")]
+    top = near.max() if near.size else 0.0
     omega_big = 0.0
-    for i in range(m.source.n):
-        for j in range(i + 1, m.source.n):
-            if sdist[i][j] <= r:
-                d = tdist[assign[i]][assign[j]]
-                if d > omega_big:
-                    omega_big = d
-    # rho[x][y]: closest preimage of target y to source x.
-    threshold = inf
-    for x in range(m.source.n):
-        fx = assign[x]
-        for y in range(m.target.n):
-            rho = min(sdist[x][p] for p in m.preimages(y))
-            if rho > r and tdist[fx][y] < threshold:
-                threshold = tdist[fx][y]
-    realized = sorted({tdist[i][j] for i in range(m.target.n)
-                       for j in range(m.target.n)})
-    omega_small = max(s for s in realized if s < threshold)
+    if top > 0:
+        # the first such pair in row-major order, as a scan finds it
+        first = flat[: near.size][near == top].min()
+        i, j = divmod(int(first), m.source.n)
+        omega_big = m.target.dist[m.assign[i]][m.assign[j]]
+    far = m._nearest_preimage > r
+    threshold = m._image_gap[far].min() if far.any() else inf
+    tarr = m.target.array
+    below = tarr[tarr < threshold].max()
+    i, j = divmod(int(np.flatnonzero(tarr == below)[0]), m.target.n)
+    omega_small = m.target.dist[i][j]
     return omega_small, omega_big
 
 
-def atd_pairs(m: MetricMapTable) -> list[tuple[int, int, float, float]]:
-    """All (source, target, D, rho) with the image strictly below the
-    target point: D is the image-to-target distance, rho the distance from
-    the source point to the nearest preimage of the target point."""
+def _require_orders(m: MetricMapTable) -> None:
     if m.target.order is None or m.source.order is None:
         raise DomainError("relation-restricted analysis needs both orders")
     if not m.surjective:
         raise DomainError("relation-restricted analysis needs surjectivity")
-    out = []
-    sdist, tdist = m.source.dist, m.target.dist
-    for x in range(m.source.n):
-        fx = m.assign[x]
-        for y in range(m.target.n):
-            if (fx, y) not in m.target.order:
-                continue
-            rho = min(sdist[x][p] for p in m.preimages(y))
-            out.append((x, y, tdist[fx][y], rho))
-    return out
 
 
-def _co_constant(pairs, delta: float) -> float:
-    vals = [D / rho for _, _, D, rho in pairs if rho > delta]
-    return min(vals) if vals else inf
+def atd_pairs(m: MetricMapTable) -> tuple[tuple[int, int, float, float], ...]:
+    """All (source, target, D, rho) with the image strictly below the
+    target point: D is the image-to-target distance, rho the distance from
+    the source point to the nearest preimage of the target point.  Scanned
+    from the tables in pure Python once per map table."""
+    _require_orders(m)
+    if m._atd_pairs is None:
+        out = []
+        sdist, tdist = m.source.dist, m.target.dist
+        for x in range(m.source.n):
+            fx = m.assign[x]
+            for y in range(m.target.n):
+                if (fx, y) not in m.target.order:
+                    continue
+                rho = min(sdist[x][p] for p in m.preimages(y))
+                out.append((x, y, tdist[fx][y], rho))
+        m._atd_pairs = tuple(out)
+    return m._atd_pairs
 
 
-def all_pairs(m: MetricMapTable) -> list[tuple[int, int, float, float]]:
-    """Unrestricted analog of `atd_pairs`: every source point against every
-    target point other than its own image."""
-    out = []
-    sdist, tdist = m.source.dist, m.target.dist
-    for x in range(m.source.n):
-        fx = m.assign[x]
-        for y in range(m.target.n):
-            if y == fx:
-                continue
-            pre = m.preimages(y)
-            if not pre:
-                continue
-            rho = min(sdist[x][p] for p in pre)
-            out.append((x, y, tdist[fx][y], rho))
-    return out
+def _co_minimum(m: MetricMapTable, mask: np.ndarray) -> float:
+    """min D/rho over the masked (source, target) cells; inf if none."""
+    if not mask.any():
+        return inf
+    return float((m._image_gap[mask] / m._nearest_preimage[mask]).min())
 
 
 @dataclass(frozen=True)
@@ -263,26 +316,23 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     deltas = sorted(set(float(d) for d in delta_grid))
     if any(d <= 0 for d in deltas):
         raise DomainError("delta grid must be positive")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
 
-    ratios = []
-    for i in range(m.source.n):
-        for j in range(i + 1, m.source.n):
-            ratios.append((sdist[i][j], tdist[assign[i]][assign[j]]))
-    L = {}
-    for d in deltas:
-        far = [t / s for s, t in ratios if s >= d]
-        L[d] = max(far) if far else 0.0
+    # L(d): the largest ratio over source pairs at distance >= d.
+    sdist, _, _, ratio_tail = m._source_pairs
+    first_far = np.searchsorted(sdist, deltas, side="left")
+    L = {d: float(ratio_tail[k]) if k < len(sdist) else 0.0
+         for d, k in zip(deltas, first_far)}
 
-    plain = all_pairs(m)
-    c = {d: _co_constant(plain, d) for d in deltas}
+    # c(d): the smallest D/rho over cells whose nearest preimage is past d.
+    rho = m._nearest_preimage
+    c = {d: _co_minimum(m, rho > d) for d in deltas}
 
     c_atd = None
     c_atd_inf = None
     if m.source.order is not None and m.target.order is not None:
-        restricted = atd_pairs(m)
-        c_atd = {d: _co_constant(restricted, d) for d in deltas}
+        related = m._related
+        c_atd = {d: _co_minimum(m, related & (rho > d)) for d in deltas}
         finite = [v for v in c_atd.values() if v < inf]
         c_atd_inf = max(finite) if finite else inf
     return CoarseProfile(lip=lip, L=L, c=c, c_atd=c_atd, c_atd_inf=c_atd_inf)
@@ -291,17 +341,15 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
 def c_atd_infinity(m: MetricMapTable) -> float:
     """Supremum of the restricted co-Lipschitz profile over all scales.
     The profile is a step function changing only at realized preimage
-    distances, so evaluating the minimum over {rho >= step} for every step
-    covers all of it; the largest value wins."""
-    pairs = atd_pairs(m)
-    if not pairs:
+    distances, and the minimum over {rho >= step} only grows as the step
+    does, so the supremum is the minimum over the cells at the largest
+    realized rho."""
+    _require_orders(m)
+    related = m._related
+    if not related.any():
         return inf
-    steps = sorted({rho for _, _, _, rho in pairs})
-    best = 0.0
-    for step in steps:
-        vals = [D / rho for _, _, D, rho in pairs if rho >= step]
-        best = max(best, min(vals))
-    return best
+    rho = m._nearest_preimage[related]
+    return _co_minimum(m, related & (m._nearest_preimage == rho.max()))
 
 
 def atd_violation(

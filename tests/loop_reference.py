@@ -1,0 +1,128 @@
+"""Pure-Python reference for the profile route of `quotient_analysis`.
+
+These are the nested loops over the distance tables that the array-backed
+profiles replaced, kept verbatim in behaviour: same iteration order, same
+strict comparisons, and the tables' own entries as results.  The tests
+require the library to agree with them exactly (`==`, and equal Python
+types for the moduli pair).
+"""
+
+from math import inf
+
+from laakso_lab.errors import DomainError
+
+
+def lipschitz_constant(m):
+    if m.source.n < 2:
+        raise DomainError("need at least two source points")
+    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    best = 0.0
+    for i in range(m.source.n):
+        for j in range(i + 1, m.source.n):
+            ratio = tdist[assign[i]][assign[j]] / sdist[i][j]
+            if ratio > best:
+                best = ratio
+    return best
+
+
+def quotient_moduli(m, r):
+    if not m.surjective:
+        raise DomainError("moduli require a surjective assignment")
+    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    omega_big = 0.0
+    for i in range(m.source.n):
+        for j in range(i + 1, m.source.n):
+            if sdist[i][j] <= r:
+                d = tdist[assign[i]][assign[j]]
+                if d > omega_big:
+                    omega_big = d
+    threshold = inf
+    for x in range(m.source.n):
+        fx = assign[x]
+        for y in range(m.target.n):
+            rho = min(sdist[x][p] for p in m.preimages(y))
+            if rho > r and tdist[fx][y] < threshold:
+                threshold = tdist[fx][y]
+    realized = sorted({tdist[i][j] for i in range(m.target.n)
+                       for j in range(m.target.n)})
+    omega_small = max(s for s in realized if s < threshold)
+    return omega_small, omega_big
+
+
+def atd_pairs(m):
+    if m.target.order is None or m.source.order is None:
+        raise DomainError("relation-restricted analysis needs both orders")
+    if not m.surjective:
+        raise DomainError("relation-restricted analysis needs surjectivity")
+    out = []
+    sdist, tdist = m.source.dist, m.target.dist
+    for x in range(m.source.n):
+        fx = m.assign[x]
+        for y in range(m.target.n):
+            if (fx, y) not in m.target.order:
+                continue
+            rho = min(sdist[x][p] for p in m.preimages(y))
+            out.append((x, y, tdist[fx][y], rho))
+    return out
+
+
+def all_pairs(m):
+    out = []
+    sdist, tdist = m.source.dist, m.target.dist
+    for x in range(m.source.n):
+        fx = m.assign[x]
+        for y in range(m.target.n):
+            if y == fx:
+                continue
+            pre = m.preimages(y)
+            if not pre:
+                continue
+            rho = min(sdist[x][p] for p in pre)
+            out.append((x, y, tdist[fx][y], rho))
+    return out
+
+
+def co_constant(pairs, delta):
+    vals = [D / rho for _, _, D, rho in pairs if rho > delta]
+    return min(vals) if vals else inf
+
+
+def coarse_profile(m, delta_grid):
+    """(lip, L, c, c_atd, c_atd_inf) as the seed's `coarse_profile`."""
+    if not m.surjective:
+        raise DomainError("coarse profile requires a surjective assignment")
+    deltas = sorted(set(float(d) for d in delta_grid))
+    if any(d <= 0 for d in deltas):
+        raise DomainError("delta grid must be positive")
+    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
+    ratios = []
+    for i in range(m.source.n):
+        for j in range(i + 1, m.source.n):
+            ratios.append((sdist[i][j], tdist[assign[i]][assign[j]]))
+    L = {}
+    for d in deltas:
+        far = [t / s for s, t in ratios if s >= d]
+        L[d] = max(far) if far else 0.0
+    plain = all_pairs(m)
+    c = {d: co_constant(plain, d) for d in deltas}
+    c_atd = None
+    c_atd_inf = None
+    if m.source.order is not None and m.target.order is not None:
+        restricted = atd_pairs(m)
+        c_atd = {d: co_constant(restricted, d) for d in deltas}
+        finite = [v for v in c_atd.values() if v < inf]
+        c_atd_inf = max(finite) if finite else inf
+    return lip, L, c, c_atd, c_atd_inf
+
+
+def c_atd_infinity(m):
+    pairs = atd_pairs(m)
+    if not pairs:
+        return inf
+    steps = sorted({rho for _, _, _, rho in pairs})
+    best = 0.0
+    for step in steps:
+        vals = [D / rho for _, _, D, rho in pairs if rho >= step]
+        best = max(best, min(vals))
+    return best

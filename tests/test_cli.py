@@ -157,6 +157,18 @@ class TestAnalyze:
         assert rep["c_atd"]["1.0"] == 1.0
         assert rep["pass"]
 
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+    def test_non_finite_distance_is_usage_error(self, capsys, tmp_path, bad):
+        f = tmp_path / "bad.json"
+        f.write_text(
+            '{"source": {"dist": [[0, %s], [%s, 0]]}, '
+            '"target": {"dist": [[0]]}, "assign": [0, 0]}' % (bad, bad)
+        )
+        code, _, err = run(capsys, "analyze", "map", "--input", str(f),
+                           "--delta-grid", "1")
+        assert code == 2
+        assert "non-finite distance" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "analyze", "map", "--input", "/no/such/file.json",

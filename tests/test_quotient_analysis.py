@@ -46,6 +46,17 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError):
             FiniteMetricSpace([[0, 1, 3], [1, 0, 1], [3, 1, 0]])  # triangle
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_distance(self, bad):
+        with pytest.raises(ValueError, match="non-finite distance"):
+            FiniteMetricSpace([[0, bad], [bad, 0]])
+
+    def test_array_is_read_only_copy(self):
+        space = path_space(3)
+        assert space.array.tolist() == [list(row) for row in space.dist]
+        with pytest.raises(ValueError):
+            space.array[0, 1] = 5.0
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace([[0, 1], [1, 0]], order=[(0, 0)])  # reflexive
@@ -99,6 +110,11 @@ class TestMetricMapTable:
         with pytest.raises(DomainError):
             qa.atd_pairs(m)
 
+    def test_atd_pairs_built_once(self, floor_by_3):
+        pairs = qa.atd_pairs(floor_by_3)
+        assert isinstance(pairs, tuple)
+        assert qa.atd_pairs(floor_by_3) is pairs
+
 
 class TestQuotientModuli:
     def test_floor_map_values(self, floor_by_3):
@@ -118,6 +134,11 @@ class TestQuotientModuli:
         m = MetricMapTable(three, two, [0, 0, 0])
         with pytest.raises(DomainError):
             quotient_moduli(m, 1)
+
+    def test_rejects_negative_radius(self, floor_by_3):
+        with pytest.raises(DomainError, match="non-negative"):
+            quotient_moduli(floor_by_3, -1.0)
+        assert quotient_moduli(floor_by_3, 0) == (0, 0.0)
 
 
 class TestCoarseProfile:
