@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import inf
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,8 @@ def _grid(text: str) -> list[float]:
     vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise DomainError(f"empty grid {text!r}")
+    if not all(isfinite(v) for v in vals):
+        raise DomainError(f"grid {text!r} has a non-finite value")
     return vals
 
 
@@ -105,20 +107,8 @@ def cmd_verify_james(args) -> int:
         "theta": str(theta),
         "index_bound": args.indices,
         "size_bound": args.maxsize,
-        "staircase_bounds": st.verify_staircase_bounds(
-            theta, args.indices, args.maxsize
-        ),
-        "quarter_bounds": st.verify_quarter_bounds(args.indices, args.maxsize),
-        "prefix_exactness": st.verify_prefix_exactness(
-            theta, args.indices, args.maxsize
-        ),
-        "biorthogonality": st.verify_biorthogonality(theta, args.indices),
+        **st.verify_james(theta, args.indices, args.maxsize),
     }
-    report["pass"] = all(
-        report[k]["pass"]
-        for k in ("staircase_bounds", "quarter_bounds", "prefix_exactness",
-                  "biorthogonality")
-    )
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -149,17 +139,11 @@ def _small_test_tables() -> dict[str, qa.MetricMapTable]:
         tables[name] = qa.MetricMapTable.from_dict(
             tl.as_map_table(_phi_map(n, b, False))
         )
-
-    def path_space(k: int) -> qa.FiniteMetricSpace:
-        dist = [[abs(i - j) for j in range(k)] for i in range(k)]
-        order = [(i, j) for i in range(k) for j in range(k) if i < j]
-        return qa.FiniteMetricSpace(dist, order=order)
-
     tables["floor_by_3"] = qa.MetricMapTable(
-        path_space(10), path_space(4), [i // 3 for i in range(10)]
+        qa.path_space(10), qa.path_space(4), [i // 3 for i in range(10)]
     )
     tables["identity_path"] = qa.MetricMapTable(
-        path_space(10), path_space(10), list(range(10))
+        qa.path_space(10), qa.path_space(10), list(range(10))
     )
     two = qa.FiniteMetricSpace([[0, 1], [1, 0]], order=[(0, 1)])
     one = qa.FiniteMetricSpace([[0]], order=[])
@@ -250,17 +234,6 @@ def _suite_fork(seed: int) -> dict:
     return out
 
 
-def _suite_james() -> dict:
-    out = {
-        "staircase_bounds": st.verify_staircase_bounds(),
-        "quarter_bounds": st.verify_quarter_bounds(),
-        "prefix_exactness": st.verify_prefix_exactness(),
-        "biorthogonality": st.verify_biorthogonality(),
-    }
-    out["pass"] = all(v["pass"] for v in out.values())
-    return out
-
-
 def lemma42_grid(points: int = 50) -> list[float]:
     return [0.5 * k / points for k in range(1, points + 1)]
 
@@ -333,7 +306,7 @@ def verify_all(seed: int = 0, inject_fault: bool = False,
         ("projection", lambda: _suite_projection(seed, inject_fault)),
         ("atd", lambda: _suite_atd(seed)),
         ("fork", lambda: _suite_fork(seed)),
-        ("james", _suite_james),
+        ("james", st.verify_james),
         ("moduli", lambda: _suite_moduli(seed)),
     ]:
         start = time.perf_counter()

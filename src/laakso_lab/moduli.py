@@ -13,8 +13,9 @@ are the l_p surrogates the inequalities of interest are checked on.
 Closed forms, for 1 < p < infinity:
 
   convexity  (t in (0,1]):      (1 + t**p)**(1/p) - 1
-  smoothness (t in (0,1]):      (1 + t**p)**(1/p) - 1   (same expression in
-                                 this model; it enters only through its
+  smoothness (t in (0,1]):      (1 + t**p)**(1/p) - 1   (the same expression
+                                 in this model, so `aus_model` is an alias
+                                 of `auc_model`; it enters only through its
                                  power type)
   midpoint drop (t in (0, 2**(1/p)]):
       1 - ((1 + (1-s**p)**(1/p))**p + s**p)**(1/p) / 2,  s = t * 2**(-1/p),
@@ -63,13 +64,9 @@ def auc_model(m: LpModel, t: float) -> float:
     return (1 + t**m.p) ** (1 / m.p) - 1
 
 
-def aus_model(m: LpModel, t: float) -> float:
-    """Best-case is the same expression in the disjoint-support model; kept
-    as a separate entry point because it plays a different role (upper
-    power type rather than lower)."""
-    if not 0 < t <= 1:
-        raise DomainError(f"t must lie in (0, 1], got {t}")
-    return (1 + t**m.p) ** (1 / m.p) - 1
+# Smoothness is the same expression in the disjoint-support model; the name
+# stays for its different role (upper power type rather than lower).
+aus_model = auc_model
 
 
 def auc_oracle(m: LpModel, t: float) -> float:
@@ -98,22 +95,17 @@ def auc_oracle(m: LpModel, t: float) -> float:
     return best
 
 
-def beta_model(m: LpModel, t: float, sign: str = "plus") -> float:
+def beta_model(m: LpModel, t: float) -> float:
     """Midpoint-drop modulus of the model: 1 minus the best achievable
     inf_n ||x + x_n|| / 2 over unit x and separated unit-ball sequences
-    x_n = w + s*e_n.  The `sign` flag selects the ||x + x_n|| or the
-    ||x - x_n|| convention; ball symmetry makes them equal, and both are
-    computed (not merged) so the equality stays testable."""
-    if sign not in ("plus", "minus"):
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    x_n = w + s*e_n.  The ||x - x_n|| convention gives the same value by
+    ball symmetry; `beta_oracle` computes both conventions, so that
+    equality stays tested."""
     p = m.p
     if not 0 < t <= 2 ** (1 / p):
         raise DomainError(f"t must lie in (0, 2**(1/p)], got {t}")
     s = t * 2 ** (-1 / p)
     w = (1 - s**p) ** (1 / p)
-    if sign == "plus":
-        return 1 - ((1 + w) ** p + s**p) ** (1 / p) / 2
-    # x and w anti-aligned in the minus convention extremum.
     return 1 - ((1 + w) ** p + s**p) ** (1 / p) / 2
 
 
@@ -192,7 +184,7 @@ class ModulusTable:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.kind not in ("auc", "aus", "beta"):
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown modulus kind {self.kind!r}")
         ts = [t for t, _ in self.samples]
         vals = [v for _, v in self.samples]

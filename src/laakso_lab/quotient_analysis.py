@@ -99,10 +99,9 @@ class FiniteMetricSpace:
         n = self.n
         if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
             for k in range(n):
-                if (arr > arr[:, k : k + 1] + arr[k : k + 1, :] + 1e-12).any():
-                    bad = np.argwhere(
-                        arr > arr[:, k : k + 1] + arr[k : k + 1, :] + 1e-12
-                    )[0]
+                over = arr > arr[:, k : k + 1] + arr[k : k + 1, :] + 1e-12
+                if over.any():
+                    bad = np.argwhere(over)[0]
                     raise ValueError(
                         f"triangle inequality fails via {k} "
                         f"for pair ({bad[0]},{bad[1]})"
@@ -121,6 +120,13 @@ class FiniteMetricSpace:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "dist": [list(row) for row in self.dist]}
+
+
+def path_space(k: int) -> FiniteMetricSpace:
+    """The path 0..k-1 with distance |i - j|, ordered by index."""
+    dist = [[abs(i - j) for j in range(k)] for i in range(k)]
+    order = [(i, j) for i in range(k) for j in range(k) if i < j]
+    return FiniteMetricSpace(dist, order=order)
 
 
 class MetricMapTable:
@@ -314,7 +320,7 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     if not m.surjective:
         raise DomainError("coarse profile requires a surjective assignment")
     deltas = sorted(set(float(d) for d in delta_grid))
-    if any(d <= 0 for d in deltas):
+    if any(not d > 0 for d in deltas):
         raise DomainError("delta grid must be positive")
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
 
@@ -469,7 +475,12 @@ def fork_search(
 
     The spread bound is enforced non-strictly: at eps = 0 an exact fork has
     spread equal to the bound itself, and that exact witness is the point
-    of the search."""
+    of the search.  eps must be finite and non-negative and r_min not NaN:
+    a NaN or infinite bound would let every comparison admit any lift."""
+    if not 0 <= eps < inf:
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
+    if r_min != r_min:
+        raise DomainError("r_min must not be NaN")
     if m.source.n < 4 or m.target.n < 4:
         return None
     if not m.surjective:

@@ -6,14 +6,18 @@ coordinate n of u_k is theta when n <= k and 0 otherwise.  An increasing
 index set J = {n_1 < ... < n_k} gets the vector v_J = u_{n_1} + ... + u_{n_k},
 whose i-th coordinate is theta times the number of elements of J that are
 at least i.  Sup-norm arithmetic on such vectors therefore reduces to
-counting, and every check in this module runs in exact Fractions; nothing
-is floating point.
+counting, and every check in this module runs in exact integers and
+Fractions; nothing is floating point.
 
 The verification entry points enumerate all increasing subsets of
 {1..index_bound} up to a size bound and check, exhaustively: injectivity
 and the two-sided norm bounds with constants theta and theta/3; the same
 shape of bounds with the fixed constant 1/4; exact prefix-pair norms
 theta * (level difference); and the biorthogonality table itself.
+`verify_james` runs all four.  Both bound checks share one sweep over the
+pairs with J wholly below K, where with count = ||v_J - v_K|| / theta the
+bounds are integer tests: |J|+|K| <= 3*count for theta/3 and for 1/4 at
+theta = 3/4 (theta cancels), and theta*count <= |J|+|K|.
 """
 
 from __future__ import annotations
@@ -102,18 +106,69 @@ def enumerate_index_sets(index_bound: int, size_bound: int) -> list[tuple[int, .
     return out
 
 
+def _require_bounds(index_bound: int, size_bound: int = 0) -> None:
+    if index_bound < 1 or size_bound < 0:
+        raise DomainError(f"bounds must be index >= 1 and size >= 0, got "
+                          f"{index_bound} and {size_bound}")
+
+
+def _norm_sweep(vectors, sets, lower):
+    """lower*|J| <= ||v_J|| <= |J| over the nonempty sets: the
+    counterexamples and the tightest ratio ||v_J|| / |J|."""
+    bad: list[dict] = []
+    tight = None
+    for v, J in zip(vectors, sets):
+        if not J:
+            continue
+        norm = sup_norm(v)
+        if not lower * len(J) <= norm <= len(J):
+            bad.append({"check": "norm", "J": list(J), "norm": str(norm)})
+        ratio = norm / len(J)
+        if tight is None or ratio < tight:
+            tight = ratio
+    return bad, tight
+
+
+def _pair_sweep(sets, theta: Fraction):
+    """The pairs of a nonempty K and a J wholly below it, K then J in
+    enumeration order, under the integer bounds of the module docstring:
+    the pair count, the failing (J, K, count), the least 3*count/(|J|+|K|)."""
+    below: dict[int, list[tuple[int, ...]]] = {}
+    pairs = 0
+    failed = []
+    tight = None
+    for K in sets:
+        if not K:
+            continue
+        if K[0] not in below:
+            below[K[0]] = [J for J in sets if not J or J[-1] < K[0]]
+        for J in below[K[0]]:
+            pairs += 1
+            count = _max_count_diff(J, K)
+            size = len(J) + len(K)
+            if not (size <= 3 * count
+                    and theta.numerator * count <= theta.denominator * size):
+                failed.append((J, K, count))
+            if tight is None or 3 * count * tight[1] < tight[0] * size:
+                tight = (3 * count, size)
+    return pairs, failed, None if tight is None else Fraction(*tight)
+
+
 def verify_biorthogonality(theta: Fraction = THETA_DEFAULT, index_bound: int = 12) -> dict:
     """Coordinate functional n on u_k must give theta for n <= k, else 0."""
+    _require_bounds(index_bound)
     theta = Fraction(theta)
     bad = []
+    checked = 0
     for k in range(1, index_bound + 1):
         u = step_vector(k, theta)
         for n in range(1, index_bound + 1):
+            checked += 1
             want = theta if n <= k else Fraction(0)
             if u.coordinate(n) != want:
                 bad.append({"n": n, "k": k, "got": str(u.coordinate(n))})
     return {
-        "checked": index_bound * index_bound,
+        "checked": checked,
         "counterexamples": bad[:5],
         "pass": not bad,
     }
@@ -129,50 +184,28 @@ def verify_staircase_bounds(
     if not 0 < theta < 1:
         raise DomainError("theta must lie in (0,1)")
     theta = Fraction(theta)
+    _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
+    vectors = [v_of(J, theta) for J in sets]
     bad: list[dict] = []
 
     seen: dict[tuple, tuple] = {}
-    for J in sets:
-        key = v_of(J, theta).coords
+    for v, J in zip(vectors, sets):
+        key = v.coords
         if key in seen:
             bad.append({"check": "injective", "J": list(seen[key]), "K": list(J)})
         seen[key] = J
 
-    tight_norm = None
-    for J in sets:
-        if not J:
-            continue
-        norm = sup_norm(v_of(J, theta))
-        if not theta * len(J) <= norm <= len(J):
-            bad.append({"check": "norm", "J": list(J), "norm": str(norm)})
-        ratio = norm / len(J)
-        if tight_norm is None or ratio < tight_norm:
-            tight_norm = ratio
-
-    pairs = 0
-    tight_pair = None
-    for K in sets:
-        if not K:
-            continue
-        limit = K[0]
-        for J in sets:
-            if J and J[-1] >= limit:
-                continue
-            pairs += 1
-            norm = theta * _max_count_diff(J, K)
-            lower = theta / 3 * (len(J) + len(K))
-            upper = Fraction(len(J) + len(K))
-            if not lower <= norm <= upper:
-                bad.append(
-                    {"check": "pair", "J": list(J), "K": list(K),
-                     "norm": str(norm), "lower": str(lower),
-                     "upper": str(upper)}
-                )
-            ratio = norm / lower
-            if tight_pair is None or ratio < tight_pair:
-                tight_pair = ratio
-
+    norm_bad, tight_norm = _norm_sweep(vectors, sets, theta)
+    bad += norm_bad
+    pairs, failed, tight_pair = _pair_sweep(sets, theta)
+    for J, K, count in failed:
+        size = len(J) + len(K)
+        bad.append(
+            {"check": "pair", "J": list(J), "K": list(K),
+             "norm": str(theta * count), "lower": str(theta / 3 * size),
+             "upper": str(size)}
+        )
     return {
         "theta": str(theta),
         "sets": len(sets),
@@ -190,35 +223,16 @@ def verify_quarter_bounds(index_bound: int = 12, size_bound: int = 6) -> dict:
     (1/4)|J| <= ||v_J|| <= |J| for each set, and for max J < min J' the
     bound (1/4)(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|."""
     theta = Fraction(3, 4)
-    quarter = Fraction(1, 4)
+    _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
-    bad: list[dict] = []
-    for J in sets:
-        if not J:
-            continue
-        norm = sup_norm(v_of(J, theta))
-        if not quarter * len(J) <= norm <= len(J):
-            bad.append({"check": "norm", "J": list(J), "norm": str(norm)})
-    pairs = 0
-    tight = None
-    for K in sets:
-        if not K:
-            continue
-        limit = K[0]
-        for J in sets:
-            if J and J[-1] >= limit:
-                continue
-            pairs += 1
-            norm = theta * _max_count_diff(J, K)
-            lower = quarter * (len(J) + len(K))
-            if not lower <= norm <= len(J) + len(K):
-                bad.append(
-                    {"check": "pair", "J": list(J), "K": list(K),
-                     "norm": str(norm), "lower": str(lower)}
-                )
-            ratio = norm / lower
-            if tight is None or ratio < tight:
-                tight = ratio
+    bad, _ = _norm_sweep([v_of(J, theta) for J in sets], sets, Fraction(1, 4))
+    pairs, failed, tight = _pair_sweep(sets, theta)
+    for J, K, count in failed:
+        bad.append(
+            {"check": "pair", "J": list(J), "K": list(K),
+             "norm": str(theta * count),
+             "lower": str(Fraction(len(J) + len(K), 4))}
+        )
     return {
         "theta": str(theta),
         "sets": len(sets),
@@ -237,6 +251,7 @@ def verify_prefix_exactness(
     exactly theta times the level gap: the map J -> v_J distorts
     ancestor-to-descendant distances by the single factor theta."""
     theta = Fraction(theta)
+    _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
     bad = []
     pairs = 0
@@ -257,6 +272,20 @@ def verify_prefix_exactness(
         "violations": len(bad),
         "pass": not bad,
     }
+
+
+def verify_james(
+    theta: Fraction = THETA_DEFAULT, index_bound: int = 12, size_bound: int = 6
+) -> dict:
+    """The four staircase checks of the james suite, and whether all pass."""
+    out = {
+        "staircase_bounds": verify_staircase_bounds(theta, index_bound, size_bound),
+        "quarter_bounds": verify_quarter_bounds(index_bound, size_bound),
+        "prefix_exactness": verify_prefix_exactness(theta, index_bound, size_bound),
+        "biorthogonality": verify_biorthogonality(theta, index_bound),
+    }
+    out["pass"] = all(rep["pass"] for rep in out.values())
+    return out
 
 
 def exponent_for_radius(r: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CapacityError
 
@@ -77,12 +77,7 @@ def tree_parent(node: TreeNode) -> Optional[TreeNode]:
 
 def tree_lcp(a: TreeNode, b: TreeNode) -> TreeNode:
     """Longest common prefix, i.e. the closest common ancestor."""
-    n = 0
-    for x, y in zip(a.elements, b.elements):
-        if x != y:
-            break
-        n += 1
-    return TreeNode(a.elements[:n])
+    return TreeNode(a.elements[: (a.level + b.level - tree_distance(a, b)) // 2])
 
 
 def tree_distance(a: TreeNode, b: TreeNode) -> int:

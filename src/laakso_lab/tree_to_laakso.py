@@ -92,12 +92,8 @@ class TreeToGraphMap:
             kids = self.graph.children(path[i - 1])
             k = 1 if len(kids) == 1 else kids.index(path[i]) + 1
             base = cur.elements[-1] if cur.elements else 0
-            cur = TreeNode(cur.elements + (base + k,))
+            cur = cur.child(base + k)
         return cur
-
-    def child(self, node: TreeNode, k: int) -> TreeNode:
-        base = node.elements[-1] if node.elements else 0
-        return TreeNode(node.elements + (base + k,))
 
 
 def verify_projection(
@@ -303,8 +299,8 @@ def sibling_lift_separation(pm: TreeToGraphMap, depths=(1, 2)) -> dict:
                 targets.append(nu)
             try:
                 lifted = [
-                    pm.lift(pm.child(n1, k + 1), targets[k])
-                    for k in range(len(kids))
+                    pm.lift(child, nu)
+                    for child, nu in zip(pm.tree.children(n1), targets)
                 ]
             except RelationError as exc:
                 # A corrupted image surfaces here as a lift that walks off

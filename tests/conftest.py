@@ -1,12 +1,7 @@
 import pytest
 
 from laakso_lab import quotient_analysis as qa
-
-
-def path_space(k: int) -> qa.FiniteMetricSpace:
-    dist = [[abs(i - j) for j in range(k)] for i in range(k)]
-    order = [(i, j) for i in range(k) for j in range(k) if i < j]
-    return qa.FiniteMetricSpace(dist, order=order)
+from laakso_lab.quotient_analysis import path_space
 
 
 @pytest.fixture

@@ -1,14 +1,22 @@
-"""Pure-Python reference for the profile route of `quotient_analysis`.
+"""Pure-Python loop references for two refactored routes.
 
-These are the nested loops over the distance tables that the array-backed
-profiles replaced, kept verbatim in behaviour: same iteration order, same
-strict comparisons, and the tables' own entries as results.  The tests
-require the library to agree with them exactly (`==`, and equal Python
-types for the moduli pair).
+The profile route of `quotient_analysis`: the nested loops over the
+distance tables that the array-backed profiles replaced, kept verbatim in
+behaviour: same iteration order, same strict comparisons, and the tables'
+own entries as results.  The tests require the library to agree with them
+exactly (`==`, and equal Python types for the moduli pair).
+
+The two staircase bound verifiers, as they were before they shared one
+pair sweep with integer comparisons: each filters all |sets|**2 pairs for
+J below K and builds one Fraction bound per pair.  They read the staircase
+helpers through the module, so a test that patches `_max_count_diff` or
+`v_of` patches both sides, and counterexamples can be compared.
 """
 
+from fractions import Fraction
 from math import inf
 
+from laakso_lab import staircase
 from laakso_lab.errors import DomainError
 
 
@@ -126,3 +134,105 @@ def c_atd_infinity(m):
         vals = [D / rho for _, _, D, rho in pairs if rho >= step]
         best = max(best, min(vals))
     return best
+
+
+def verify_staircase_bounds(theta, index_bound, size_bound):
+    if not 0 < theta < 1:
+        raise DomainError("theta must lie in (0,1)")
+    theta = Fraction(theta)
+    sets = staircase.enumerate_index_sets(index_bound, size_bound)
+    bad = []
+
+    seen = {}
+    for J in sets:
+        key = staircase.v_of(J, theta).coords
+        if key in seen:
+            bad.append({"check": "injective", "J": list(seen[key]), "K": list(J)})
+        seen[key] = J
+
+    tight_norm = None
+    for J in sets:
+        if not J:
+            continue
+        norm = staircase.sup_norm(staircase.v_of(J, theta))
+        if not theta * len(J) <= norm <= len(J):
+            bad.append({"check": "norm", "J": list(J), "norm": str(norm)})
+        ratio = norm / len(J)
+        if tight_norm is None or ratio < tight_norm:
+            tight_norm = ratio
+
+    pairs = 0
+    tight_pair = None
+    for K in sets:
+        if not K:
+            continue
+        limit = K[0]
+        for J in sets:
+            if J and J[-1] >= limit:
+                continue
+            pairs += 1
+            norm = theta * staircase._max_count_diff(J, K)
+            lower = theta / 3 * (len(J) + len(K))
+            upper = Fraction(len(J) + len(K))
+            if not lower <= norm <= upper:
+                bad.append(
+                    {"check": "pair", "J": list(J), "K": list(K),
+                     "norm": str(norm), "lower": str(lower),
+                     "upper": str(upper)}
+                )
+            ratio = norm / lower
+            if tight_pair is None or ratio < tight_pair:
+                tight_pair = ratio
+
+    return {
+        "theta": str(theta),
+        "sets": len(sets),
+        "pairs": pairs,
+        "tightest_norm_ratio": str(tight_norm),
+        "tightest_pair_ratio": str(tight_pair),
+        "counterexamples": bad[:5],
+        "violations": len(bad),
+        "pass": not bad,
+    }
+
+
+def verify_quarter_bounds(index_bound, size_bound):
+    theta = Fraction(3, 4)
+    quarter = Fraction(1, 4)
+    sets = staircase.enumerate_index_sets(index_bound, size_bound)
+    bad = []
+    for J in sets:
+        if not J:
+            continue
+        norm = staircase.sup_norm(staircase.v_of(J, theta))
+        if not quarter * len(J) <= norm <= len(J):
+            bad.append({"check": "norm", "J": list(J), "norm": str(norm)})
+    pairs = 0
+    tight = None
+    for K in sets:
+        if not K:
+            continue
+        limit = K[0]
+        for J in sets:
+            if J and J[-1] >= limit:
+                continue
+            pairs += 1
+            norm = theta * staircase._max_count_diff(J, K)
+            lower = quarter * (len(J) + len(K))
+            if not lower <= norm <= len(J) + len(K):
+                bad.append(
+                    {"check": "pair", "J": list(J), "K": list(K),
+                     "norm": str(norm), "lower": str(lower)}
+                )
+            ratio = norm / lower
+            if tight is None or ratio < tight:
+                tight = ratio
+    return {
+        "theta": str(theta),
+        "sets": len(sets),
+        "pairs": pairs,
+        "tightest_pair_ratio": str(tight),
+        "counterexamples": bad[:5],
+        "violations": len(bad),
+        "pass": not bad,
+    }

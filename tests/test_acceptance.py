@@ -17,8 +17,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import path_space
-
 from laakso_lab import cli
 from laakso_lab import moduli as md
 from laakso_lab import quotient_analysis as qa
@@ -27,10 +25,9 @@ from laakso_lab.laakso_graph import (
     branch_level_law,
     build_laakso,
     expected_vertex_count,
-    find_forks,
     oracle_agreement_report,
 )
-from laakso_lab.tree_space import TreeSpace, tree_distance
+from laakso_lab.tree_space import TreeSpace
 from laakso_lab.tree_to_laakso import (
     TreeToGraphMap,
     as_map_table,

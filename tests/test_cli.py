@@ -118,6 +118,14 @@ class TestVerifyJames:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("indices,maxsize", [("-3", "2"), ("3", "-1")])
+    def test_empty_bounds_are_usage_errors(self, capsys, indices, maxsize):
+        code, out, err = run(capsys, "verify", "james", "--indices", indices,
+                             "--maxsize", maxsize)
+        assert code == 2
+        assert out == ""
+        assert "bounds must be" in err
+
 
 class TestVerifyAll:
     def test_two_runs_byte_identical(self, capsys):
@@ -169,6 +177,14 @@ class TestAnalyze:
         assert code == 2
         assert "non-finite distance" in err
 
+    @pytest.mark.parametrize("grid", ["inf", "1,nan", "2,-inf"])
+    def test_non_finite_delta_is_usage_error(self, capsys, map_file, grid):
+        code, out, err = run(capsys, "analyze", "map", "--input", map_file,
+                             "--delta-grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "analyze", "map", "--input", "/no/such/file.json",
@@ -188,6 +204,17 @@ class TestFork:
         rep = json.loads(out)
         assert rep["witness"]["r"] == 1
         assert rep["self_check"] == []
+
+    @pytest.mark.parametrize("eps,rmin,message", [
+        ("nan", "1", "eps"), ("inf", "1", "eps"), ("0", "nan", "r_min"),
+    ])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, map_file,
+                                                 eps, rmin, message):
+        code, out, err = run(capsys, "fork", "--input", map_file,
+                             "--eps", eps, "--rmin", rmin)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_no_witness_exits_one(self, capsys, tmp_path):
         d = {

@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from laakso_lab.errors import CapacityError, RelationError
 from laakso_lab import laakso_graph as lg
 from laakso_lab.laakso_graph import (
-    LaaksoGraph,
     VertexId,
     branch_level_law,
     build_laakso,

@@ -51,9 +51,10 @@ class TestClosedForms:
         assert beta_model(m, math.sqrt(2)) == pytest.approx(1 - math.sqrt(2) / 2)
 
     def test_beta_sign_conventions_agree(self):
+        # only the oracle takes the sign; the closed form has one convention
         m = LpModel(2.5)
         for t in (0.2, 0.7, 1.1):
-            assert beta_model(m, t, "plus") == beta_model(m, t, "minus")
+            assert beta_oracle(m, t, "plus") == beta_oracle(m, t, "minus")
 
     def test_domains(self):
         m = LpModel(2.0)
@@ -63,8 +64,6 @@ class TestClosedForms:
             auc_model(m, 1.5)
         with pytest.raises(DomainError):
             beta_model(m, m.separation_cap() + 0.01)
-        with pytest.raises(DomainError):
-            beta_model(m, 0.3, sign="other")
 
     def test_near_one_p_degenerates(self):
         # as p -> 1 the gain from a disjoint bump approaches the full bump
@@ -92,6 +91,10 @@ class TestOracles:
             m = LpModel(1.2 + 3.3 * rng.random())
             t = (0.05 + 0.9 * rng.random()) * m.separation_cap()
             assert abs(beta_model(m, t) - beta_oracle(m, t)) <= BETA_ORACLE_TOL
+
+    def test_beta_oracle_rejects_unknown_sign(self):
+        with pytest.raises(DomainError):
+            beta_oracle(LpModel(2.0), 0.3, sign="other")
 
     def test_oracles_not_trusting_the_model(self):
         # the oracle is a genuine optimizer: it recovers the value from the

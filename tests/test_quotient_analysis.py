@@ -11,7 +11,6 @@ from laakso_lab.tree_to_laakso import TreeToGraphMap, as_map_table
 from laakso_lab import quotient_analysis as qa
 from laakso_lab.quotient_analysis import (
     FiniteMetricSpace,
-    ForkWitness,
     MetricMapTable,
     atd_violation,
     beta_bound_from_fork,
@@ -142,6 +141,10 @@ class TestQuotientModuli:
 
 
 class TestCoarseProfile:
+    def test_rejects_nan_delta(self, floor_by_3):
+        with pytest.raises(DomainError, match="positive"):
+            coarse_profile(floor_by_3, [1.0, math.nan])
+
     def test_phi_is_colipschitz_constant_one(self):
         m = phi_table(2, 2)
         assert lipschitz_constant(m) == 1.0
@@ -220,6 +223,18 @@ class TestForkSearch:
 
     def test_tiny_spaces_give_none(self, collapse_pair):
         assert fork_search(collapse_pair, eps=0.0, r_min=1.0) is None
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_tolerance(self, collapse_pair, eps):
+        # every bound compared against NaN is False, so any lift would pass
+        with pytest.raises(DomainError, match="eps"):
+            fork_search(phi_table(1, 2), eps=eps, r_min=1.0)
+        with pytest.raises(DomainError, match="eps"):
+            fork_search(collapse_pair, eps=eps, r_min=1.0)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(DomainError, match="r_min"):
+            fork_search(phi_table(1, 2), eps=0.0, r_min=math.nan)
 
 
 class TestBetaBound:

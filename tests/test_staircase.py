@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from laakso_lab.errors import DomainError
 from laakso_lab.tree_space import TreeNode
 from laakso_lab.staircase import (
-    StaircaseVector,
     diff_norm,
     enumerate_index_sets,
     exponent_for_radius,
@@ -16,6 +15,7 @@ from laakso_lab.staircase import (
     sup_norm,
     v_of,
     verify_biorthogonality,
+    verify_james,
     verify_prefix_exactness,
     verify_quarter_bounds,
     verify_staircase_bounds,
@@ -134,6 +134,33 @@ class TestVerifiers:
     def test_other_theta_still_passes_theta_bounds(self):
         rep = verify_staircase_bounds(Fraction(1, 2), 8, 4)
         assert rep["pass"], rep
+
+    def test_biorthogonality_counts_its_checks(self):
+        assert verify_biorthogonality(THETA, 3)["checked"] == 9
+
+    @pytest.mark.parametrize("index_bound,size_bound", [(-3, 2), (0, 0), (3, -1)])
+    def test_rejects_empty_bounds(self, index_bound, size_bound):
+        for run in (
+            lambda: verify_staircase_bounds(THETA, index_bound, size_bound),
+            lambda: verify_quarter_bounds(index_bound, size_bound),
+            lambda: verify_prefix_exactness(THETA, index_bound, size_bound),
+            lambda: verify_james(THETA, index_bound, size_bound),
+        ):
+            with pytest.raises(DomainError):
+                run()
+        if index_bound < 1:
+            with pytest.raises(DomainError):
+                verify_biorthogonality(THETA, index_bound)
+
+    def test_james_runs_the_four_checks(self):
+        rep = verify_james(Fraction(1, 2), 6, 3)
+        assert rep == {
+            "staircase_bounds": verify_staircase_bounds(Fraction(1, 2), 6, 3),
+            "quarter_bounds": verify_quarter_bounds(6, 3),
+            "prefix_exactness": verify_prefix_exactness(Fraction(1, 2), 6, 3),
+            "biorthogonality": verify_biorthogonality(Fraction(1, 2), 6),
+            "pass": True,
+        }
 
 
 class TestExponentForRadius:
