@@ -113,21 +113,29 @@ def cmd_verify_james(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _all_pass(records: dict) -> bool:
+    """The one verdict fold: every record of a suite or report passes."""
+    return all(rec["pass"] for rec in records.values())
+
+
 def _suite_graphs() -> dict:
     out = {}
     for n, b in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]:
         g = lg.build_laakso(n, b)
         out[f"structure_n{n}_b{b}"] = lg.structure_report(g)
         out[f"oracle_n{n}_b{b}"] = lg.oracle_agreement_report(g)
+    out["pass"] = _all_pass(out)
     return out
 
 
 def _suite_projection(seed: int, inject_fault: bool) -> dict:
     pm = _phi_map(2, 2, inject_fault)
-    return {
+    out = {
         "projection_T2_9_to_G2": tl.verify_projection(pm, seed=seed),
         "sibling_lift_separation": tl.sibling_lift_separation(pm),
     }
+    out["pass"] = _all_pass(out)
+    return out
 
 
 def _small_test_tables() -> dict[str, qa.MetricMapTable]:
@@ -156,14 +164,13 @@ def _suite_atd(seed: int) -> dict:
     tables = _small_test_tables()
 
     c_grid = [0.05, 0.15, 0.25, 1 / 3, 0.45, 0.55, 0.7, 0.85, 1.0, 1.25]
-    ok = True
     for name, table in tables.items():
         deltas = sorted(
             {d for row in table.source.dist for d in row if d > 0}
         )[:10] or [1.0]
-        rep = qa.cross_validate_atd(table, c_grid, deltas)
-        out[f"grid_agreement_{name}"] = rep
-        ok = ok and rep["pass"]
+        out[f"grid_agreement_{name}"] = qa.cross_validate_atd(
+            table, c_grid, deltas
+        )
 
     floor = tables["floor_by_3"]
     prof = qa.coarse_profile(floor, [0.5, 1, 2, 3])
@@ -172,7 +179,6 @@ def _suite_atd(seed: int) -> dict:
         "expected": 1 / 3,
         "pass": prof.c_atd[0.5] == 1 / 3,
     }
-    ok = ok and out["floor_c_atd_small_delta"]["pass"]
 
     big = qa.MetricMapTable.from_dict(tl.as_map_table(_phi_map(2, 2, False)))
     deltas = [float(d) for d in range(1, 9)]
@@ -184,8 +190,7 @@ def _suite_atd(seed: int) -> dict:
         "c_atd_inf": prof_big.c_atd_inf,
         "pass": vals == [1.0] and prof_big.c_atd_inf == 1.0,
     }
-    ok = ok and out["phi_c_atd_all_one"]["pass"]
-    out["pass"] = ok
+    out["pass"] = _all_pass(out)
     return out
 
 
@@ -228,9 +233,7 @@ def _suite_fork(seed: int) -> dict:
             "separation": sep,
             "pass": lifted["pass"] and sep["pass"],
         }
-    out["pass"] = all(
-        out[k]["pass"] for k in ("exact_fork", "beta_bounds", "lifted_fork_r3")
-    )
+    out["pass"] = _all_pass(out)
     return out
 
 
@@ -240,11 +243,10 @@ def lemma42_grid(points: int = 50) -> list[float]:
 
 def _suite_moduli(seed: int) -> dict:
     out: dict = {}
-    ok = True
     for p in (1.5, 2.0, 3.0, 4.0):
-        rep = md.check_beta_leq_auc(md.LpModel(p), lemma42_grid())
-        out[f"midpoint_vs_convexity_p{p}"] = rep
-        ok = ok and rep["pass"]
+        out[f"midpoint_vs_convexity_p{p}"] = md.check_beta_leq_auc(
+            md.LpModel(p), lemma42_grid()
+        )
 
     import random as _random
 
@@ -268,19 +270,17 @@ def _suite_moduli(seed: int) -> dict:
         "pass": worst_auc <= md.AUC_ORACLE_TOL
         and worst_beta <= md.BETA_ORACLE_TOL,
     }
-    ok = ok and out["oracle_agreement"]["pass"]
 
     fits = {}
-    fit_ok = True
     for kind, p in (("auc", 3.0), ("beta", 2.0)):
         grid = np.geomspace(1e-3, 0.1, 40)
         table = md.tabulate(md.LpModel(p), kind, grid)
         _, p_hat = md.power_type_fit(table)
-        good = abs(p_hat - p) / p <= 0.05
-        fits[f"{kind}_p{p}"] = {"fitted": p_hat, "expected": p, "pass": good}
-        fit_ok = fit_ok and good
-    out["power_type_fits"] = {**fits, "pass": fit_ok}
-    ok = ok and fit_ok
+        fits[f"{kind}_p{p}"] = {
+            "fitted": p_hat, "expected": p, "pass": abs(p_hat - p) / p <= 0.05,
+        }
+    fits["pass"] = _all_pass(fits)
+    out["power_type_fits"] = fits
 
     ratios = [
         abs(md.composed_power_type(2.0, e) - 2.0) / e
@@ -292,8 +292,7 @@ def _suite_moduli(seed: int) -> dict:
         "monotone_decreasing": monotone,
         "pass": monotone and ratios[0] <= 3.5,
     }
-    ok = ok and out["composed_exponent"]["pass"]
-    out["pass"] = ok
+    out["pass"] = _all_pass(out)
     return out
 
 
@@ -313,18 +312,12 @@ def verify_all(seed: int = 0, inject_fault: bool = False,
         suites[name] = runner()
         clock[name] = round(time.perf_counter() - start, 3)
 
-    def suite_pass(rep: dict) -> bool:
-        if "pass" in rep:
-            return bool(rep["pass"])
-        return all(v.get("pass", False) for v in rep.values()
-                   if isinstance(v, dict))
-
     report = {
         "schema": 1,
         "seed": seed,
         "fault_injected": inject_fault,
         "suites": suites,
-        "pass": all(suite_pass(rep) for rep in suites.values()),
+        "pass": _all_pass(suites),
     }
     if timings:
         report["timings_seconds"] = clock

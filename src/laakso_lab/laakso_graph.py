@@ -17,7 +17,7 @@ This makes equality plain tuple equality and gives every vertex a compact
 printable id such as ``r``, ``v``, ``m2.w1``, ``t.v``.
 
 Level (distance from the root) and the full metric are computed analytically
-from addresses; ``distance_oracle`` runs BFS over the explicit adjacency and
+from addresses; ``bfs_levels_from`` runs BFS over the explicit adjacency and
 is kept strictly independent so the two can be cross-checked pair by pair.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
@@ -270,25 +270,6 @@ class LaaksoGraph:
         self.index(v)
         return _dist(self.n, self.b, (u.word, u.pos), (v.word, v.pos))
 
-    def distance_oracle(self, u: VertexId, v: VertexId) -> int:
-        """Same metric by plain BFS over the adjacency. Kept independent of
-        ``distance`` so the two implementations can check each other."""
-        src, dst = self.index(u), self.index(v)
-        if src == dst:
-            return 0
-        seen = {src: 0}
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            d = seen[i] + 1
-            for j in self.neighbors[i]:
-                if j not in seen:
-                    if j == dst:
-                        return d
-                    seen[j] = d
-                    queue.append(j)
-        raise RelationError(f"{u!r} and {v!r} are not connected")
-
     def bfs_levels_from(self, v: VertexId) -> list[int]:
         """BFS distance from v to every vertex, indexed like ``vertices``."""
         src = self.index(v)
@@ -329,15 +310,6 @@ class LaaksoGraph:
                     f"no child of {self.label(cur)} stays above {self.label(v)}"
                 )
         return path
-
-    # -- reports and exports -------------------------------------------------
-
-    def branch_levels(self) -> set[int]:
-        return {
-            self.levels[i]
-            for i, v in enumerate(self.vertices)
-            if self.is_branching(v)
-        }
 
 
 def build_laakso(n: int, b: int, max_vertices: Optional[int] = None) -> LaaksoGraph:

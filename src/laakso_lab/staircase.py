@@ -106,6 +106,11 @@ def enumerate_index_sets(index_bound: int, size_bound: int) -> list[tuple[int, .
     return out
 
 
+def _require_theta(theta) -> None:
+    if not 0 < theta < 1:
+        raise DomainError("theta must lie in (0,1)")
+
+
 def _require_bounds(index_bound: int, size_bound: int = 0) -> None:
     if index_bound < 1 or size_bound < 0:
         raise DomainError(f"bounds must be index >= 1 and size >= 0, got "
@@ -181,8 +186,7 @@ def verify_staircase_bounds(
     and for every ordered pair with max J < min J' the two-sided bound
     (theta/3)*(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|.  Exact arithmetic;
     reports the tightest ratios observed."""
-    if not 0 < theta < 1:
-        raise DomainError("theta must lie in (0,1)")
+    _require_theta(theta)
     theta = Fraction(theta)
     _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
@@ -249,7 +253,9 @@ def verify_prefix_exactness(
 ) -> dict:
     """For prefix-comparable sets J below J' the norm of the difference is
     exactly theta times the level gap: the map J -> v_J distorts
-    ancestor-to-descendant distances by the single factor theta."""
+    ancestor-to-descendant distances by the single factor theta.  Theta is
+    nonzero, so it cancels and the check compares integer counts."""
+    _require_theta(theta)
     theta = Fraction(theta)
     _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
@@ -259,11 +265,12 @@ def verify_prefix_exactness(
         for p in range(len(K) + 1):
             J = K[:p]
             pairs += 1
-            norm = theta * _max_count_diff(J, K)
-            if norm != theta * (len(K) - p):
+            count = _max_count_diff(J, K)
+            if count != len(K) - p:
                 bad.append(
                     {"check": "prefix", "J": list(J), "K": list(K),
-                     "norm": str(norm), "expected": str(theta * (len(K) - p))}
+                     "norm": str(theta * count),
+                     "expected": str(theta * (len(K) - p))}
                 )
     return {
         "theta": str(theta),

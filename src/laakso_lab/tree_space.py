@@ -136,10 +136,6 @@ class TreeSpace:
         return _enumerate_nodes(self.branching, self.depth)
 
 
-def tree_children(node: TreeNode, space: TreeSpace) -> list[TreeNode]:
-    return space.children(node)
-
-
 @lru_cache(maxsize=64)
 def _enumerate_nodes(b: int, d: int) -> tuple[TreeNode, ...]:
     space = TreeSpace(b, d)

@@ -105,10 +105,15 @@ def verify_projection(
 ) -> dict:
     """Full property report: level preservation, surjectivity, the
     1-Lipschitz bound over node pairs (exhaustive below 2**12 nodes, else
-    seeded sampling), and lift exactness over every ancestor pair of graph
-    vertices with every (or a seeded sample of) preimages of the upper one.
+    ``samples`` seeded pairs, at least one), and lift exactness over every
+    ancestor pair of graph vertices with every (or a seeded sample of)
+    preimages of the upper one.  Both spaces are graded, so the ancestor
+    rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
+    graph distances and tells comparable node pairs by their distance.
     ``exhaustive`` forces the mode; left as None it is chosen by size.
     Failures are report content, never exceptions."""
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     tree, graph = pm.tree, pm.graph
     nodes = tree.nodes()
     if exhaustive is None:
@@ -131,8 +136,9 @@ def verify_projection(
     ]
 
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
-    # of the other) and incomparable pairs; both strata must be nonempty for
-    # the bound to have been exercised on both geodesic shapes.
+    # of the other, so their distance is the level gap) and incomparable
+    # pairs; both strata must be nonempty for the bound to have been
+    # exercised on both geodesic shapes.
     gdist = [
         [graph.distance(u, v) for v in graph.vertices] for u in graph.vertices
     ]
@@ -154,7 +160,7 @@ def verify_projection(
         J, K = nodes[i], nodes[j]
         dt = tree_distance(J, K)
         dm = gdist[gidx[i]][gidx[j]]
-        if J.is_prefix_of(K) or K.is_prefix_of(J):
+        if dt == abs(J.level - K.level):
             comparable += 1
         else:
             incomparable += 1
@@ -173,32 +179,29 @@ def verify_projection(
         preimages.setdefault(gi, []).append(J)
     lift_bad: list[dict] = []
     lifts_done = 0
-    pairs_done = 0
-    for iu, u in enumerate(graph.vertices):
-        for iv, v in enumerate(graph.vertices):
-            if iu == iv or not graph.is_ancestor(u, v):
-                continue
-            pairs_done += 1
-            pool = preimages.get(iu, [])
-            if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
-                pool = rng.sample(pool, PREIMAGE_SAMPLE)
-            for J in pool:
-                lifts_done += 1
-                K = pm.lift(J, v)
-                dt = tree_distance(J, K)
-                ok = (
-                    pm.image(K) == v
-                    and J.is_prefix_of(K)
-                    and dt == gdist[iu][iv]
+    ancestors = ancestor_pairs(gdist, graph.levels)
+    for iu, iv in ancestors:
+        v = graph.vertices[iv]
+        pool = preimages.get(iu, [])
+        if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
+            pool = rng.sample(pool, PREIMAGE_SAMPLE)
+        for J in pool:
+            lifts_done += 1
+            K = pm.lift(J, v)
+            dt = tree_distance(J, K)
+            ok = (
+                pm.image(K) == v
+                and J.is_prefix_of(K)
+                and dt == gdist[iu][iv]
+            )
+            if not ok and len(lift_bad) < max_counterexamples:
+                lift_bad.append(
+                    {"check": "lift", "node": list(J.elements),
+                     "vertex": graph.label(v),
+                     "lifted": list(K.elements),
+                     "lifted_image": graph.label(pm.image(K)),
+                     "tree_dist": dt, "graph_dist": gdist[iu][iv]}
                 )
-                if not ok and len(lift_bad) < max_counterexamples:
-                    lift_bad.append(
-                        {"check": "lift", "node": list(J.elements),
-                         "vertex": graph.label(v),
-                         "lifted": list(K.elements),
-                         "lifted_image": graph.label(pm.image(K)),
-                         "tree_dist": dt, "graph_dist": gdist[iu][iv]}
-                    )
 
     checks = {
         "level_preserving": {
@@ -221,7 +224,7 @@ def verify_projection(
         },
         "lift_exact": {
             "pass": not lift_bad,
-            "ancestor_pairs": pairs_done,
+            "ancestor_pairs": len(ancestors),
             "lifts": lifts_done,
             "counterexamples": lift_bad,
         },
@@ -322,10 +325,23 @@ def sibling_lift_separation(pm: TreeToGraphMap, depths=(1, 2)) -> dict:
     return {"checked": checked, "counterexamples": bad[:5], "pass": not bad}
 
 
+def ancestor_pairs(dist, levels) -> list[list[int]]:
+    """The strict ancestor pairs [i, j] of a graded space, in row-major
+    order: i is an ancestor of j iff dist[i][j] == levels[j] - levels[i]."""
+    return [
+        [i, j]
+        for i, (row, li) in enumerate(zip(dist, levels))
+        for j, lj in enumerate(levels)
+        if i != j and row[j] == lj - li
+    ]
+
+
 def as_map_table(pm: TreeToGraphMap) -> dict:
     """Materialize the projection as a plain map table: full distance
-    matrices, index assignment, and both strict ancestor relations.  Only
-    feasible at desk scale; the tree enumeration enforces its own cap."""
+    matrices, index assignment, and both strict ancestor relations, read
+    off the distance matrices by the ancestor rule of ``ancestor_pairs``.
+    Only feasible at desk scale; the tree enumeration enforces its own
+    cap."""
     nodes = pm.tree.nodes()
     verts = pm.graph.vertices
     ns = len(nodes)
@@ -335,28 +351,15 @@ def as_map_table(pm: TreeToGraphMap) -> dict:
             d = tree_distance(nodes[i], nodes[j])
             sdist[i][j] = d
             sdist[j][i] = d
-    source_order = [
-        [i, j]
-        for i in range(ns)
-        for j in range(ns)
-        if i != j and nodes[i].is_prefix_of(nodes[j])
-    ]
-    nt = len(verts)
     tdist = [[pm.graph.distance(u, v) for v in verts] for u in verts]
-    target_order = [
-        [i, j]
-        for i in range(nt)
-        for j in range(nt)
-        if i != j and pm.graph.is_ancestor(verts[i], verts[j])
-    ]
     assign = [pm.graph.index(pm.image(J)) for J in nodes]
     return {
         "schema": 1,
         "source": {"n": ns, "dist": sdist},
-        "target": {"n": nt, "dist": tdist},
+        "target": {"n": len(verts), "dist": tdist},
         "assign": assign,
-        "source_order": source_order,
-        "target_order": target_order,
+        "source_order": ancestor_pairs(sdist, [J.level for J in nodes]),
+        "target_order": ancestor_pairs(tdist, pm.graph.levels),
     }
 
 

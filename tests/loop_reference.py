@@ -1,4 +1,4 @@
-"""Pure-Python loop references for two refactored routes.
+"""Pure-Python loop references for refactored routes.
 
 The profile route of `quotient_analysis`: the nested loops over the
 distance tables that the array-backed profiles replaced, kept verbatim in
@@ -10,7 +10,13 @@ The two staircase bound verifiers, as they were before they shared one
 pair sweep with integer comparisons: each filters all |sets|**2 pairs for
 J below K and builds one Fraction bound per pair.  They read the staircase
 helpers through the module, so a test that patches `_max_count_diff` or
-`v_of` patches both sides, and counterexamples can be compared.
+`v_of` patches both sides, and counterexamples can be compared.  The
+prefix-exactness verifier, as it was when it compared one pair of
+Fractions per pair, reads `_max_count_diff` the same way.
+
+The map-table export of `tree_to_laakso`, as it was when it derived both
+ancestor relations pair by pair from `is_prefix_of` and `is_ancestor`
+instead of reading them off the distance matrices.
 """
 
 from fractions import Fraction
@@ -18,6 +24,7 @@ from math import inf
 
 from laakso_lab import staircase
 from laakso_lab.errors import DomainError
+from laakso_lab.tree_space import tree_distance
 
 
 def lipschitz_constant(m):
@@ -235,4 +242,63 @@ def verify_quarter_bounds(index_bound, size_bound):
         "counterexamples": bad[:5],
         "violations": len(bad),
         "pass": not bad,
+    }
+
+
+def verify_prefix_exactness(theta, index_bound, size_bound):
+    theta = Fraction(theta)
+    sets = staircase.enumerate_index_sets(index_bound, size_bound)
+    bad = []
+    pairs = 0
+    for K in sets:
+        for p in range(len(K) + 1):
+            J = K[:p]
+            pairs += 1
+            norm = theta * staircase._max_count_diff(J, K)
+            if norm != theta * (len(K) - p):
+                bad.append(
+                    {"check": "prefix", "J": list(J), "K": list(K),
+                     "norm": str(norm), "expected": str(theta * (len(K) - p))}
+                )
+    return {
+        "theta": str(theta),
+        "pairs": pairs,
+        "counterexamples": bad[:5],
+        "violations": len(bad),
+        "pass": not bad,
+    }
+
+
+def as_map_table(pm):
+    nodes = pm.tree.nodes()
+    verts = pm.graph.vertices
+    ns = len(nodes)
+    sdist = [[0] * ns for _ in range(ns)]
+    for i in range(ns):
+        for j in range(i + 1, ns):
+            d = tree_distance(nodes[i], nodes[j])
+            sdist[i][j] = d
+            sdist[j][i] = d
+    source_order = [
+        [i, j]
+        for i in range(ns)
+        for j in range(ns)
+        if i != j and nodes[i].is_prefix_of(nodes[j])
+    ]
+    nt = len(verts)
+    tdist = [[pm.graph.distance(u, v) for v in verts] for u in verts]
+    target_order = [
+        [i, j]
+        for i in range(nt)
+        for j in range(nt)
+        if i != j and pm.graph.is_ancestor(verts[i], verts[j])
+    ]
+    assign = [pm.graph.index(pm.image(J)) for J in nodes]
+    return {
+        "schema": 1,
+        "source": {"n": ns, "dist": sdist},
+        "target": {"n": nt, "dist": tdist},
+        "assign": assign,
+        "source_order": source_order,
+        "target_order": target_order,
     }

@@ -8,16 +8,12 @@ that the construction actually satisfies is asserted separately right
 below it, so the failure is isolated and explained by its message.
 """
 
-import io
-import json
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from laakso_lab import cli
 from laakso_lab import moduli as md
 from laakso_lab import quotient_analysis as qa
 from laakso_lab import staircase as st
@@ -33,6 +29,8 @@ from laakso_lab.tree_to_laakso import (
     as_map_table,
     verify_projection,
 )
+
+from conftest import check_verify_all_runs
 
 
 def phi_table(n: int, b: int) -> qa.MetricMapTable:
@@ -223,15 +221,5 @@ def test_c7_modulus_models_oracles_and_power_types():
 # -- 8: determinism ------------------------------------------------------------
 
 
-def test_c8_verify_all_byte_identical():
-    def run() -> bytes:
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.main(["verify", "all", "--seed", "0"])
-        assert code == 0
-        return buf.getvalue().encode()
-
-    first = run()
-    second = run()
-    assert first == second
-    assert json.loads(first)["pass"]
+def test_c8_verify_all_byte_identical(verify_all_runs):
+    check_verify_all_runs(verify_all_runs)

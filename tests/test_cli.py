@@ -7,6 +7,8 @@ from laakso_lab.tree_to_laakso import TreeToGraphMap, as_map_table
 from laakso_lab.laakso_graph import build_laakso
 from laakso_lab.tree_space import TreeSpace
 
+from conftest import check_verify_all_runs
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -103,6 +105,14 @@ class TestVerifyPhi:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_usage_error(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "phi", "--n", "1", "--b", "2",
+                             "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
+
 
 class TestVerifyJames:
     def test_default_run(self, capsys):
@@ -128,23 +138,47 @@ class TestVerifyJames:
 
 
 class TestVerifyAll:
-    def test_two_runs_byte_identical(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "all", "--seed", "0")
-        code2, out2, _ = run(capsys, "verify", "all", "--seed", "0")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        rep = json.loads(out1)
-        assert rep["pass"]
-        assert set(rep["suites"]) == {
-            "graphs", "projection", "atd", "fork", "james", "moduli",
-        }
-        assert "timings_seconds" not in rep
+    def test_two_runs_byte_identical(self, verify_all_runs):
+        check_verify_all_runs(verify_all_runs)
+
+    def test_every_suite_carries_a_boolean_pass(self, verify_all_runs):
+        suites = json.loads(verify_all_runs[0][1])["suites"]
+        verdicts = {name: suite["pass"] for name, suite in suites.items()}
+        assert verdicts == dict.fromkeys(verdicts, True)
+        assert all(type(v) is bool for v in verdicts.values())
+
+    @pytest.mark.parametrize(
+        "failing", ["graphs", "projection", "atd", "fork", "james", "moduli"]
+    )
+    def test_any_failing_suite_fails_the_run(self, monkeypatch, failing):
+        def stub(name):
+            ok = name != failing
+            return lambda *args: {"check": {"pass": ok}, "pass": ok}
+
+        for name in ("graphs", "projection", "atd", "fork", "moduli"):
+            monkeypatch.setattr(cli, f"_suite_{name}", stub(name))
+        monkeypatch.setattr(cli.st, "verify_james", stub("james"))
+        rep = cli.verify_all()
+        assert rep["pass"] is False
+        assert [n for n, s in rep["suites"].items() if not s["pass"]] == [
+            failing
+        ]
+
+    def test_graphs_suite_folds_its_reports(self, monkeypatch):
+        monkeypatch.setattr(cli.lg, "oracle_agreement_report",
+                            lambda g: {"pass": g.n != 3})
+        suite = cli._suite_graphs()
+        assert suite["pass"] is False
+        assert suite["oracle_n2_b3"]["pass"] is True
 
     def test_fault_fails_whole_run(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--seed", "0",
                            "--inject-fault")
         assert code == 1
-        assert not json.loads(out)["pass"]
+        rep = json.loads(out)
+        assert not rep["pass"]
+        assert rep["suites"]["projection"]["pass"] is False
+        assert rep["suites"]["graphs"]["pass"] is True
 
     def test_timings_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--seed", "0",

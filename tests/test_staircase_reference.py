@@ -1,7 +1,7 @@
-"""The shared pair sweep of the staircase bound verifiers against the
-per-pair Fraction loops in `loop_reference`, exactly, including under
-injected faults, and the `verify james` reports against committed golden
-files."""
+"""The shared pair sweep of the staircase bound verifiers and the integer
+prefix-exactness check against the per-pair Fraction loops in
+`loop_reference`, exactly, including under injected faults, and the
+`verify james` reports against committed golden files."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +27,8 @@ REAL_V_OF = st.v_of
 
 
 def count_too_small(J, K):
-    return REAL_COUNT(J, K) - (1 if (K[-1] + len(J)) % 3 == 0 else 0)
+    last = K[-1] if K else 0
+    return REAL_COUNT(J, K) - (1 if (last + len(J)) % 3 == 0 else 0)
 
 
 def count_too_large(J, K):
@@ -43,7 +44,9 @@ def assert_matches_reference(theta, index_bound, size_bound):
     assert got == ref.verify_staircase_bounds(theta, index_bound, size_bound)
     quarter = st.verify_quarter_bounds(index_bound, size_bound)
     assert quarter == ref.verify_quarter_bounds(index_bound, size_bound)
-    return got, quarter
+    prefix = st.verify_prefix_exactness(theta, index_bound, size_bound)
+    assert prefix == ref.verify_prefix_exactness(theta, index_bound, size_bound)
+    return got, quarter, prefix
 
 
 @pytest.mark.parametrize("theta,index_bound,size_bound", POINTS)
@@ -60,8 +63,10 @@ def test_bound_reports_match_reference(theta, index_bound, size_bound):
 )
 def test_counterexamples_match_reference(monkeypatch, theta, name, fault):
     monkeypatch.setattr(st, name, fault)
-    got, quarter = assert_matches_reference(theta, 8, 4)
+    got, quarter, prefix = assert_matches_reference(theta, 8, 4)
     assert got["violations"] > 5 and quarter["violations"] > 5
+    if name == "_max_count_diff":
+        assert prefix["violations"] > 5
 
 
 def test_theta_domain_matches_reference():
@@ -70,6 +75,14 @@ def test_theta_domain_matches_reference():
             st.verify_staircase_bounds(theta, 4, 2)
         with pytest.raises(DomainError):
             ref.verify_staircase_bounds(theta, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "theta", [Fraction(0), Fraction(-1), Fraction(1), Fraction(3, 2)]
+)
+def test_prefix_exactness_rejects_theta_outside_unit_interval(theta):
+    with pytest.raises(DomainError, match="theta must lie in"):
+        st.verify_prefix_exactness(theta, 4, 2)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from laakso_lab.tree_space import (
     ROOT,
     TreeNode,
     TreeSpace,
-    tree_children,
     tree_distance,
     tree_lcp,
     tree_parent,
@@ -113,6 +112,8 @@ class TestTreeSpace:
         kids = space.children(TreeNode((2,)))
         assert [k.elements for k in kids] == [(2, 3), (2, 4), (2, 5)]
         assert space.children(TreeNode((2, 3))) == []  # at depth
+        kids = TreeSpace(2, 3).children(TreeNode((1,)))
+        assert [k.elements for k in kids] == [(1, 2), (1, 3)]
 
     def test_contains(self):
         space = TreeSpace(2, 3)
@@ -131,7 +132,3 @@ class TestTreeSpace:
             {"elements": [1], "level": 1},
             {"elements": [2], "level": 1},
         ]
-
-    def test_tree_children_free_function(self):
-        kids = tree_children(TreeNode((1,)), TreeSpace(2, 3))
-        assert [k.elements for k in kids] == [(1, 2), (1, 3)]

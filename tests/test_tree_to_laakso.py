@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import pytest
 
+import loop_reference as ref
+from laakso_lab import cli
 from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 from laakso_lab.tree_to_laakso import (
     TreeToGraphMap,
+    ancestor_pairs,
     as_map_table,
     lifted_fork,
     replay_case,
@@ -21,6 +26,9 @@ def pm_small():
 @pytest.fixture(scope="module")
 def pm_mid():
     return TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConstruction:
@@ -136,6 +144,50 @@ class TestVerifyProjection:
         with pytest.raises(DomainError):
             replay_case(pm_small, {"check": "nonsense"})
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_is_rejected(self, pm_small, samples):
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            verify_projection(pm_small, samples=samples)
+
+    @pytest.mark.parametrize(
+        "name,argv,code",
+        [("n2_b3_seed0", ["--n", "2", "--b", "3", "--seed", "0"], 0),
+         ("n2_b2_inject_fault", ["--n", "2", "--b", "2", "--inject-fault"], 1)],
+    )
+    def test_verify_phi_report_is_golden(self, tmp_path, name, argv, code):
+        out = tmp_path / "phi.json"
+        assert cli.main(["verify", "phi", *argv, "--out", str(out)]) == code
+        golden = DATA / f"verify_phi_{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+class TestAncestorPairs:
+    """The ancestor rule read off distance tables, against the relations
+    computed without it: prefixes in the tree, `is_ancestor` on BFS rows
+    of the graph."""
+
+    @pytest.mark.parametrize("b,d", [(2, 4), (3, 3)])
+    def test_tree_distances_give_the_prefix_relation(self, b, d):
+        nodes = TreeSpace(b, d).nodes()
+        dist = [[tree_distance(J, K) for K in nodes] for J in nodes]
+        assert ancestor_pairs(dist, [J.level for J in nodes]) == [
+            [i, j]
+            for i, J in enumerate(nodes)
+            for j, K in enumerate(nodes)
+            if i != j and J.is_prefix_of(K)
+        ]
+
+    @pytest.mark.parametrize("n,b", [(2, 2), (2, 3), (3, 2)])
+    def test_graph_distances_give_is_ancestor(self, n, b):
+        g = build_laakso(n, b)
+        dist = [g.bfs_levels_from(u) for u in g.vertices]
+        assert ancestor_pairs(dist, g.levels) == [
+            [i, j]
+            for i, u in enumerate(g.vertices)
+            for j, v in enumerate(g.vertices)
+            if i != j and g.is_ancestor(u, v)
+        ]
+
 
 class TestSiblingLiftSeparation:
     def test_clean_map_passes(self, pm_mid):
@@ -152,6 +204,11 @@ class TestSiblingLiftSeparation:
 
 
 class TestMapTable:
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2)])
+    def test_matches_pairwise_reference(self, n, b):
+        pm = TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b))
+        assert as_map_table(pm) == ref.as_map_table(pm)
+
     def test_round_trip(self, pm_small):
         from laakso_lab.quotient_analysis import MetricMapTable
 
