@@ -101,7 +101,7 @@ def cmd_verify_phi(args) -> int:
 
 
 def cmd_verify_james(args) -> int:
-    theta = Fraction(args.theta)
+    theta = st.exact_theta(args.theta)
     report = {
         "schema": 1,
         "theta": str(theta),
@@ -159,7 +159,7 @@ def _small_test_tables() -> dict[str, qa.MetricMapTable]:
     return tables
 
 
-def _suite_atd(seed: int) -> dict:
+def _suite_atd() -> dict:
     out: dict = {}
     tables = _small_test_tables()
 
@@ -194,7 +194,7 @@ def _suite_atd(seed: int) -> dict:
     return out
 
 
-def _suite_fork(seed: int) -> dict:
+def _suite_fork() -> dict:
     out: dict = {}
     small = qa.MetricMapTable.from_dict(tl.as_map_table(_phi_map(1, 2, False)))
     witness = qa.fork_search(small, eps=0.0, r_min=1.0)
@@ -303,8 +303,8 @@ def verify_all(seed: int = 0, inject_fault: bool = False,
     for name, runner in [
         ("graphs", _suite_graphs),
         ("projection", lambda: _suite_projection(seed, inject_fault)),
-        ("atd", lambda: _suite_atd(seed)),
-        ("fork", lambda: _suite_fork(seed)),
+        ("atd", _suite_atd),
+        ("fork", _suite_fork),
         ("james", st.verify_james),
         ("moduli", lambda: _suite_moduli(seed)),
     ]:
@@ -403,6 +403,8 @@ def cmd_fork(args) -> int:
 
 def cmd_moduli(args) -> int:
     model = md.LpModel(args.p)
+    if args.points < 1:
+        raise DomainError(f"--points must be >= 1, got {args.points}")
     if args.mode == "check-lemma42":
         rep = md.check_beta_leq_auc(model, lemma42_grid(args.points))
         _emit_json(rep, args.out)

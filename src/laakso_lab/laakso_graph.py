@@ -32,7 +32,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import CapacityError, RelationError
 
@@ -179,24 +179,19 @@ class LaaksoGraph:
     graph can be shared freely across threads.
     """
 
-    def __init__(self, n: int, b: int, max_vertices: Optional[int] = None):
+    def __init__(self, n: int, b: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if b < 2:
             raise ValueError(f"b must be >= 2, got {b}")
         predicted = expected_vertex_count(n, b)
-        cap = max_vertices
-        if cap is None:
-            env = os.environ.get(MAX_VERTICES_ENV)
-            if env is not None:
-                cap = int(env)
-        if cap is None:
-            if n > DEFAULT_MAX_N or b > DEFAULT_MAX_B:
-                raise CapacityError(
-                    f"n={n}, b={b} exceeds the default bounds n<={DEFAULT_MAX_N}, "
-                    f"b<={DEFAULT_MAX_B}; set {MAX_VERTICES_ENV} or max_vertices to override"
-                )
-            cap = DEFAULT_MAX_VERTICES
+        env = os.environ.get(MAX_VERTICES_ENV)
+        if env is None and (n > DEFAULT_MAX_N or b > DEFAULT_MAX_B):
+            raise CapacityError(
+                f"n={n}, b={b} exceeds the default bounds n<={DEFAULT_MAX_N}, "
+                f"b<={DEFAULT_MAX_B}; set {MAX_VERTICES_ENV} to override"
+            )
+        cap = DEFAULT_MAX_VERTICES if env is None else int(env)
         if predicted > cap:
             raise CapacityError(
                 f"graph ({n}, {b}) needs {predicted} vertices, cap is {cap}"
@@ -312,8 +307,8 @@ class LaaksoGraph:
         return path
 
 
-def build_laakso(n: int, b: int, max_vertices: Optional[int] = None) -> LaaksoGraph:
-    return LaaksoGraph(n, b, max_vertices=max_vertices)
+def build_laakso(n: int, b: int) -> LaaksoGraph:
+    return LaaksoGraph(n, b)
 
 
 def lowest_nonzero_base3_digit(m: int) -> int:
@@ -477,16 +472,14 @@ def oracle_agreement_report(g: LaaksoGraph) -> dict:
 
 
 def find_forks(
-    g: LaaksoGraph, r_min: int = 1, r_max: Optional[int] = None
+    g: LaaksoGraph, r_min: int = 1
 ) -> Iterator[tuple[int, VertexId, VertexId, list[VertexId]]]:
     """Yield (r, head, center, arms): center is r below head, each arm is r
     below center, and distinct arms are mutually 2r apart.  Deterministic
-    order: increasing r, then center, then head."""
-    if r_max is None:
-        r_max = 3**g.n
+    order: increasing r up to the span 3**n, then center, then head."""
     levels = g.levels
     verts = g.vertices
-    for r in range(r_min, r_max + 1):
+    for r in range(r_min, 3**g.n + 1):
         for ci, center in enumerate(verts):
             if not g.is_branching(center):
                 continue

@@ -14,9 +14,9 @@ Closed forms, for 1 < p < infinity:
 
   convexity  (t in (0,1]):      (1 + t**p)**(1/p) - 1
   smoothness (t in (0,1]):      (1 + t**p)**(1/p) - 1   (the same expression
-                                 in this model, so `aus_model` is an alias
-                                 of `auc_model`; it enters only through its
-                                 power type)
+                                 in this model, so the "aus" kind is
+                                 computed by `auc_model`; it enters only
+                                 through its power type)
   midpoint drop (t in (0, 2**(1/p)]):
       1 - ((1 + (1-s**p)**(1/p))**p + s**p)**(1/p) / 2,  s = t * 2**(-1/p),
   where s is the per-vector scale forced by pairwise separation t between
@@ -62,11 +62,6 @@ def auc_model(m: LpModel, t: float) -> float:
     if not 0 < t <= 1:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     return (1 + t**m.p) ** (1 / m.p) - 1
-
-
-# Smoothness is the same expression in the disjoint-support model; the name
-# stays for its different role (upper power type rather than lower).
-aus_model = auc_model
 
 
 def auc_oracle(m: LpModel, t: float) -> float:
@@ -158,6 +153,9 @@ def beta_oracle(m: LpModel, t: float, sign: str = "plus") -> float:
 def check_beta_leq_auc(m: LpModel, t_grid: Sequence[float]) -> dict:
     """Pointwise check of midpoint-drop(t) <= convexity(2t) on a grid in
     (0, 1/2]; violations reported, never raised."""
+    t_grid = list(t_grid)
+    if not t_grid:
+        raise DomainError("empty t grid: nothing to check")
     bad = []
     max_slack = -inf
     for t in t_grid:
@@ -170,7 +168,7 @@ def check_beta_leq_auc(m: LpModel, t_grid: Sequence[float]) -> dict:
                         "auc_at_2t": auc_model(m, 2 * t)})
     return {
         "p": m.p,
-        "points": len(list(t_grid)),
+        "points": len(t_grid),
         "max_slack": max_slack,
         "violations": bad[:5],
         "pass": not bad,
@@ -180,12 +178,13 @@ def check_beta_leq_auc(m: LpModel, t_grid: Sequence[float]) -> dict:
 @dataclass(frozen=True)
 class ModulusTable:
     kind: str
-    model: LpModel
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown modulus kind {self.kind!r}")
+        if not self.samples:
+            raise DomainError("a modulus table needs at least one sample")
         ts = [t for t, _ in self.samples]
         vals = [v for _, v in self.samples]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
@@ -196,7 +195,7 @@ class ModulusTable:
             raise ValueError("modulus values must be non-decreasing")
 
 
-_KINDS = {"auc": auc_model, "aus": aus_model, "beta": beta_model}
+_KINDS = {"auc": auc_model, "aus": auc_model, "beta": beta_model}
 
 
 def tabulate(m: LpModel, kind: str, t_grid: Sequence[float]) -> ModulusTable:
@@ -204,7 +203,7 @@ def tabulate(m: LpModel, kind: str, t_grid: Sequence[float]) -> ModulusTable:
         raise DomainError(f"unknown modulus kind {kind!r}")
     fn = _KINDS[kind]
     samples = tuple((float(t), fn(m, float(t))) for t in t_grid)
-    return ModulusTable(kind=kind, model=m, samples=samples)
+    return ModulusTable(kind=kind, samples=samples)
 
 
 def power_type_fit(table: ModulusTable) -> tuple[float, float]:

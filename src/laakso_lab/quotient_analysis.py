@@ -476,11 +476,14 @@ def fork_search(
     The spread bound is enforced non-strictly: at eps = 0 an exact fork has
     spread equal to the bound itself, and that exact witness is the point
     of the search.  eps must be finite and non-negative and r_min not NaN:
-    a NaN or infinite bound would let every comparison admit any lift."""
+    a NaN or infinite bound would let every comparison admit any lift.  A
+    fork has at least two arms, so max_arms, when given, is at least 2."""
     if not 0 <= eps < inf:
         raise DomainError(f"eps must be finite and non-negative, got {eps}")
     if r_min != r_min:
         raise DomainError("r_min must not be NaN")
+    if max_arms is not None and max_arms < 2:
+        raise DomainError(f"max_arms must be >= 2, got {max_arms}")
     if m.source.n < 4 or m.target.n < 4:
         return None
     if not m.surjective:

@@ -49,7 +49,6 @@ class StaircaseVector:
     """Finitely supported coordinates, index 1..len(coords)."""
 
     coords: tuple[Fraction, ...]
-    theta: Fraction
 
     def coordinate(self, n: int) -> Fraction:
         if n < 1:
@@ -60,19 +59,18 @@ class StaircaseVector:
 def step_vector(k: int, theta: Fraction = THETA_DEFAULT) -> StaircaseVector:
     if k < 1:
         raise DomainError("step index must be >= 1")
-    theta = Fraction(theta)
-    return StaircaseVector(coords=(theta,) * k, theta=theta)
+    return StaircaseVector(coords=(Fraction(theta),) * k)
 
 
 def v_of(J: IndexSet, theta: Fraction = THETA_DEFAULT) -> StaircaseVector:
     els = _elements(J)
-    theta = Fraction(theta)
     if not els:
-        return StaircaseVector(coords=(), theta=theta)
+        return StaircaseVector(coords=())
+    theta = Fraction(theta)
     coords = tuple(
         theta * (len(els) - bisect_left(els, i)) for i in range(1, els[-1] + 1)
     )
-    return StaircaseVector(coords=coords, theta=theta)
+    return StaircaseVector(coords=coords)
 
 
 def sup_norm(v: StaircaseVector) -> Fraction:
@@ -92,9 +90,10 @@ def _max_count_diff(J: tuple[int, ...], K: tuple[int, ...]) -> int:
     return best
 
 
-def diff_norm(J: IndexSet, K: IndexSet, theta: Fraction = THETA_DEFAULT) -> Fraction:
-    """Exact sup norm of v_J - v_K by the counting route (no vectors built)."""
-    return Fraction(theta) * _max_count_diff(_elements(J), _elements(K))
+def diff_norm(J: IndexSet, K: IndexSet) -> Fraction:
+    """Exact sup norm of v_J - v_K at THETA_DEFAULT by the counting route
+    (no vectors built)."""
+    return THETA_DEFAULT * _max_count_diff(_elements(J), _elements(K))
 
 
 def enumerate_index_sets(index_bound: int, size_bound: int) -> list[tuple[int, ...]]:
@@ -106,9 +105,15 @@ def enumerate_index_sets(index_bound: int, size_bound: int) -> list[tuple[int, .
     return out
 
 
-def _require_theta(theta) -> None:
+def exact_theta(theta) -> Fraction:
+    """theta as an exact Fraction, which must lie in (0, 1)."""
+    try:
+        theta = Fraction(theta)
+    except (ArithmeticError, ValueError):
+        raise DomainError(f"theta {theta!r} is not a finite rational") from None
     if not 0 < theta < 1:
         raise DomainError("theta must lie in (0,1)")
+    return theta
 
 
 def _require_bounds(index_bound: int, size_bound: int = 0) -> None:
@@ -186,8 +191,7 @@ def verify_staircase_bounds(
     and for every ordered pair with max J < min J' the two-sided bound
     (theta/3)*(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|.  Exact arithmetic;
     reports the tightest ratios observed."""
-    _require_theta(theta)
-    theta = Fraction(theta)
+    theta = exact_theta(theta)
     _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
     vectors = [v_of(J, theta) for J in sets]
@@ -255,8 +259,7 @@ def verify_prefix_exactness(
     exactly theta times the level gap: the map J -> v_J distorts
     ancestor-to-descendant distances by the single factor theta.  Theta is
     nonzero, so it cancels and the check compares integer counts."""
-    _require_theta(theta)
-    theta = Fraction(theta)
+    theta = exact_theta(theta)
     _require_bounds(index_bound, size_bound)
     sets = enumerate_index_sets(index_bound, size_bound)
     bad = []
@@ -310,22 +313,17 @@ def exponent_for_radius(r: int) -> int:
     return k + 2
 
 
-def sibling_separation_report(
-    nodes: Sequence[IndexSet],
-    exponent: int,
-    theta: Fraction = THETA_DEFAULT,
-) -> dict:
-    """Cardinality and separation bounds for index sets branching off a
-    common prefix.  With tails I_k (the elements past the longest common
-    prefix), requires each |I_k| >= 3**(exponent-2) and pairwise
-    ||v_J - v_J'|| >= (1/4)(|I_k|+|I_j|) >= (1/2)*3**(exponent-2).
+def sibling_separation_report(nodes: Sequence[IndexSet], exponent: int) -> dict:
+    """Cardinality and separation bounds at THETA_DEFAULT for index sets
+    branching off a common prefix.  With tails I_k (the elements past the
+    longest common prefix), requires each |I_k| >= 3**(exponent-2) and
+    pairwise ||v_J - v_J'|| >= (1/4)(|I_k|+|I_j|) >= (1/2)*3**(exponent-2).
 
     Preconditions (nonempty tails, ranges disjoint and ordered) are
     reported as violations, never raised; bounds are still evaluated so a
     failing witness shows exactly which part breaks."""
     if exponent < 2:
         raise DomainError("exponent must be >= 2")
-    theta = Fraction(theta)
     tuples = [_elements(n) for n in nodes]
     if len(tuples) <= 1:
         return {
@@ -369,7 +367,7 @@ def sibling_separation_report(
     for i in range(len(tuples)):
         for j in range(i + 1, len(tuples)):
             pairs += 1
-            norm = theta * _max_count_diff(tuples[i], tuples[j])
+            norm = THETA_DEFAULT * _max_count_diff(tuples[i], tuples[j])
             lower = Fraction(1, 4) * (len(tails[i]) + len(tails[j]))
             if norm < lower:
                 separation_ok = False

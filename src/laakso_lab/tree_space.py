@@ -20,7 +20,6 @@ strictly increasing tuples, truncated or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .errors import CapacityError
@@ -133,21 +132,15 @@ class TreeSpace:
                 f"T_({self.branching},{self.depth}) has {self.size()} nodes, "
                 f"above the enumeration cap of {MAX_ENUMERATED_NODES}"
             )
-        return _enumerate_nodes(self.branching, self.depth)
+        out: list[TreeNode] = []
 
+        def walk(node: TreeNode) -> None:
+            out.append(node)
+            for c in self.children(node):
+                walk(c)
 
-@lru_cache(maxsize=64)
-def _enumerate_nodes(b: int, d: int) -> tuple[TreeNode, ...]:
-    space = TreeSpace(b, d)
-    out: list[TreeNode] = []
-
-    def walk(node: TreeNode) -> None:
-        out.append(node)
-        for c in space.children(node):
-            walk(c)
-
-    walk(ROOT)
-    return tuple(out)
+        walk(ROOT)
+        return tuple(out)
 
 
 def to_json_vertices(space: TreeSpace) -> list[dict]:

@@ -22,6 +22,12 @@ from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 
 EXHAUSTIVE_NODE_LIMIT = 2**12
 PREIMAGE_SAMPLE = 256
+MAX_COUNTEREXAMPLES = 5
+SIBLING_DEPTHS = (1, 2)
+# What replay_case needs of each kind of record: key -> JSON type.
+RECORD_KEYS = {"level": {"node": list},
+               "lipschitz": {"node": list, "other": list},
+               "lift": {"node": list, "vertex": str}}
 
 
 class TreeToGraphMap:
@@ -101,7 +107,6 @@ def verify_projection(
     seed: int = 0,
     samples: Optional[int] = None,
     exhaustive: Optional[bool] = None,
-    max_counterexamples: int = 5,
 ) -> dict:
     """Full property report: level preservation, surjectivity, the
     1-Lipschitz bound over node pairs (exhaustive below 2**12 nodes, else
@@ -121,14 +126,10 @@ def verify_projection(
     rng = random.Random(seed)
 
     images = [pm.image(J) for J in nodes]
-    levels_ok = []
-    for J, mu in zip(nodes, images):
-        if graph.level(mu) != J.level:
-            levels_ok.append(
-                {"check": "level", "node": list(J.elements),
-                 "vertex": graph.label(mu), "tree_level": J.level,
-                 "graph_level": graph.level(mu)}
-            )
+    level_bad = [
+        _level_record(graph, J, mu)
+        for J, mu in zip(nodes, images) if graph.level(mu) != J.level
+    ]
 
     covered = {graph.index(mu) for mu in images}
     missing = [
@@ -164,13 +165,8 @@ def verify_projection(
             comparable += 1
         else:
             incomparable += 1
-        if dm > dt:
-            if len(lip_bad) < max_counterexamples:
-                lip_bad.append(
-                    {"check": "lipschitz", "node": list(J.elements),
-                     "other": list(K.elements), "tree_dist": dt,
-                     "graph_dist": dm}
-                )
+        if dm > dt and len(lip_bad) < MAX_COUNTEREXAMPLES:
+            lip_bad.append(_lipschitz_record(pm, J, K))
 
     # Lift exactness on every ancestor pair of the graph, over preimages of
     # the upper vertex.
@@ -188,32 +184,22 @@ def verify_projection(
         for J in pool:
             lifts_done += 1
             K = pm.lift(J, v)
-            dt = tree_distance(J, K)
-            ok = (
-                pm.image(K) == v
-                and J.is_prefix_of(K)
-                and dt == gdist[iu][iv]
-            )
-            if not ok and len(lift_bad) < max_counterexamples:
-                lift_bad.append(
-                    {"check": "lift", "node": list(J.elements),
-                     "vertex": graph.label(v),
-                     "lifted": list(K.elements),
-                     "lifted_image": graph.label(pm.image(K)),
-                     "tree_dist": dt, "graph_dist": gdist[iu][iv]}
-                )
+            dm = gdist[iu][iv]
+            ok = _lift_exact(pm, J, K, v, dm)
+            if not ok and len(lift_bad) < MAX_COUNTEREXAMPLES:
+                lift_bad.append(_lift_record(pm, J, K, v, dm))
 
     checks = {
         "level_preserving": {
-            "pass": not levels_ok,
+            "pass": not level_bad,
             "checked": len(nodes),
-            "counterexamples": levels_ok[:max_counterexamples],
+            "counterexamples": level_bad[:MAX_COUNTEREXAMPLES],
         },
         "surjective": {
             "pass": not missing,
             "covered": len(covered),
             "vertices": len(graph.vertices),
-            "counterexamples": missing[:max_counterexamples],
+            "counterexamples": missing[:MAX_COUNTEREXAMPLES],
         },
         "lipschitz": {
             "pass": not lip_bad,
@@ -242,43 +228,70 @@ def verify_projection(
     }
 
 
-def replay_case(pm: TreeToGraphMap, case: dict) -> dict:
-    """Re-run one counterexample from a verification report. Accepts the
-    dicts produced above (keyed by "check") and returns a small report with
-    the recomputed values and a pass flag."""
-    kind = case["check"]
-    if kind not in ("level", "lipschitz", "lift"):
+# One record per counterexample kind, built by the sweep and by replay_case.
+def _level_record(graph: LaaksoGraph, J: TreeNode, mu: VertexId) -> dict:
+    return {"check": "level", "node": list(J.elements),
+            "vertex": graph.label(mu), "tree_level": J.level,
+            "graph_level": graph.level(mu)}
+
+
+def _lipschitz_record(pm: TreeToGraphMap, J: TreeNode, K: TreeNode) -> dict:
+    return {"check": "lipschitz", "node": list(J.elements),
+            "other": list(K.elements), "tree_dist": tree_distance(J, K),
+            "graph_dist": pm.graph.distance(pm.image(J), pm.image(K))}
+
+
+def _lift_record(pm: TreeToGraphMap, J: TreeNode, K: TreeNode,
+                 v: VertexId, dm: int) -> dict:
+    return {"check": "lift", "node": list(J.elements),
+            "vertex": pm.graph.label(v), "lifted": list(K.elements),
+            "lifted_image": pm.graph.label(pm.image(K)),
+            "tree_dist": tree_distance(J, K), "graph_dist": dm}
+
+
+def _lift_exact(pm: TreeToGraphMap, J: TreeNode, K: TreeNode,
+                v: VertexId, dm: int) -> bool:
+    """The lift verdict: K, lifted from J towards v, projects onto v, is a
+    descendant of J, and lies exactly the graph distance dm below it."""
+    return pm.image(K) == v and J.is_prefix_of(K) and tree_distance(J, K) == dm
+
+
+def replay_case(pm: TreeToGraphMap, case) -> dict:
+    """Re-run one counterexample record of a verification report against
+    ``pm``: the record the report would hold for that candidate, plus a
+    pass flag.  A record that is not a JSON object, names an unknown kind,
+    or lacks a key its kind needs or holds it as another JSON type raises
+    DomainError."""
+    if not isinstance(case, dict):
+        raise DomainError(f"replay record must be a JSON object, got {case!r}")
+    kind = case.get("check")
+    if not isinstance(kind, str) or kind not in RECORD_KEYS:
         raise DomainError(f"unknown counterexample kind {kind!r}")
+    for key, json_type in RECORD_KEYS[kind].items():
+        if not isinstance(case.get(key), json_type):
+            raise DomainError(f"a {kind} record needs the key {key!r} "
+                              f"(a {json_type.__name__})")
     node = TreeNode(tuple(case["node"]))
     if kind == "level":
-        mu = pm.image(node)
-        ok = pm.graph.level(mu) == node.level
-        return {"check": kind, "node": list(node.elements),
-                "vertex": pm.graph.label(mu),
-                "tree_level": node.level,
-                "graph_level": pm.graph.level(mu), "pass": ok}
-    if kind == "lipschitz":
-        other = TreeNode(tuple(case["other"]))
-        dt = tree_distance(node, other)
-        dm = pm.graph.distance(pm.image(node), pm.image(other))
-        return {"check": kind, "node": list(node.elements),
-                "other": list(other.elements), "tree_dist": dt,
-                "graph_dist": dm, "pass": dm <= dt}
-    v = pm.graph.by_label(case["vertex"])
-    K = pm.lift(node, v)
-    dt = tree_distance(node, K)
-    dm = pm.graph.distance(pm.image(node), v)
-    ok = pm.image(K) == v and node.is_prefix_of(K) and dt == dm
-    return {"check": kind, "node": list(node.elements),
-            "vertex": case["vertex"], "lifted": list(K.elements),
-            "tree_dist": dt, "graph_dist": dm, "pass": ok}
+        rec = _level_record(pm.graph, node, pm.image(node))
+        ok = rec["graph_level"] == rec["tree_level"]
+    elif kind == "lipschitz":
+        rec = _lipschitz_record(pm, node, TreeNode(tuple(case["other"])))
+        ok = rec["graph_dist"] <= rec["tree_dist"]
+    else:
+        v = pm.graph.by_label(case["vertex"])
+        K = pm.lift(node, v)
+        rec = _lift_record(pm, node, K, v, pm.graph.distance(pm.image(node), v))
+        ok = _lift_exact(pm, node, K, v, rec["graph_dist"])
+    return {**rec, "pass": ok}
 
 
-def sibling_lift_separation(pm: TreeToGraphMap, depths=(1, 2)) -> dict:
+def sibling_lift_separation(pm: TreeToGraphMap) -> dict:
     """Lifting two targets through distinct children of a branching vertex
     from a common tree node forces tree distance exactly twice the descent
     depth, whatever the targets do in the graph.  Checked at every branching
-    vertex for each depth, with the deterministic first-child descent."""
+    vertex for each of the SIBLING_DEPTHS, with the deterministic
+    first-child descent."""
     graph = pm.graph
     bad: list[dict] = []
     checked = 0
@@ -286,14 +299,14 @@ def sibling_lift_separation(pm: TreeToGraphMap, depths=(1, 2)) -> dict:
         kids = graph.children(mu1)
         if len(kids) < 2:
             continue
-        if graph.level(mu1) + max(depths) > 3**graph.n:
+        if graph.level(mu1) + max(SIBLING_DEPTHS) > 3**graph.n:
             continue
         try:
             n1 = pm.lift(ROOT, mu1)
         except RelationError as exc:
             bad.append({"center": graph.label(mu1), "error": str(exc)})
             continue
-        for m in depths:
+        for m in SIBLING_DEPTHS:
             targets = []
             for c in kids:
                 nu = c

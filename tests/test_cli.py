@@ -105,6 +105,18 @@ class TestVerifyPhi:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("record,message", [
+        ("[1]", "JSON object"),
+        ('{"check": "lipschitz", "node": [1]}', "needs the key 'other'"),
+    ])
+    def test_malformed_replay_record_is_usage_error(self, capsys, record,
+                                                    message):
+        code, out, err = run(capsys, "verify", "phi", "--n", "1", "--b", "2",
+                             "--replay", record)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sample_count_below_one_is_usage_error(self, capsys, samples):
         code, out, err = run(capsys, "verify", "phi", "--n", "1", "--b", "2",
@@ -127,6 +139,12 @@ class TestVerifyJames:
             capsys, "verify", "james", "--indices", "8", "--maxsize", "4"
         )
         assert code == 0
+
+    def test_zero_denominator_theta_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "james", "--theta", "1/0")
+        assert code == 2
+        assert out == ""
+        assert "theta '1/0' is not a finite rational" in err
 
     @pytest.mark.parametrize("indices,maxsize", [("-3", "2"), ("3", "-1")])
     def test_empty_bounds_are_usage_errors(self, capsys, indices, maxsize):
@@ -180,11 +198,18 @@ class TestVerifyAll:
         assert rep["suites"]["projection"]["pass"] is False
         assert rep["suites"]["graphs"]["pass"] is True
 
-    def test_timings_flag(self, capsys):
+    def test_timings_flag(self, capsys, monkeypatch):
+        for name in ("graphs", "projection", "atd", "fork", "moduli"):
+            monkeypatch.setattr(cli, f"_suite_{name}",
+                                lambda *args: {"pass": True})
+        monkeypatch.setattr(cli.st, "verify_james", lambda: {"pass": True})
         code, out, _ = run(capsys, "verify", "all", "--seed", "0",
                            "--timings")
         assert code == 0
-        assert "timings_seconds" in json.loads(out)
+        clock = json.loads(out)["timings_seconds"]
+        assert sorted(clock) == ["atd", "fork", "graphs", "james", "moduli",
+                                 "projection"]
+        assert all(type(t) is float and t >= 0 for t in clock.values())
 
 
 class TestAnalyze:
@@ -250,6 +275,15 @@ class TestFork:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("max_arms", ["1", "0", "-1"])
+    def test_fewer_than_two_arms_is_usage_error(self, capsys, map_file,
+                                                max_arms):
+        code, out, err = run(capsys, "fork", "--input", map_file,
+                             "--max-arms", max_arms)
+        assert code == 2
+        assert out == ""
+        assert f"max_arms must be >= 2, got {max_arms}" in err
+
     def test_no_witness_exits_one(self, capsys, tmp_path):
         d = {
             "source": {"n": 2, "dist": [[0, 1], [1, 0]]},
@@ -290,6 +324,15 @@ class TestModuli:
         code, out, _ = run(capsys, "moduli", "check-lemma42", "--p", "2")
         assert code == 0
         assert json.loads(out)["pass"]
+
+    @pytest.mark.parametrize("mode", ["table", "check-lemma42"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_usage_error(self, capsys, mode, points):
+        code, out, err = run(capsys, "moduli", mode, "--p", "2",
+                             "--points", points)
+        assert code == 2
+        assert out == ""
+        assert f"--points must be >= 1, got {points}" in err
 
     def test_bad_p_is_usage_error(self, capsys):
         code, _, err = run(capsys, "moduli", "table", "--p", "1")

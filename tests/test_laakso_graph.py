@@ -226,11 +226,6 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             build_laakso(2, 2)
 
-    def test_explicit_cap_wins(self, monkeypatch):
-        monkeypatch.setenv(lg.MAX_VERTICES_ENV, "10")
-        g = build_laakso(2, 2, max_vertices=100)
-        assert len(g.vertices) == 20
-
 
 class TestExports:
     def test_json_shape(self):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from laakso_lab import moduli as md
 from laakso_lab.errors import DomainError
 from laakso_lab.moduli import (
     AUC_ORACLE_TOL,
@@ -12,7 +13,6 @@ from laakso_lab.moduli import (
     ModulusTable,
     auc_model,
     auc_oracle,
-    aus_model,
     beta_model,
     beta_oracle,
     check_beta_leq_auc,
@@ -42,8 +42,11 @@ class TestClosedForms:
 
     def test_aus_same_expression_in_model(self):
         m = LpModel(3.0)
-        for t in (0.1, 0.5, 1.0):
-            assert aus_model(m, t) == auc_model(m, t)
+        grid = (0.1, 0.5, 1.0)
+        assert md._KINDS["aus"] is auc_model
+        assert tabulate(m, "aus", grid).samples == tuple(
+            (t, auc_model(m, t)) for t in grid
+        )
 
     def test_beta_hilbert_full_separation(self):
         # t = sqrt(2) forces s = 1, w = 0: value 1 - sqrt(2)/2
@@ -117,6 +120,15 @@ class TestLemmaGrid:
         with pytest.raises(DomainError):
             check_beta_leq_auc(LpModel(2.0), [0.6])
 
+    @pytest.mark.parametrize("grid", [[], iter([])])
+    def test_rejects_empty_grid(self, grid):
+        with pytest.raises(DomainError, match="empty t grid"):
+            check_beta_leq_auc(LpModel(2.0), grid)
+
+    def test_counts_a_generator_grid(self):
+        rep = check_beta_leq_auc(LpModel(2.0), (0.05 * k for k in range(1, 11)))
+        assert rep["points"] == 10
+
 
 class TestTables:
     def test_tabulate_and_validate(self):
@@ -126,13 +138,15 @@ class TestTables:
 
     def test_table_rejects_bad_kind(self):
         with pytest.raises(DomainError):
-            ModulusTable(kind="bogus", model=LpModel(2.0),
-                         samples=((0.1, 0.01),))
+            ModulusTable(kind="bogus", samples=((0.1, 0.01),))
+
+    def test_table_rejects_empty_grid(self):
+        with pytest.raises(DomainError, match="at least one sample"):
+            tabulate(LpModel(2.0), "beta", [])
 
     def test_table_rejects_disorder(self):
         with pytest.raises(ValueError):
-            ModulusTable(kind="auc", model=LpModel(2.0),
-                         samples=((0.2, 0.1), (0.1, 0.2)))
+            ModulusTable(kind="auc", samples=((0.2, 0.1), (0.1, 0.2)))
 
     @pytest.mark.parametrize("kind,p", [("auc", 1.5), ("auc", 3.0),
                                         ("beta", 2.0), ("beta", 4.0)])

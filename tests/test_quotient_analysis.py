@@ -232,6 +232,11 @@ class TestForkSearch:
         with pytest.raises(DomainError, match="eps"):
             fork_search(collapse_pair, eps=eps, r_min=1.0)
 
+    @pytest.mark.parametrize("max_arms", [1, 0, -1])
+    def test_rejects_fewer_than_two_arms(self, max_arms):
+        with pytest.raises(DomainError, match=f"max_arms must be >= 2, got {max_arms}"):
+            fork_search(phi_table(1, 2), eps=0.0, r_min=1.0, max_arms=max_arms)
+
     def test_rejects_nan_radius(self):
         with pytest.raises(DomainError, match="r_min"):
             fork_search(phi_table(1, 2), eps=0.0, r_min=math.nan)

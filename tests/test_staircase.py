@@ -152,6 +152,11 @@ class TestVerifiers:
             with pytest.raises(DomainError):
                 verify_biorthogonality(THETA, index_bound)
 
+    @pytest.mark.parametrize("theta", ["1/0", float("nan")])
+    def test_rejects_theta_that_is_not_a_rational(self, theta):
+        with pytest.raises(DomainError, match="is not a finite rational"):
+            verify_james(theta, 4, 2)
+
     def test_james_runs_the_four_checks(self):
         rep = verify_james(Fraction(1, 2), 6, 3)
         assert rep == {

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,19 @@ from laakso_lab.tree_to_laakso import (
 @pytest.fixture(scope="module")
 def pm_small():
     return TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
+
+
+@pytest.fixture(scope="module")
+def pm_folded():
+    """phi(1,2) with the subtree of {1} pushed one level down: {1} onto w1
+    and its descendants onto the sink.  Levels, the 1-Lipschitz bound and
+    lift exactness all fail, and every image and lift stays defined."""
+    pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
+    g = pm.graph
+    for J in pm.tree.nodes():
+        if J.elements[:1] == (1,):
+            pm._memo[J] = g.by_label("w1") if J.level == 1 else g.sink
+    return pm
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +157,70 @@ class TestVerifyProjection:
     def test_replay_rejects_unknown_kind(self, pm_small):
         with pytest.raises(DomainError):
             replay_case(pm_small, {"check": "nonsense"})
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [([1], "JSON object"),
+         ("level", "JSON object"),
+         ({"node": [1]}, "unknown counterexample kind None"),
+         ({"check": ["lift"], "node": [1]}, "unknown counterexample kind"),
+         ({"check": "level"}, r"level record needs the key 'node' \(a list\)"),
+         ({"check": "lipschitz", "node": [1]},
+          r"lipschitz record needs the key 'other' \(a list\)"),
+         ({"check": "lift", "node": [1]},
+          r"lift record needs the key 'vertex' \(a str\)"),
+         ({"check": "level", "node": 5}, "needs the key 'node'"),
+         ({"check": "lift", "node": [], "vertex": ["t"]},
+          "needs the key 'vertex'")],
+    )
+    def test_replay_rejects_malformed_records(self, pm_small, case, message):
+        with pytest.raises(DomainError, match=message):
+            replay_case(pm_small, case)
+
+    @pytest.mark.parametrize("check", ["level_preserving", "lipschitz",
+                                       "lift_exact"])
+    def test_replay_returns_the_report_record(self, pm_folded, pm_small,
+                                              check):
+        cases = verify_projection(pm_folded)["checks"][check]["counterexamples"]
+        assert cases
+        g = pm_small.graph
+        for case in cases:
+            assert replay_case(pm_folded, case) == {**case, "pass": False}
+            J = TreeNode(tuple(case["node"]))
+            if case["check"] == "level":
+                fixed = {"vertex": g.label(pm_small.image(J)),
+                         "graph_level": J.level}
+            elif case["check"] == "lipschitz":
+                K = TreeNode(tuple(case["other"]))
+                fixed = {"graph_dist": g.distance(pm_small.image(J),
+                                                  pm_small.image(K))}
+            else:
+                K = pm_small.lift(J, g.by_label(case["vertex"]))
+                fixed = {"lifted": list(K.elements),
+                         "lifted_image": case["vertex"],
+                         "tree_dist": case["graph_dist"]}
+            assert replay_case(pm_small, case) == {**case, **fixed,
+                                                   "pass": True}
+
+    @pytest.mark.parametrize(
+        "kind,case,code",
+        [("level", {"check": "level", "node": [1, 2]}, 0),
+         ("lipschitz",
+          {"check": "lipschitz", "node": [1, 2], "other": [1, 3]}, 0),
+         ("lift", {"check": "lift", "node": [], "vertex": "t.w1"}, 1)],
+    )
+    def test_replay_is_golden(self, tmp_path, kind, case, code):
+        out = tmp_path / "replay.json"
+        assert cli.main(["verify", "phi", "--n", "2", "--b", "2",
+                         "--inject-fault", "--replay", json.dumps(case),
+                         "--out", str(out)]) == code
+        golden = DATA / f"replay_phi_n2_b2_inject_fault_{kind}.json"
+        if kind != "lift":
+            assert out.read_bytes() == golden.read_bytes()
+        else:
+            got = json.loads(out.read_text())
+            assert got.pop("lifted_image") == "t.w2"
+            assert got == json.loads(golden.read_text())
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sample_count_below_one_is_rejected(self, pm_small, samples):
