@@ -15,12 +15,19 @@ bounded by ``b`` (children of J are J + (max(J)+k,) for k = 1..b, and (k,)
 for the root) and levels are bounded by ``d``.  The node count is
 sum(b**k for k in 0..d).  The distance formula itself is valid for arbitrary
 strictly increasing tuples, truncated or not.
+
+Whole rows of the metric come from the enumeration order instead: in
+depth-first preorder every subtree is a contiguous index range, so the lcp
+depths of one node against all others are the levels of its ancestors
+written over their ranges, root first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import CapacityError
 
@@ -141,6 +148,33 @@ class TreeSpace:
 
         walk(ROOT)
         return tuple(out)
+
+    def distance_rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, row)`` for each node in ``nodes()`` order, where
+        ``row[j]`` is the tree distance from node i to node j.
+
+        The subtree of a node at level l is the index range of the next
+        ``TreeSpace(b, d - l).size()`` nodes, so the lcp depth of node i
+        against every node is built by writing the level of each ancestor
+        of i (i included) over its range, root first, and the row is
+        level(i) + level - 2 * lcp: exact integers, one slice write per
+        ancestor, O(size) memory per row."""
+        levels = np.array([J.level for J in self.nodes()], dtype=np.int32)
+        span = [TreeSpace(self.branching, self.depth - lv).size()
+                for lv in range(self.depth + 1)]
+        # (start, level) of the ancestors: in preorder, the latest node
+        # seen at each lower level is the current node's ancestor there.
+        chain: list[tuple[int, int]] = []
+        for i, lv in enumerate(levels.tolist()):
+            del chain[lv:]
+            chain.append((i, lv))
+            row = np.empty_like(levels)  # the lcp depths, then distances
+            for a, la in chain:
+                row[a:a + span[la]] = la
+            row *= -2
+            row += levels
+            row += lv
+            yield i, row
 
 
 def to_json_vertices(space: TreeSpace) -> list[dict]:

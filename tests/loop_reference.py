@@ -17,14 +17,33 @@ Fractions per pair, reads `_max_count_diff` the same way.
 The map-table export of `tree_to_laakso`, as it was when it derived both
 ancestor relations pair by pair from `is_prefix_of` and `is_ancestor`
 instead of reading them off the distance matrices.
+
+The projection verifier of `tree_to_laakso`, as it was when its
+1-Lipschitz sweep called `tree_distance` once per node pair in both
+modes, before the exhaustive mode read whole rows of the tree metric.  It
+builds its records through the module's own record builders, so reports
+compare with `==`.
 """
 
+import random
 from fractions import Fraction
 from math import inf
+from typing import Optional
 
 from laakso_lab import staircase
 from laakso_lab.errors import DomainError
-from laakso_lab.tree_space import tree_distance
+from laakso_lab.tree_space import TreeNode, tree_distance
+from laakso_lab.tree_to_laakso import (
+    EXHAUSTIVE_NODE_LIMIT,
+    MAX_COUNTEREXAMPLES,
+    PREIMAGE_SAMPLE,
+    TreeToGraphMap,
+    _level_record,
+    _lift_exact,
+    _lift_record,
+    _lipschitz_record,
+    ancestor_pairs,
+)
 
 
 def lipschitz_constant(m):
@@ -301,4 +320,130 @@ def as_map_table(pm):
         "assign": assign,
         "source_order": source_order,
         "target_order": target_order,
+    }
+
+
+def verify_projection(
+    pm: TreeToGraphMap,
+    seed: int = 0,
+    samples: Optional[int] = None,
+    exhaustive: Optional[bool] = None,
+) -> dict:
+    """Full property report: level preservation, surjectivity, the
+    1-Lipschitz bound over node pairs (exhaustive below 2**12 nodes, else
+    ``samples`` seeded pairs, at least one), and lift exactness over every
+    ancestor pair of graph vertices with every (or a seeded sample of)
+    preimages of the upper one.  Both spaces are graded, so the ancestor
+    rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
+    graph distances and tells comparable node pairs by their distance.
+    ``exhaustive`` forces the mode; left as None it is chosen by size.
+    Failures are report content, never exceptions."""
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    tree, graph = pm.tree, pm.graph
+    nodes = tree.nodes()
+    if exhaustive is None:
+        exhaustive = len(nodes) <= EXHAUSTIVE_NODE_LIMIT and samples is None
+    rng = random.Random(seed)
+
+    images = [pm.image(J) for J in nodes]
+    level_bad = [
+        _level_record(graph, J, mu)
+        for J, mu in zip(nodes, images) if graph.level(mu) != J.level
+    ]
+
+    covered = {graph.index(mu) for mu in images}
+    missing = [
+        graph.label(v) for i, v in enumerate(graph.vertices) if i not in covered
+    ]
+
+    # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
+    # of the other, so their distance is the level gap) and incomparable
+    # pairs; both strata must be nonempty for the bound to have been
+    # exercised on both geodesic shapes.
+    gdist = [
+        [graph.distance(u, v) for v in graph.vertices] for u in graph.vertices
+    ]
+    gidx = [graph.index(mu) for mu in images]
+    lip_bad: list[dict] = []
+    comparable = incomparable = 0
+    if exhaustive:
+        pair_iter = (
+            (i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
+        )
+        pairs_checked = len(nodes) * (len(nodes) - 1) // 2
+    else:
+        count = samples if samples is not None else 20_000
+        pair_iter = (
+            tuple(rng.sample(range(len(nodes)), 2)) for _ in range(count)
+        )
+        pairs_checked = count
+    for i, j in pair_iter:
+        J, K = nodes[i], nodes[j]
+        dt = tree_distance(J, K)
+        dm = gdist[gidx[i]][gidx[j]]
+        if dt == abs(J.level - K.level):
+            comparable += 1
+        else:
+            incomparable += 1
+        if dm > dt and len(lip_bad) < MAX_COUNTEREXAMPLES:
+            lip_bad.append(_lipschitz_record(pm, J, K))
+
+    # Lift exactness on every ancestor pair of the graph, over preimages of
+    # the upper vertex.
+    preimages: dict[int, list[TreeNode]] = {}
+    for J, gi in zip(nodes, gidx):
+        preimages.setdefault(gi, []).append(J)
+    lift_bad: list[dict] = []
+    lifts_done = 0
+    ancestors = ancestor_pairs(gdist, graph.levels)
+    for iu, iv in ancestors:
+        v = graph.vertices[iv]
+        pool = preimages.get(iu, [])
+        if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
+            pool = rng.sample(pool, PREIMAGE_SAMPLE)
+        for J in pool:
+            lifts_done += 1
+            K = pm.lift(J, v)
+            dm = gdist[iu][iv]
+            ok = _lift_exact(pm, J, K, v, dm)
+            if not ok and len(lift_bad) < MAX_COUNTEREXAMPLES:
+                lift_bad.append(_lift_record(pm, J, K, v, dm))
+
+    checks = {
+        "level_preserving": {
+            "pass": not level_bad,
+            "checked": len(nodes),
+            "counterexamples": level_bad[:MAX_COUNTEREXAMPLES],
+        },
+        "surjective": {
+            "pass": not missing,
+            "covered": len(covered),
+            "vertices": len(graph.vertices),
+            "counterexamples": missing[:MAX_COUNTEREXAMPLES],
+        },
+        "lipschitz": {
+            "pass": not lip_bad,
+            "pairs": pairs_checked,
+            "comparable_pairs": comparable,
+            "incomparable_pairs": incomparable,
+            "counterexamples": lip_bad,
+        },
+        "lift_exact": {
+            "pass": not lift_bad,
+            "ancestor_pairs": len(ancestors),
+            "lifts": lifts_done,
+            "counterexamples": lift_bad,
+        },
+    }
+    return {
+        "schema": 1,
+        "tree": {"branching": tree.branching, "depth": tree.depth,
+                 "nodes": len(nodes)},
+        "graph": {"n": graph.n, "b": graph.b,
+                  "vertices": len(graph.vertices)},
+        "mode": "exhaustive" if exhaustive else "sampled",
+        "seed": seed,
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks.values()),
     }

@@ -108,6 +108,12 @@ class TestVerifyPhi:
     @pytest.mark.parametrize("record,message", [
         ("[1]", "JSON object"),
         ('{"check": "lipschitz", "node": [1]}', "needs the key 'other'"),
+        ('{"check": "level", "node": [1.7]}', "must list JSON integers"),
+        ('{"check": "level", "node": [true]}', "must list JSON integers"),
+        ('{"check": "level", "node": ["1"]}', "must list JSON integers"),
+        ('{"check": "level", "node": [null]}', "must list JSON integers"),
+        ('{"check": "lipschitz", "node": [1], "other": [2.0]}',
+         "must list JSON integers"),
     ])
     def test_malformed_replay_record_is_usage_error(self, capsys, record,
                                                     message):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,3 +133,30 @@ class TestTreeSpace:
             {"elements": [1], "level": 1},
             {"elements": [2], "level": 1},
         ]
+
+
+class TestDistanceRows:
+    """The preorder-range rows against two independent routes: the
+    closed-form point distance and shortest paths over the parent edges."""
+
+    @pytest.mark.parametrize("b,d", [(3, 0), (1, 5), (2, 4), (3, 3), (2, 9)])
+    def test_rows_are_the_point_distances_in_node_order(self, b, d):
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        rows = list(space.distance_rows())
+        assert [i for i, _ in rows] == list(range(len(nodes)))
+        for (_, row), J in zip(rows, nodes):
+            assert np.issubdtype(row.dtype, np.integer)
+            assert row.tolist() == [tree_distance(J, K) for K in nodes]
+
+    @pytest.mark.parametrize("b,d", [(2, 4), (3, 3)])
+    def test_rows_are_networkx_path_lengths(self, b, d):
+        nx = pytest.importorskip("networkx")
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        tree = nx.Graph()
+        tree.add_nodes_from(nodes)
+        tree.add_edges_from((tree_parent(J), J) for J in nodes[1:])
+        lengths = dict(nx.all_pairs_shortest_path_length(tree))
+        for i, row in space.distance_rows():
+            assert row.tolist() == [lengths[nodes[i]][K] for K in nodes]

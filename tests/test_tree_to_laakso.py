@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loop_reference as ref
@@ -40,6 +41,20 @@ def pm_folded():
 @pytest.fixture(scope="module")
 def pm_mid():
     return TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+
+
+@pytest.fixture(scope="module")
+def pm_mid_folded():
+    """phi(2,2) with {1,2,3,4,5} pushed one level down onto the image of
+    its first child.  Each of its five ancestors, from the root down, and
+    the node itself against later nodes break the 1-Lipschitz bound: twelve
+    failures over six rows, every image and lift still defined."""
+    pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+    for J in pm.tree.nodes():
+        pm.image(J)
+    node = TreeNode((1, 2, 3, 4, 5))
+    pm._memo[node] = pm.image(node.child(6))
+    return pm
 
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +152,56 @@ class TestVerifyProjection:
         assert a["mode"] == "sampled"
         assert a["pass"]
 
+    @pytest.mark.parametrize("flip", [None, (1, 2)])
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2)])
+    def test_exhaustive_matches_pairwise_reference(self, n, b, flip):
+        pm = TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b),
+                            _flip_node=flip and TreeNode(flip))
+        rep = verify_projection(pm)
+        assert rep["mode"] == "exhaustive"
+        assert rep["pass"] == (flip is None)
+        assert rep == ref.verify_projection(pm)
+
+    def test_folded_matches_pairwise_reference(self, pm_folded):
+        assert verify_projection(pm_folded) == ref.verify_projection(pm_folded)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_matches_pairwise_reference(self, seed):
+        pm = TreeToGraphMap(TreeSpace(3, 9), build_laakso(2, 3))
+        rep = verify_projection(pm, seed=seed)
+        assert rep["mode"] == "sampled"
+        assert rep == ref.verify_projection(pm, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_failures_match_pairwise_reference(self, seed):
+        # phi(2,2) with the subtree of {1} pushed one level down, leaves
+        # onto the sink: Lipschitz failures common enough to be sampled.
+        pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+        nodes = pm.tree.nodes()
+        for J in nodes:
+            pm.image(J)
+        for J in nodes:
+            if J.elements[:1] == (1,):
+                pm._memo[J] = (pm.image(J.child(J.elements[-1] + 1))
+                               if J.level < 9 else pm.graph.sink)
+        rep = verify_projection(pm, seed=seed, exhaustive=False)
+        assert rep["mode"] == "sampled"
+        assert len(rep["checks"]["lipschitz"]["counterexamples"]) == 5
+        assert rep == ref.verify_projection(pm, seed=seed, exhaustive=False)
+
+    def test_first_lipschitz_failures_in_row_major_order(self, pm_mid_folded):
+        rep = verify_projection(pm_mid_folded)
+        assert rep == ref.verify_projection(pm_mid_folded)
+        lip = rep["checks"]["lipschitz"]
+        assert not lip["pass"]
+        assert (lip["pairs"], lip["comparable_pairs"],
+                lip["incomparable_pairs"]) == (522_753, 8_194, 514_559)
+        pushed = [1, 2, 3, 4, 5]
+        assert [(c["node"], c["other"], c["tree_dist"], c["graph_dist"])
+                for c in lip["counterexamples"]] == [
+            (pushed[:k], pushed, 5 - k, 6 - k) for k in range(5)
+        ]
+
     def test_fault_is_caught_and_replayable(self):
         pm_bad = TreeToGraphMap(
             TreeSpace(2, 9), build_laakso(2, 2), _flip_node=TreeNode((1, 2))
@@ -175,6 +240,19 @@ class TestVerifyProjection:
     )
     def test_replay_rejects_malformed_records(self, pm_small, case, message):
         with pytest.raises(DomainError, match=message):
+            replay_case(pm_small, case)
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", None, [1]])
+    @pytest.mark.parametrize("kind,key", [("level", "node"),
+                                          ("lipschitz", "node"),
+                                          ("lipschitz", "other"),
+                                          ("lift", "node")])
+    def test_replay_rejects_non_integer_elements(self, pm_small, kind, key,
+                                                 bad):
+        case = {"check": kind, "node": [1], "other": [2], "vertex": "s"}
+        case[key] = [bad]
+        with pytest.raises(DomainError, match=f"'{key}' of a {kind} record "
+                                              "must list JSON integers"):
             replay_case(pm_small, case)
 
     @pytest.mark.parametrize("check", ["level_preserving", "lipschitz",
@@ -254,6 +332,21 @@ class TestAncestorPairs:
             for j, K in enumerate(nodes)
             if i != j and J.is_prefix_of(K)
         ]
+
+    @pytest.mark.parametrize("b,d", [(2, 4), (3, 3)])
+    def test_numpy_rows_give_the_prefix_relation(self, b, d):
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        levels = [J.level for J in nodes]
+        rows = [row for _, row in space.distance_rows()]
+        prefix = [
+            [i, j]
+            for i, J in enumerate(nodes)
+            for j, K in enumerate(nodes)
+            if i != j and J.is_prefix_of(K)
+        ]
+        assert ancestor_pairs(rows, levels) == prefix
+        assert ancestor_pairs(np.array(rows), np.array(levels)) == prefix
 
     @pytest.mark.parametrize("n,b", [(2, 2), (2, 3), (3, 2)])
     def test_graph_distances_give_is_ancestor(self, n, b):
