@@ -26,7 +26,7 @@ from . import quotient_analysis as qa
 from . import staircase as st
 from . import tree_space as ts
 from . import tree_to_laakso as tl
-from .errors import CapacityError, DomainError, RelationError
+from .errors import DomainError
 
 FAULT_NODE = ts.TreeNode((1, 2))
 
@@ -512,8 +512,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (CapacityError, DomainError, RelationError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,12 @@ between copies and take the address of the coarsest scope that contains them
 This makes equality plain tuple equality and gives every vertex a compact
 printable id such as ``r``, ``v``, ``m2.w1``, ``t.v``.
 
-Level (distance from the root) and the full metric are computed analytically
-from addresses; ``bfs_levels_from`` runs BFS over the explicit adjacency and
-is kept strictly independent so the two can be cross-checked pair by pair.
+Level (distance from the root) is computed analytically from addresses, and
+the full metric from addresses and levels by one portal formula: below the
+copies two vertices share, each vertex reaches the block at its cost to the
+root or sink of its copy.  ``bfs_levels_from`` runs BFS over the explicit
+adjacency and is kept strictly independent so the two can be cross-checked
+pair by pair.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -36,8 +39,6 @@ from typing import Iterator
 
 from .errors import CapacityError, RelationError
 
-DEFAULT_MAX_N = 4
-DEFAULT_MAX_B = 8
 DEFAULT_MAX_VERTICES = 50_000
 MAX_VERTICES_ENV = "LAAKSO_LAB_MAX_VERTICES"
 
@@ -186,11 +187,6 @@ class LaaksoGraph:
             raise ValueError(f"b must be >= 2, got {b}")
         predicted = expected_vertex_count(n, b)
         env = os.environ.get(MAX_VERTICES_ENV)
-        if env is None and (n > DEFAULT_MAX_N or b > DEFAULT_MAX_B):
-            raise CapacityError(
-                f"n={n}, b={b} exceeds the default bounds n<={DEFAULT_MAX_N}, "
-                f"b<={DEFAULT_MAX_B}; set {MAX_VERTICES_ENV} to override"
-            )
         cap = DEFAULT_MAX_VERTICES if env is None else int(env)
         if predicted > cap:
             raise CapacityError(
@@ -201,15 +197,12 @@ class LaaksoGraph:
         self.b = b
         edges = _build_edges(n, b)
         verts = {u for u, _ in edges} | {v for _, v in edges}
-        self.vertices: tuple[VertexId, ...] = tuple(
-            sorted(verts, key=lambda v: (_level_of(v.word, v.pos, n, b), v))
-        )
+        ranked = sorted((_level_of(v.word, v.pos, n, b), v) for v in verts)
+        self.levels: tuple[int, ...] = tuple(lvl for lvl, _ in ranked)
+        self.vertices: tuple[VertexId, ...] = tuple(v for _, v in ranked)
         self._index: dict[VertexId, int] = {
             v: i for i, v in enumerate(self.vertices)
         }
-        self.levels: tuple[int, ...] = tuple(
-            _level_of(v.word, v.pos, n, b) for v in self.vertices
-        )
         nbrs: list[set[int]] = [set() for _ in self.vertices]
         for u, v in edges:
             iu, iv = self._index[u], self._index[v]
@@ -260,10 +253,10 @@ class LaaksoGraph:
     # -- metric ------------------------------------------------------------
 
     def distance(self, u: VertexId, v: VertexId) -> int:
-        """Exact metric, computed from addresses by series-parallel descent."""
-        self.index(u)
-        self.index(v)
-        return _dist(self.n, self.b, (u.word, u.pos), (v.word, v.pos))
+        """Exact metric, computed from each vertex's address and level by
+        one portal formula (see ``_dist``)."""
+        return _dist(self.n, self.b, (u.word, u.pos, self.level(u)),
+                     (v.word, v.pos, self.level(v)))
 
     def bfs_levels_from(self, v: VertexId) -> list[int]:
         """BFS distance from v to every vertex, indexed like ``vertices``."""
@@ -325,48 +318,33 @@ def branch_level_law(level: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=1 << 18)
-def _dist(scale: int, b: int, u: tuple, v: tuple) -> int:
-    if u == v:
-        return 0
-    if v < u:
-        u, v = v, u
-    wu, pu = u
-    wv, pv = v
-    unit = 3 ** (scale - 1)
-    if not wu and not wv:
-        return unit * _block_distance(pu, pv, b)
-    # Same copy at this scale: strip the shared edge and recurse.
-    if wu and wv and wu[0] == wv[0]:
-        return _dist(scale - 1, b, (wu[1:], pu), (wv[1:], pv))
-    # A glue vertex that bounds the other vertex's copy enters that copy
-    # as the copy's root or sink.
-    if not wu and wv:
-        e = wv[0]
-        if pu == _edge_src(e, b):
-            return _dist(scale - 1, b, ((), ROOT_POS), (wv[1:], pv))
-        if pu == _edge_dst(e, b):
-            return _dist(scale - 1, b, ((), _sink_pos(b)), (wv[1:], pv))
-    # Distinct copies: any path crosses copy boundaries at glue vertices,
-    # so route through the four portal combinations.
-    best = None
-    for p, cp in _portals(scale, b, u):
-        for q, cq in _portals(scale, b, v):
-            cand = cp + unit * _block_distance(p, q, b) + cq
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _portals(scale: int, b: int, u: tuple) -> list[tuple[int, int]]:
-    word, pos = u
-    if not word:
-        return [(pos, 0)]
-    e = word[0]
-    inner_level = _level_of(word[1:], pos, scale - 1, b)
-    return [
-        (_edge_src(e, b), inner_level),
-        (_edge_dst(e, b), 3 ** (scale - 1) - inner_level),
-    ]
+def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
+    # Strip the k leading block edges both words share: they name the copies
+    # that contain both vertices.  At the scale that remains every path
+    # between distinct copies crosses their boundaries at glue vertices, so
+    # route through the portals of each vertex's next edge.
+    wu, wv = u[0], v[0]
+    k = 0
+    while k < len(wu) and k < len(wv) and wu[k] == wv[k]:
+        k += 1
+    unit = 3 ** (n - k - 1)
+    ends = []
+    for word, pos, level in (u, v):
+        if len(word) == k:
+            ends.append(((pos, 0),))
+        else:
+            # Every copy's root level is a multiple of its span, so a vertex
+            # strictly inside a copy of span ``unit`` sits level % unit below
+            # that copy's root.
+            inner = level % unit
+            e = word[k]
+            ends.append(((_edge_src(e, b), inner),
+                         (_edge_dst(e, b), unit - inner)))
+    return min(
+        cp + unit * _block_distance(p, q, b) + cq
+        for p, cp in ends[0]
+        for q, cq in ends[1]
+    )
 
 
 # -- structure verification ---------------------------------------------------

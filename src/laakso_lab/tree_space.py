@@ -42,10 +42,14 @@ class TreeNode:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        elems = tuple(int(m) for m in self.elements)
+        elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
         prev = 0
         for m in elems:
+            if type(m) is not int:  # a bool is an int subclass: refused
+                raise ValueError(
+                    f"tree node elements must be integers, got {m!r}"
+                )
             if m <= prev:
                 raise ValueError(
                     f"elements must be strictly increasing positive integers: {elems!r}"

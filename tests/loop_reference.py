@@ -23,15 +23,29 @@ The projection verifier of `tree_to_laakso`, as it was when its
 modes, before the exhaustive mode read whole rows of the tree metric.  It
 builds its records through the module's own record builders, so reports
 compare with `==`.
+
+The analytic metric of `laakso_graph`, as it was when `_dist` descended
+the address words by recursion, with three special cases and a `_portals`
+helper that recomputed each vertex's level from its address.  It takes
+vertices as (word, pos) and the scale n of the whole graph.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 from typing import Optional
 
 from laakso_lab import staircase
 from laakso_lab.errors import DomainError
+from laakso_lab.laakso_graph import (
+    ROOT_POS,
+    _block_distance,
+    _edge_dst,
+    _edge_src,
+    _level_of,
+    _sink_pos,
+)
 from laakso_lab.tree_space import TreeNode, tree_distance
 from laakso_lab.tree_to_laakso import (
     EXHAUSTIVE_NODE_LIMIT,
@@ -447,3 +461,48 @@ def verify_projection(
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
+
+
+@lru_cache(maxsize=1 << 18)
+def _dist(scale: int, b: int, u: tuple, v: tuple) -> int:
+    if u == v:
+        return 0
+    if v < u:
+        u, v = v, u
+    wu, pu = u
+    wv, pv = v
+    unit = 3 ** (scale - 1)
+    if not wu and not wv:
+        return unit * _block_distance(pu, pv, b)
+    # Same copy at this scale: strip the shared edge and recurse.
+    if wu and wv and wu[0] == wv[0]:
+        return _dist(scale - 1, b, (wu[1:], pu), (wv[1:], pv))
+    # A glue vertex that bounds the other vertex's copy enters that copy
+    # as the copy's root or sink.
+    if not wu and wv:
+        e = wv[0]
+        if pu == _edge_src(e, b):
+            return _dist(scale - 1, b, ((), ROOT_POS), (wv[1:], pv))
+        if pu == _edge_dst(e, b):
+            return _dist(scale - 1, b, ((), _sink_pos(b)), (wv[1:], pv))
+    # Distinct copies: any path crosses copy boundaries at glue vertices,
+    # so route through the four portal combinations.
+    best = None
+    for p, cp in _portals(scale, b, u):
+        for q, cq in _portals(scale, b, v):
+            cand = cp + unit * _block_distance(p, q, b) + cq
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def _portals(scale: int, b: int, u: tuple) -> list[tuple[int, int]]:
+    word, pos = u
+    if not word:
+        return [(pos, 0)]
+    e = word[0]
+    inner_level = _level_of(word[1:], pos, scale - 1, b)
+    return [
+        (_edge_src(e, b), inner_level),
+        (_edge_dst(e, b), 3 ** (scale - 1) - inner_level),
+    ]

@@ -355,6 +355,16 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_capacity_is_one_vertex_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("LAAKSO_LAB_MAX_VERTICES", raising=False)
+        code, out, _ = run(capsys, "generate", "laakso", "--n", "5", "--b", "2")
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 2345
+        code, out, err = run(capsys, "generate", "laakso", "--n", "4", "--b", "9")
+        assert code == 2
+        assert out == ""
+        assert "needs 72402 vertices, cap is 50000" in err
+
     def test_capacity_respects_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LAAKSO_LAB_MAX_VERTICES", "10")
         code, _, err = run(capsys, "generate", "laakso", "--n", "2", "--b", "2")

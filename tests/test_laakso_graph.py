@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loop_reference as ref
 from laakso_lab.errors import CapacityError, RelationError
 from laakso_lab import laakso_graph as lg
 from laakso_lab.laakso_graph import (
@@ -125,9 +126,35 @@ class TestDistanceOracle:
         rep = oracle_agreement_report(build_laakso(n, b))
         assert rep["pass"], rep["mismatches"]
 
+    @pytest.mark.parametrize("n,b", [(3, 3), (4, 2)])
+    def test_every_ordered_pair_equals_bfs(self, n, b):
+        g = build_laakso(n, b)
+        for u in g.vertices:
+            row = [g.distance(u, v) for v in g.vertices]
+            assert row == g.bfs_levels_from(u), g.label(u)
+
+    @pytest.mark.parametrize("n,b", [(2, 5), (3, 2), (3, 3)])
+    def test_portal_formula_equals_recursive_reference(self, n, b):
+        g = build_laakso(n, b)
+        got = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
+        want = [
+            [ref._dist(n, b, (u.word, u.pos), (v.word, v.pos))
+             for v in g.vertices]
+            for u in g.vertices
+        ]
+        assert got == want
+
+    def test_unknown_vertex_is_rejected(self):
+        g = build_laakso(2, 2)
+        stranger = VertexId((0, 0), lg.MID_POS)
+        with pytest.raises(KeyError):
+            g.distance(g.root, stranger)
+        with pytest.raises(KeyError):
+            g.distance(stranger, g.root)
+
     def test_networkx_third_route(self):
         nx = pytest.importorskip("networkx")
-        g = build_laakso(2, 2)
+        g = build_laakso(3, 2)
         G = nx.Graph()
         for i, nbrs in enumerate(g.neighbors):
             for j in nbrs:
@@ -144,7 +171,7 @@ class TestDistanceOracle:
 
 
 class TestNesting:
-    @pytest.mark.parametrize("n,b", [(1, 2), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("n,b", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
     def test_first_copy_embeds_isometrically(self, n, b):
         """The copy carried by the first skeleton edge of the next
         generation is an isometrically embedded copy of the whole graph;
@@ -212,13 +239,26 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             build_laakso(7, 2)
 
-    def test_branching_guard(self):
-        with pytest.raises(CapacityError):
-            build_laakso(1, 9)
+    @pytest.mark.parametrize("n,b", [(1, 9), (5, 2)])
+    def test_default_cap_admits_by_vertex_count(self, monkeypatch, n, b):
+        # b = 9 and n = 5 are fine while the vertex count stays under the cap
+        monkeypatch.delenv(lg.MAX_VERTICES_ENV, raising=False)
+        g = build_laakso(n, b)
+        assert len(g.vertices) == expected_vertex_count(n, b)
+
+    @pytest.mark.parametrize("n,b,count", [(4, 9, 72_402), (7, 2, 58_595)])
+    def test_default_cap_refuses_by_vertex_count(self, monkeypatch, n, b,
+                                                 count):
+        monkeypatch.delenv(lg.MAX_VERTICES_ENV, raising=False)
+        assert expected_vertex_count(n, b) == count
+        with pytest.raises(CapacityError) as exc:
+            build_laakso(n, b)
+        assert f"needs {count} vertices" in str(exc.value)
+        assert f"cap is {lg.DEFAULT_MAX_VERTICES}" in str(exc.value)
 
     def test_env_override_allows_more(self, monkeypatch):
         monkeypatch.setenv(lg.MAX_VERTICES_ENV, "3000")
-        g = build_laakso(2, 9)  # b = 9 beyond the default table
+        g = build_laakso(2, 9)  # 202 vertices, under the raised cap
         assert len(g.vertices) == expected_vertex_count(2, 9)
 
     def test_env_override_can_restrict(self, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,11 @@ class TestTreeNode:
             TreeNode((0,))
         with pytest.raises(ValueError):
             TreeNode((-1, 2))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, False, "1", None])
+    def test_rejects_non_integer_elements(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            TreeNode((bad,))
 
     def test_child_appends_element(self):
         n = TreeNode((1, 3))
