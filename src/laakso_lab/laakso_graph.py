@@ -173,6 +173,22 @@ def _build_edges(n: int, b: int) -> list[tuple[VertexId, VertexId]]:
     return out
 
 
+def _vertex_cap() -> int:
+    """DEFAULT_MAX_VERTICES, or the environment override, which must be an
+    integer >= 1."""
+    env = os.environ.get(MAX_VERTICES_ENV)
+    if env is None:
+        return DEFAULT_MAX_VERTICES
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"{MAX_VERTICES_ENV} must be an integer >= 1, got {env!r}")
+    return cap
+
+
 class LaaksoGraph:
     """Explicit level-n graph: sorted vertex list, adjacency, analytic metric.
 
@@ -186,8 +202,7 @@ class LaaksoGraph:
         if b < 2:
             raise ValueError(f"b must be >= 2, got {b}")
         predicted = expected_vertex_count(n, b)
-        env = os.environ.get(MAX_VERTICES_ENV)
-        cap = DEFAULT_MAX_VERTICES if env is None else int(env)
+        cap = _vertex_cap()
         if predicted > cap:
             raise CapacityError(
                 f"graph ({n}, {b}) needs {predicted} vertices, cap is {cap}"

@@ -136,13 +136,16 @@ class TreeSpace:
         base = node.elements[-1] if node.elements else 0
         return [node.child(base + k) for k in range(1, self.branching + 1)]
 
-    def nodes(self) -> tuple[TreeNode, ...]:
-        """All nodes in lexicographic (depth-first preorder) order."""
+    def _require_enumerable(self) -> None:
         if self.size() > MAX_ENUMERATED_NODES:
             raise CapacityError(
                 f"T_({self.branching},{self.depth}) has {self.size()} nodes, "
                 f"above the enumeration cap of {MAX_ENUMERATED_NODES}"
             )
+
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """All nodes in lexicographic (depth-first preorder) order."""
+        self._require_enumerable()
         out: list[TreeNode] = []
 
         def walk(node: TreeNode) -> None:
@@ -162,10 +165,16 @@ class TreeSpace:
         against every node is built by writing the level of each ancestor
         of i (i included) over its range, root first, and the row is
         level(i) + level - 2 * lcp: exact integers, one slice write per
-        ancestor, O(size) memory per row."""
-        levels = np.array([J.level for J in self.nodes()], dtype=np.int32)
-        span = [TreeSpace(self.branching, self.depth - lv).size()
-                for lv in range(self.depth + 1)]
+        ancestor, O(size) memory per row.  The preorder levels come from
+        the shape alone: a subtree of height h is its root followed by b
+        subtrees of height h - 1, one level deeper; no node is built."""
+        self._require_enumerable()
+        root = levels = np.zeros(1, dtype=np.int32)
+        span = [1]  # span[h]: the nodes of a subtree of height h
+        for _ in range(self.depth):
+            levels = np.concatenate([root] + [levels + 1] * self.branching)
+            span.append(len(levels))
+        span.reverse()  # now indexed by the level of the subtree's root
         # (start, level) of the ancestors: in preorder, the latest node
         # seen at each lower level is the current node's ancestor there.
         chain: list[tuple[int, int]] = []

@@ -9,10 +9,13 @@ exactly (`==`, and equal Python types for the moduli pair).
 The two staircase bound verifiers, as they were before they shared one
 pair sweep with integer comparisons: each filters all |sets|**2 pairs for
 J below K and builds one Fraction bound per pair.  They read the staircase
-helpers through the module, so a test that patches `_max_count_diff` or
-`v_of` patches both sides, and counterexamples can be compared.  The
-prefix-exactness verifier, as it was when it compared one pair of
-Fractions per pair, reads `_max_count_diff` the same way.
+helpers through the module, and `v_of` and `_max_count_diff` both read the
+per-set count `_counts`, as the library's count matrix does, so a test
+that patches `_counts` patches both sides, and counterexamples can be
+compared.  The prefix-exactness verifier, as it was when it compared one
+pair of Fractions per pair, reads `_max_count_diff` the same way, and so
+does the shared pair sweep as it was before it read the count matrix,
+which returns every failing pair, not only the first five.
 
 The map-table export of `tree_to_laakso`, as it was when it derived both
 ancestor relations pair by pair from `is_prefix_of` and `is_ancestor`
@@ -276,6 +279,28 @@ def verify_quarter_bounds(index_bound, size_bound):
         "violations": len(bad),
         "pass": not bad,
     }
+
+
+def pair_sweep(sets, theta):
+    below = {}
+    pairs = 0
+    failed = []
+    tight = None
+    for K in sets:
+        if not K:
+            continue
+        if K[0] not in below:
+            below[K[0]] = [J for J in sets if not J or J[-1] < K[0]]
+        for J in below[K[0]]:
+            pairs += 1
+            count = staircase._max_count_diff(J, K)
+            size = len(J) + len(K)
+            if not (size <= 3 * count
+                    and theta.numerator * count <= theta.denominator * size):
+                failed.append((J, K, count))
+            if tight is None or 3 * count * tight[1] < tight[0] * size:
+                tight = (3 * count, size)
+    return pairs, failed, None if tight is None else Fraction(*tight)
 
 
 def verify_prefix_exactness(theta, index_bound, size_bound):

@@ -370,3 +370,22 @@ class TestUsage:
         code, _, err = run(capsys, "generate", "laakso", "--n", "2", "--b", "2")
         assert code == 2
         assert "vertices" in err or "capacity" in err.lower()
+
+    def test_capacity_env_caps_at_its_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("LAAKSO_LAB_MAX_VERTICES", "20")
+        code, out, _ = run(capsys, "generate", "laakso", "--n", "2", "--b", "2")
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 20
+        code, _, err = run(capsys, "generate", "laakso", "--n", "3", "--b", "2")
+        assert code == 2
+        assert "needs 95 vertices, cap is 20" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_capacity_env_must_be_a_positive_integer(self, capsys,
+                                                     monkeypatch, value):
+        monkeypatch.setenv("LAAKSO_LAB_MAX_VERTICES", value)
+        code, out, err = run(capsys, "generate", "laakso", "--n", "1", "--b", "2")
+        assert code == 2
+        assert out == ""
+        assert (f"LAAKSO_LAB_MAX_VERTICES must be an integer >= 1, "
+                f"got {value!r}") in err

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from laakso_lab.errors import DomainError
 from laakso_lab.tree_space import TreeNode
+from laakso_lab import staircase
 from laakso_lab.staircase import (
+    count_matrix,
     diff_norm,
     enumerate_index_sets,
     exponent_for_radius,
@@ -33,24 +35,24 @@ def index_sets(max_val=10, max_len=5):
 
 class TestVectors:
     def test_empty_set(self):
-        assert sup_norm(v_of([])) == 0
+        assert sup_norm(v_of([], THETA)) == 0
 
     def test_singleton(self):
         # v_{2} = theta * (e_1 + e_2): count of elements >= i is 1 for i <= 2
-        v = v_of([2])
+        v = v_of([2], THETA)
         assert v.coordinate(1) == THETA
         assert v.coordinate(2) == THETA
         assert v.coordinate(3) == 0
         assert sup_norm(v) == THETA
 
     def test_norm_examples(self):
-        assert sup_norm(v_of([1, 2])) == Fraction(3, 2)
-        assert sup_norm(v_of([1, 2, 3])) == Fraction(9, 4)
-        assert sup_norm(v_of([5])) == THETA
+        assert sup_norm(v_of([1, 2], THETA)) == Fraction(3, 2)
+        assert sup_norm(v_of([1, 2, 3], THETA)) == Fraction(9, 4)
+        assert sup_norm(v_of([5], THETA)) == THETA
 
     def test_norm_is_theta_times_size(self):
         for J in enumerate_index_sets(8, 4):
-            assert sup_norm(v_of(J)) == THETA * len(J)
+            assert sup_norm(v_of(J, THETA)) == THETA * len(J)
 
     def test_diff_example_is_tight(self):
         # adjacent blocks meeting the lower constant: J = {1,2}, J' = {3}
@@ -65,7 +67,7 @@ class TestVectors:
         # counting route against literal coordinatewise subtraction
         for J in enumerate_index_sets(6, 3):
             for K in enumerate_index_sets(6, 3):
-                vj, vk = v_of(J), v_of(K)
+                vj, vk = v_of(J, THETA), v_of(K, THETA)
                 width = max(len(vj.coords), len(vk.coords))
                 direct = max(
                     (
@@ -84,9 +86,9 @@ class TestVectors:
 
     def test_rejects_bad_sets(self):
         with pytest.raises(DomainError):
-            v_of([0, 1])
+            v_of([0, 1], THETA)
         with pytest.raises(DomainError):
-            v_of([2, 2])
+            v_of([2, 2], THETA)
 
     @given(index_sets(), index_sets())
     def test_diff_norm_symmetric(self, J, K):
@@ -166,6 +168,53 @@ class TestVerifiers:
             "biorthogonality": verify_biorthogonality(Fraction(1, 2), 6),
             "pass": True,
         }
+
+
+    def test_james_builds_one_count_matrix(self, monkeypatch):
+        calls = {"count_matrix": 0, "enumerate_index_sets": 0}
+        for name in calls:
+            real = getattr(staircase, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(staircase, name, counted)
+        assert verify_james(THETA, 6, 3)["pass"]
+        assert calls == {"count_matrix": 1, "enumerate_index_sets": 1}
+
+    def test_checks_refuse_a_matrix_of_other_bounds(self):
+        m = count_matrix(6, 3)
+        for run in (
+            lambda: verify_staircase_bounds(THETA, 6, 2, matrix=m),
+            lambda: verify_quarter_bounds(5, 3, matrix=m),
+            lambda: verify_prefix_exactness(THETA, 6, 4, matrix=m),
+        ):
+            with pytest.raises(DomainError, match="count matrix has bounds"):
+                run()
+
+    def test_size_bound_past_index_bound_adds_no_sets(self):
+        assert enumerate_index_sets(4, 10**12) == enumerate_index_sets(4, 4)
+        assert verify_james(THETA, 4, 10**12)["staircase_bounds"] == \
+            verify_james(THETA, 4, 4)["staircase_bounds"]
+
+
+class TestCountMatrix:
+    def test_rows_are_the_vectors_over_theta(self):
+        m = count_matrix(7, 4)
+        assert m.sets == enumerate_index_sets(7, 4)
+        assert m.counts.shape == (len(m.sets), 7)
+        for J, row, size in zip(m.sets, m.counts.tolist(), m.sizes.tolist()):
+            coords = v_of(J, THETA).coords
+            assert row == [c / THETA for c in coords] + [0] * (7 - len(coords))
+            assert size == len(J)
+
+    def test_arrays_are_read_only(self):
+        m = count_matrix(3, 2)
+        with pytest.raises(ValueError):
+            m.counts[0, 0] = 1
+        with pytest.raises(ValueError):
+            m.sizes[0] = 1
 
 
 class TestExponentForRadius:

@@ -1,7 +1,7 @@
-"""The shared pair sweep of the staircase bound verifiers and the integer
+"""The count-matrix sweeps of the staircase bound verifiers and of the
 prefix-exactness check against the per-pair Fraction loops in
-`loop_reference`, exactly, including under injected faults, and the
-`verify james` reports against committed golden files."""
+`loop_reference`, exactly, including under injected faults and split
+chunks, and the `verify james` reports against committed golden files."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -22,21 +22,25 @@ POINTS = [
     (Fraction(3, 4), 1, 0),
 ]
 
-REAL_COUNT = st._max_count_diff
-REAL_V_OF = st.v_of
+REAL_COUNTS = st._counts
 
 
-def count_too_small(J, K):
-    last = K[-1] if K else 0
-    return REAL_COUNT(J, K) - (1 if (last + len(J)) % 3 == 0 else 0)
+# Faults in the per-set count that v_of, _max_count_diff and the count
+# matrix all read, so both routes see them.  Each keeps the count 0 past
+# the last element and >= 1 at it, and depends on i only through the true
+# count, so the element-value and all-column maxima still agree and the
+# vectors stay without trailing zeros.
+def last_element_only(J, points):
+    return REAL_COUNTS(J[-1:], points)
 
 
-def count_too_large(J, K):
-    return REAL_COUNT(J, K) + 2 * (len(J) + len(K))
+def counts_doubled(J, points):
+    return [2 * c for c in REAL_COUNTS(J, points)]
 
 
-def first_element_only(J, theta=st.THETA_DEFAULT):
-    return REAL_V_OF(tuple(J)[:1], theta)
+def counts_lowered(J, points):
+    return [c - 1 if c > 1 and (c + len(J)) % 3 == 0 else c
+            for c in REAL_COUNTS(J, points)]
 
 
 def assert_matches_reference(theta, index_bound, size_bound):
@@ -56,17 +60,59 @@ def test_bound_reports_match_reference(theta, index_bound, size_bound):
 
 @pytest.mark.parametrize("theta", [Fraction(3, 4), Fraction(2, 3)])
 @pytest.mark.parametrize(
-    "name,fault",
-    [("_max_count_diff", count_too_small),
-     ("_max_count_diff", count_too_large),
-     ("v_of", first_element_only)],
-)
-def test_counterexamples_match_reference(monkeypatch, theta, name, fault):
-    monkeypatch.setattr(st, name, fault)
+    "fault", [last_element_only, counts_doubled, counts_lowered])
+def test_counterexamples_match_reference(monkeypatch, theta, fault):
+    monkeypatch.setattr(st, "_counts", fault)
     got, quarter, prefix = assert_matches_reference(theta, 8, 4)
     assert got["violations"] > 5 and quarter["violations"] > 5
-    if name == "_max_count_diff":
-        assert prefix["violations"] > 5
+    assert prefix["violations"] > 5
+
+
+@pytest.mark.parametrize(
+    "fault", [last_element_only, counts_doubled, counts_lowered])
+@pytest.mark.parametrize("index_bound,size_bound", [(3, 3), (4, 3), (5, 5)])
+def test_counterexample_order_matches_reference(monkeypatch, fault,
+                                                index_bound, size_bound):
+    # Few sets, so the first five counterexamples reach the repeated rows
+    # and the sets with more than one failing prefix.
+    monkeypatch.setattr(st, "_counts", fault)
+    assert_matches_reference(Fraction(2, 3), index_bound, size_bound)
+
+
+def counts_negated(J, points):
+    return [-c for c in REAL_COUNTS(J, points)]
+
+
+def test_negated_counts_change_no_norm(monkeypatch):
+    # The sup norm takes absolute values, so v_J -> -v_J passes every check.
+    monkeypatch.setattr(st, "_counts", counts_negated)
+    reports = assert_matches_reference(Fraction(2, 3), 8, 4)
+    assert all(rep["pass"] for rep in reports)
+
+
+@pytest.mark.parametrize(
+    "fault", [REAL_COUNTS, last_element_only, counts_doubled, counts_lowered])
+@pytest.mark.parametrize("cells", [1, 200, st._CHUNK_CELLS])
+def test_pair_sweep_matches_reference(monkeypatch, cells, fault):
+    # At (8, 4) the K with K[0] = 2 are 42 rows against 2 J rows of 8
+    # cells, so 200 cells split them into chunks of 12, and 1 cell into
+    # one K per chunk.  The sweep returns every failing pair in order.
+    monkeypatch.setattr(st, "_counts", fault)
+    monkeypatch.setattr(st, "_CHUNK_CELLS", cells)
+    theta = Fraction(2, 3)
+    sets = st.enumerate_index_sets(8, 4)
+    got = st._pair_sweep(st.count_matrix(8, 4), theta)
+    assert got == ref.pair_sweep(sets, theta)
+    assert_matches_reference(theta, 8, 4)
+
+
+def test_huge_theta_stays_exact():
+    theta = Fraction(2**70 - 1, 2**70)
+    got = st.verify_staircase_bounds(theta, 6, 3)
+    assert got == ref.verify_staircase_bounds(theta, 6, 3)
+    prefix = st.verify_prefix_exactness(theta, 6, 3)
+    assert prefix == ref.verify_prefix_exactness(theta, 6, 3)
+    assert got["pass"] and prefix["pass"]
 
 
 def test_theta_domain_matches_reference():

@@ -132,6 +132,8 @@ class TestTreeSpace:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             TreeSpace(2, 40).nodes()
+        with pytest.raises(CapacityError):
+            next(TreeSpace(2, 40).distance_rows())
 
     def test_json_vertices(self):
         out = to_json_vertices(TreeSpace(2, 1))
@@ -155,6 +157,17 @@ class TestDistanceRows:
         for (_, row), J in zip(rows, nodes):
             assert np.issubdtype(row.dtype, np.integer)
             assert row.tolist() == [tree_distance(J, K) for K in nodes]
+
+    def test_rows_build_no_nodes(self, monkeypatch):
+        space = TreeSpace(3, 3)
+        nodes = space.nodes()
+
+        def refuse(self):
+            raise AssertionError("distance_rows enumerated the nodes")
+
+        monkeypatch.setattr(TreeSpace, "nodes", refuse)
+        for i, row in space.distance_rows():
+            assert row.tolist() == [tree_distance(nodes[i], K) for K in nodes]
 
     @pytest.mark.parametrize("b,d", [(2, 4), (3, 3)])
     def test_rows_are_networkx_path_lengths(self, b, d):
