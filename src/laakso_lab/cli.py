@@ -144,9 +144,7 @@ def _small_test_tables() -> dict[str, qa.MetricMapTable]:
     collapse, the identity on a path, and a two-point collapse."""
     tables: dict[str, qa.MetricMapTable] = {}
     for name, (b, n) in [("phi_T2_3_G1", (2, 1)), ("phi_T3_3_G1", (3, 1))]:
-        tables[name] = qa.MetricMapTable.from_dict(
-            tl.as_map_table(_phi_map(n, b, False))
-        )
+        tables[name] = tl.map_table(_phi_map(n, b, False))
     tables["floor_by_3"] = qa.MetricMapTable(
         qa.path_space(10), qa.path_space(4), [i // 3 for i in range(10)]
     )
@@ -180,7 +178,7 @@ def _suite_atd() -> dict:
         "pass": prof.c_atd[0.5] == 1 / 3,
     }
 
-    big = qa.MetricMapTable.from_dict(tl.as_map_table(_phi_map(2, 2, False)))
+    big = tl.map_table(_phi_map(2, 2, False))
     deltas = [float(d) for d in range(1, 9)]
     prof_big = qa.coarse_profile(big, deltas)
     vals = sorted(set(prof_big.c_atd.values()))
@@ -196,7 +194,7 @@ def _suite_atd() -> dict:
 
 def _suite_fork() -> dict:
     out: dict = {}
-    small = qa.MetricMapTable.from_dict(tl.as_map_table(_phi_map(1, 2, False)))
+    small = tl.map_table(_phi_map(1, 2, False))
     witness = qa.fork_search(small, eps=0.0, r_min=1.0)
     if witness is None:
         out["exact_fork"] = {"pass": False, "witness": None}

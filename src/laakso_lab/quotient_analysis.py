@@ -3,10 +3,12 @@ Lipschitz and co-Lipschitz constants, ball-inclusion moduli, coarse
 profiles, relation-restricted co-Lipschitz constants, and a deterministic
 fork search with the bound arithmetic it feeds.
 
-Everything here is table-driven and space-agnostic; the tree and graph
-modules only show up through `as_map_table`.  Two deliberately independent
-routes compute the relation-restricted constant, and they share only the
-input table:
+Everything here is table-driven and space-agnostic: nothing here imports
+the tree or graph modules.  The built-in projections arrive as tables that
+`tree_to_laakso.map_table` builds straight from their distance arrays;
+stored tables arrive through `MetricMapTable.from_dict`.  Two deliberately
+independent routes compute the relation-restricted constant, and they
+share only the input table:
 
 - the profile route (`lipschitz_constant`, `coarse_profile`,
   `c_atd_infinity`, `quotient_moduli`) reads numpy arrays that each
@@ -22,7 +24,6 @@ input table:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,27 +38,45 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 TRIANGLE_SAMPLES = 20_000
 
 
+def _is_index(value) -> bool:
+    """Whether value can index a point: a Python or numpy integer, and not
+    a bool, float, string or None."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class FiniteMetricSpace:
     """Indexed points 0..n-1 with a full distance table and an optional
     strict partial order ("ancestor of").  All invariants are validated at
     construction: finiteness, symmetry, zero diagonal, positivity off the
-    diagonal, the triangle inequality (exhaustively up to 256 points, by a
-    seeded 20000-triple sample above that), and strictness of the order.
-    `dist` keeps the entries as given; `array` is a read-only float64 copy.
+    diagonal, the triangle inequality, and strictness of the order, whose
+    entries must be integer indices.  The triangle inequality is checked
+    exhaustively up to 256 points; above that, on 20000 triples (i, j, k)
+    drawn by `np.random.default_rng(0).integers` and compared in one
+    vector step, and the first failing triple in sample order is reported.
+    The table is nested sequences or a 2-D numpy array.  `dist` keeps the
+    entries as given (an array's through one `tolist()`, so an integer
+    array gives Python ints); `array` is a read-only float64 copy.
     """
 
     def __init__(
         self,
-        dist: Sequence[Sequence[float]],
+        dist: Sequence[Sequence[float]] | np.ndarray,
         order: Optional[Sequence[tuple[int, int]]] = None,
     ):
-        n = len(dist)
-        rows = tuple(tuple(row) for row in dist)
+        is_array = isinstance(dist, np.ndarray)
+        if is_array and (dist.ndim != 2 or dist.shape[0] != dist.shape[1]):
+            raise ValueError("distance table is not square")
+        try:
+            rows = tuple(map(tuple, dist.tolist() if is_array else dist))
+        except TypeError:
+            raise ValueError("distance table is not square") from None
+        n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("distance table is not square")
         self.n = n
         self.dist = rows
-        arr = np.asarray(rows, dtype=float).reshape(n, n)
+        arr = (dist.astype(float) if is_array
+               else np.asarray(rows, dtype=float).reshape(n, n))
         finite = np.isfinite(arr)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
@@ -76,7 +95,14 @@ class FiniteMetricSpace:
         self.array = arr
         self.order: Optional[frozenset[tuple[int, int]]] = None
         if order is not None:
-            pairs = frozenset((int(i), int(j)) for i, j in order)
+            given_pairs = set()
+            for i, j in order:
+                for v in (i, j):
+                    if not _is_index(v):
+                        raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
+                                         f"not an integer index")
+                given_pairs.add((int(i), int(j)))
+            pairs = frozenset(given_pairs)
             for i, j in pairs:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"order pair ({i},{j}) out of range")
@@ -107,13 +133,13 @@ class FiniteMetricSpace:
                         f"for pair ({bad[0]},{bad[1]})"
                     )
             return
-        rng = random.Random(0)
-        for _ in range(TRIANGLE_SAMPLES):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            if arr[i][j] > arr[i][k] + arr[k][j] + 1e-12:
-                raise ValueError(
-                    f"triangle inequality fails via {k} for pair ({i},{j})"
-                )
+        rng = np.random.default_rng(0)
+        i, j, k = rng.integers(n, size=(3, TRIANGLE_SAMPLES))
+        over = arr[i, j] > arr[i, k] + arr[k, j] + 1e-12
+        if over.any():
+            s = int(np.argmax(over))
+            raise ValueError(f"triangle inequality fails via {k[s]} "
+                             f"for pair ({i[s]},{j[s]})")
 
     def related(self, i: int, j: int) -> bool:
         return self.order is not None and (i, j) in self.order
@@ -146,7 +172,10 @@ class MetricMapTable:
             raise ValueError(
                 f"assignment covers {len(assign)} of {source.n} source points"
             )
-        self.assign = tuple(int(a) for a in assign)
+        for x, a in enumerate(assign):
+            if not _is_index(a):
+                raise ValueError(f"assign[{x}] is {a!r}, not an integer index")
+        self.assign = tuple(map(int, assign))
         for a in self.assign:
             if not 0 <= a < target.n:
                 raise ValueError(f"assigned index {a} outside target")

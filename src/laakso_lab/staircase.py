@@ -16,9 +16,10 @@ theta * (level difference); and the biorthogonality table itself.
 `verify_james` runs all four.  The three checks that take the bounds read
 one exact integer count matrix, whose row for J holds the counts at
 i = 1..index_bound, i.e. v_J / theta; `verify_james` builds it once for
-all three.  With count = ||v_J - v_K|| / theta the pair bounds are
-integer tests: |J|+|K| <= 3*count for theta/3 and for 1/4 at theta = 3/4
-(theta cancels), and theta*count <= |J|+|K|.  Every bound is decided once
+all three, and the matrix computes the pair counts once for the two pair
+checks.  With count = ||v_J - v_K|| / theta the pair bounds are integer
+tests: |J|+|K| <= 3*count for theta/3 and for 1/4 at theta = 3/4 (theta
+cancels), and theta*count <= |J|+|K|.  Every bound is decided once
 per distinct (count, size) in exact Python arithmetic and looked up for
 each set or pair; numpy holds only the counts, so a huge theta stays
 exact, and no Fraction is built per set or pair, only for reported values
@@ -30,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
@@ -151,6 +153,37 @@ class CountMatrix:
     counts: np.ndarray
     sizes: np.ndarray
 
+    @cached_property
+    def pair_counts(self) -> tuple[np.ndarray, ...]:
+        """Every pair of a nonempty K and a J wholly below it (max J <
+        min K), K then J in row order: the rows of K and of J, the count
+        max|row K - row J| = ||v_K - v_J|| / theta and |J| + |K|, as int32
+        arrays.  Built on first use, in chunks of at most _CHUNK_CELLS
+        cells per group of K sharing K[0], and shared by the pair checks,
+        which differ only in their verdict tables."""
+        C, sizes = self.counts, self.sizes
+        first = np.array([K[0] if K else 0 for K in self.sets])
+        last = np.array([J[-1] if J else 0 for J in self.sets])
+        parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3]
+        for k in np.unique(first[first > 0]).tolist():
+            Ks = np.flatnonzero(first == k)
+            Js = np.flatnonzero(last < k)
+            below = C[Js][None, :, :]
+            step = max(1, _CHUNK_CELLS // below.size)
+            for lo in range(0, len(Ks), step):
+                K = Ks[lo:lo + step]
+                count = np.abs(C[K][:, None, :] - below).max(axis=-1)
+                ki, ji = np.indices(count.shape).reshape(2, -1)
+                parts.append((K[ki], Js[ji], count.ravel()))
+        ks, js, count = (np.concatenate(a) for a in zip(*parts))
+        order = np.lexsort((js, ks))
+        ks, js, count = ks[order], js[order], count[order]
+        out = tuple(a.astype(np.int32)
+                    for a in (ks, js, count, sizes[ks] + sizes[js]))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
 
 def count_matrix(index_bound: int, size_bound: int) -> CountMatrix:
     """The count matrix of every index set within the bounds."""
@@ -217,37 +250,20 @@ def _norm_sweep(m: CountMatrix, theta: Fraction, lower: Fraction):
 def _pair_sweep(m: CountMatrix, theta: Fraction):
     """The pairs of a nonempty K and a J wholly below it, K then J in
     enumeration order, under the integer bounds of the module docstring:
-    the pair count, the failing (J, K, count), the least 3*count/(|J|+|K|)."""
-    C, sizes = m.counts, m.sizes
-    first = np.array([K[0] if K else 0 for K in m.sets])
-    last = np.array([J[-1] if J else 0 for J in m.sets])
+    the pair count, the failing (J, K, count), the least 3*count/(|J|+|K|).
+    Only the verdict table depends on theta; the pair counts come from the
+    matrix, which computes them once."""
+    ks, js, count, size = m.pair_counts
     ok = _table(lambda c, s: s <= 3 * c
                 and theta.numerator * c <= theta.denominator * s,
-                int(C.max() - C.min()) + 1, 2 * int(sizes.max()) + 1)
+                int(m.counts.max() - m.counts.min()) + 1,
+                2 * int(m.sizes.max()) + 1)
     seen = np.zeros_like(ok)
-    pairs = 0
-    fails = []
-    for k in np.unique(first[first > 0]).tolist():
-        Ks = np.flatnonzero(first == k)
-        Js = np.flatnonzero(last < k)
-        below = C[Js][None, :, :]
-        step = max(1, _CHUNK_CELLS // below.size)
-        for lo in range(0, len(Ks), step):
-            K = Ks[lo:lo + step]
-            count = np.abs(C[K][:, None, :] - below).max(axis=-1)
-            size = sizes[K][:, None] + sizes[Js][None, :]
-            seen[count, size] = True
-            ki, ji = np.nonzero(~ok[count, size])
-            fails.append((K[ki], Js[ji], count[ki, ji]))
-        pairs += len(Ks) * len(Js)
-    failed = []
-    if fails:
-        ks, js, counts = (np.concatenate(a) for a in zip(*fails))
-        order = np.lexsort((js, ks))
-        failed = [(m.sets[j], m.sets[k], c) for k, j, c in
-                  zip(ks[order].tolist(), js[order].tolist(),
-                      counts[order].tolist())]
-    return pairs, failed, _tightest(seen, lambda c, s: Fraction(3 * c, s))
+    seen[count, size] = True
+    fail = np.flatnonzero(~ok[count, size])
+    failed = [(m.sets[j], m.sets[k], c) for k, j, c in
+              zip(ks[fail].tolist(), js[fail].tolist(), count[fail].tolist())]
+    return len(ks), failed, _tightest(seen, lambda c, s: Fraction(3 * c, s))
 
 
 def verify_biorthogonality(theta: Fraction = THETA_DEFAULT, index_bound: int = 12) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, RelationError
 from .laakso_graph import LaaksoGraph, VertexId
+from .quotient_analysis import FiniteMetricSpace, MetricMapTable
 from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 
 EXHAUSTIVE_NODE_LIMIT = 2**12
@@ -185,7 +186,7 @@ def verify_projection(
         preimages.setdefault(gi, []).append(J)
     lift_bad: list[dict] = []
     lifts_done = 0
-    ancestors = ancestor_pairs(gdist, graph.levels)
+    ancestors = ancestor_pairs(garr, graph.levels)
     for iu, iv in ancestors:
         v = graph.vertices[iv]
         pool = preimages.get(iu, [])
@@ -357,40 +358,47 @@ def sibling_lift_separation(pm: TreeToGraphMap) -> dict:
 
 def ancestor_pairs(dist, levels) -> list[list[int]]:
     """The strict ancestor pairs [i, j] of a graded space, in row-major
-    order: i is an ancestor of j iff dist[i][j] == levels[j] - levels[i]."""
-    return [
-        [i, j]
-        for i, (row, li) in enumerate(zip(dist, levels))
-        for j, lj in enumerate(levels)
-        if i != j and row[j] == lj - li
-    ]
+    order: i is an ancestor of j iff dist[i][j] == levels[j] - levels[i].
+    `dist` is a square table (nested lists, a list of rows or one array)
+    and `levels` a sequence of the same length."""
+    lv = np.asarray(levels)
+    d = np.asarray(dist).reshape(len(lv), len(lv))
+    below = d == lv[None, :] - lv[:, None]
+    np.fill_diagonal(below, False)
+    return np.argwhere(below).tolist()
 
 
-def as_map_table(pm: TreeToGraphMap) -> dict:
-    """Materialize the projection as a plain map table: full distance
-    matrices, index assignment, and both strict ancestor relations, read
-    off the distance matrices by the ancestor rule of ``ancestor_pairs``.
-    The tree matrix is the stack of ``TreeSpace.distance_rows``, the graph
-    matrix comes from ``LaaksoGraph.distance``.  Only feasible at desk
-    scale; the tree enumeration enforces its own cap."""
+def map_table(pm: TreeToGraphMap) -> MetricMapTable:
+    """The projection as a map table, built from arrays: the tree matrix is
+    the stack of ``TreeSpace.distance_rows``, the graph matrix comes from
+    ``LaaksoGraph.distance``, both int32, and both strict ancestor
+    relations are read off them by the rule of ``ancestor_pairs``.  Every
+    input check of ``FiniteMetricSpace`` and ``MetricMapTable`` runs.  Only
+    feasible at desk scale; the tree enumeration enforces its own cap."""
     nodes = pm.tree.nodes()
     verts = pm.graph.vertices
-    # One matrix converted at once: a list per row, between the row
-    # arrays, fragments the heap (about 3 MB more peak RSS in verify all).
     sdist = np.empty((len(nodes), len(nodes)), dtype=np.int32)
     for i, row in pm.tree.distance_rows():
         sdist[i] = row
-    sdist = sdist.tolist()
-    tdist = [[pm.graph.distance(u, v) for v in verts] for u in verts]
+    tdist = np.array(
+        [[pm.graph.distance(u, v) for v in verts] for u in verts],
+        dtype=np.int32,
+    )
+    source = FiniteMetricSpace(
+        sdist, order=ancestor_pairs(sdist, [J.level for J in nodes])
+    )
+    target = FiniteMetricSpace(
+        tdist, order=ancestor_pairs(tdist, pm.graph.levels)
+    )
     assign = [pm.graph.index(pm.image(J)) for J in nodes]
-    return {
-        "schema": 1,
-        "source": {"n": len(nodes), "dist": sdist},
-        "target": {"n": len(verts), "dist": tdist},
-        "assign": assign,
-        "source_order": ancestor_pairs(sdist, [J.level for J in nodes]),
-        "target_order": ancestor_pairs(tdist, pm.graph.levels),
-    }
+    return MetricMapTable(source, target, assign)
+
+
+def as_map_table(pm: TreeToGraphMap) -> dict:
+    """``map_table`` as the plain JSON shape that ``analyze map`` and
+    ``fork`` read: full distance matrices, index assignment, and both
+    strict ancestor relations in row-major order."""
+    return map_table(pm).to_dict()
 
 
 def lifted_fork(pm: TreeToGraphMap, fork: tuple) -> dict:

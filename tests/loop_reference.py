@@ -19,7 +19,9 @@ which returns every failing pair, not only the first five.
 
 The map-table export of `tree_to_laakso`, as it was when it derived both
 ancestor relations pair by pair from `is_prefix_of` and `is_ancestor`
-instead of reading them off the distance matrices.
+instead of reading them off the distance matrices.  The ancestor rule of
+`tree_to_laakso`, as it was when it was a comprehension over the rows and
+levels instead of one array comparison.
 
 The projection verifier of `tree_to_laakso`, as it was when its
 1-Lipschitz sweep called `tree_distance` once per node pair in both
@@ -59,7 +61,6 @@ from laakso_lab.tree_to_laakso import (
     _lift_exact,
     _lift_record,
     _lipschitz_record,
-    ancestor_pairs,
 )
 
 
@@ -360,6 +361,15 @@ def as_map_table(pm):
         "source_order": source_order,
         "target_order": target_order,
     }
+
+
+def ancestor_pairs(dist, levels):
+    return [
+        [i, j]
+        for i, (row, li) in enumerate(zip(dist, levels))
+        for j, lj in enumerate(levels)
+        if i != j and row[j] == lj - li
+    ]
 
 
 def verify_projection(

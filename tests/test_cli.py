@@ -204,6 +204,15 @@ class TestVerifyAll:
         assert rep["suites"]["projection"]["pass"] is False
         assert rep["suites"]["graphs"]["pass"] is True
 
+    def test_builds_the_map_tables_without_a_dict_round_trip(self,
+                                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("map table went through a dict")
+
+        monkeypatch.setattr(cli.qa.MetricMapTable, "from_dict", refuse)
+        monkeypatch.setattr(cli.tl, "as_map_table", refuse)
+        assert cli.verify_all(seed=0)["pass"]
+
     def test_timings_flag(self, capsys, monkeypatch):
         for name in ("graphs", "projection", "atd", "fork", "moduli"):
             monkeypatch.setattr(cli, f"_suite_{name}",
@@ -257,6 +266,37 @@ class TestAnalyze:
         )
         assert code == 2
         assert err
+
+
+def non_integer_index_tables(map_file: str) -> list[dict]:
+    """The phi(1,2) table with index entries that int() would round to
+    the same table: float and bool assignments, float order pairs."""
+    with open(map_file, encoding="utf-8") as fh:
+        table = json.load(fh)
+    out = []
+    for key, spoil in [
+        ("assign", lambda a: [x + 0.25 for x in a]),
+        ("assign", lambda a: [x == 1 if x <= 1 else x for x in a]),
+        ("source_order", lambda o: [[i + 0.2, j + 0.9] for i, j in o]),
+        ("target_order", lambda o: [[i + 0.5, j] for i, j in o]),
+    ]:
+        out.append({**table, key: spoil(table[key])})
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("command,options", [
+    (["analyze", "map"], ["--delta-grid", "1,2"]),
+    (["fork"], ["--eps", "0"]),
+])
+def test_non_integer_indices_are_usage_errors(capsys, tmp_path, map_file,
+                                              case, command, options):
+    f = tmp_path / "spoiled.json"
+    f.write_text(json.dumps(non_integer_index_tables(map_file)[case]))
+    code, out, err = run(capsys, *command, "--input", str(f), *options)
+    assert code == 2
+    assert out == ""
+    assert "not an integer index" in err
 
 
 class TestFork:

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from laakso_lab.errors import DomainError
@@ -72,6 +73,126 @@ class TestFiniteMetricSpace:
         k = 300  # past the exhaustive limit; still validates by sampling
         space = path_space(k)
         assert space.n == k
+
+    def test_sampled_triangle_check_catches_a_dense_fault(self):
+        # 300 points at distance 1, except the pairs with i + j = 0 mod 10
+        # at distance 3: every such pair breaks the triangle inequality via
+        # any k at distance 1 from both, which is well over 1 % of triples.
+        k = 300
+        i, j = np.indices((k, k))
+        dist = np.where((i + j) % 10 == 0, 3, 1)
+        np.fill_diagonal(dist, 0)
+        assert k > qa.TRIANGLE_EXHAUSTIVE_LIMIT
+        broken = sum(np.count_nonzero(dist > dist[:, [m]] + dist[[m], :])
+                     for m in range(k))
+        assert broken >= 0.01 * k**3
+        # The first failing triple in sample order, found one by one.
+        a, b, c = np.random.default_rng(0).integers(
+            k, size=(3, qa.TRIANGLE_SAMPLES)).tolist()
+        s = next(s for s in range(qa.TRIANGLE_SAMPLES)
+                 if dist[a[s], b[s]] > dist[a[s], c[s]] + dist[c[s], b[s]])
+        message = rf"fails via {c[s]} for pair \({a[s]},{b[s]}\)"
+        for table in (dist, dist.tolist()):
+            with pytest.raises(ValueError, match=message):
+                FiniteMetricSpace(table)
+
+
+BAD_TABLES = [
+    ([[0, 1]], "not square"),
+    ([0, 1], "not square"),
+    ([[0, math.nan], [math.nan, 0]], "non-finite distance nan at"),
+    ([[1]], "nonzero diagonal"),
+    ([[0, 1], [2, 0]], "not symmetric"),
+    ([[0, 0], [0, 0]], "non-positive distance"),
+    ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "triangle inequality fails via 1"),
+]
+
+
+class TestFiniteMetricSpaceFromArray:
+    @pytest.mark.parametrize("table,message", BAD_TABLES)
+    def test_rejects_what_a_list_rejects(self, table, message):
+        for given in (table, np.array(table)):
+            with pytest.raises(ValueError, match=message):
+                FiniteMetricSpace(given)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2), (0, 3)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="not square"):
+            FiniteMetricSpace(np.zeros(shape))
+
+    def test_int_array_gives_python_ints(self):
+        dist = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
+        order = np.array([[0, 1], [1, 2], [0, 2]])
+        space = FiniteMetricSpace(dist, order=order)
+        assert space.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        assert {type(d) for row in space.dist for d in row} == {int}
+        assert space.order == {(0, 1), (1, 2), (0, 2)}
+        assert {type(i) for pair in space.order for i in pair} == {int}
+        assert space.array.dtype == np.float64
+        assert space.to_dict() == FiniteMetricSpace(dist.tolist()).to_dict()
+
+    def test_array_is_copied(self):
+        dist = np.array([[0, 1], [1, 0]])
+        space = FiniteMetricSpace(dist)
+        dist[0, 1] = 7
+        assert space.dist == ((0, 1), (1, 0))
+        assert space.array[0, 1] == 1.0
+        assert dist.flags.writeable
+
+    def test_empty_and_one_point(self):
+        assert FiniteMetricSpace(np.zeros((0, 0), dtype=int)).n == 0
+        assert FiniteMetricSpace(np.zeros((1, 1), dtype=int)).dist == ((0,),)
+
+
+NON_INDICES = [True, False, 1.0, 1.5, "1", None]
+
+
+class TestIntegerIndices:
+    """Indices that are not integers are refused, not rounded by int()."""
+
+    def test_float_and_bool_assignment_is_refused(self):
+        three, two = path_space(3), path_space(2)
+        with pytest.raises(ValueError, match=r"assign\[0\] is 0\.9"):
+            MetricMapTable(three, two, [0.9, True, 1.5])
+
+    @pytest.mark.parametrize("bad", NON_INDICES)
+    def test_assignment_entries(self, bad):
+        three, two = path_space(3), path_space(2)
+        with pytest.raises(ValueError, match=r"assign\[1\] is"):
+            MetricMapTable(three, two, [0, bad, 1])
+
+    def test_float_order_is_refused(self):
+        with pytest.raises(ValueError, match=r"order pair \[0\.2, 1\.9\]"):
+            FiniteMetricSpace([[0, 1], [1, 0]], order=[[0.2, 1.9]])
+
+    @pytest.mark.parametrize("bad", NON_INDICES)
+    def test_order_entries(self, bad):
+        d3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        for pair in ([bad, 1], [0, bad]):
+            with pytest.raises(ValueError, match="not an integer index"):
+                FiniteMetricSpace(d3, order=[pair])
+
+    def test_from_dict_refuses_them(self):
+        d = {
+            "source": {"n": 3, "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+            "target": {"n": 2, "dist": [[0, 1], [1, 0]]},
+            "assign": [0.9, True, 1.5],
+        }
+        with pytest.raises(ValueError, match="not an integer index"):
+            MetricMapTable.from_dict(d)
+        d["assign"] = [0, 1, 1]
+        d["source_order"] = [[0.2, 1.9]]
+        with pytest.raises(ValueError, match="not an integer index"):
+            MetricMapTable.from_dict(d)
+
+    def test_numpy_integers_are_accepted(self):
+        three, two = path_space(3), path_space(2)
+        m = MetricMapTable(three, two, np.array([0, 1, 1], dtype=np.int64))
+        assert m.assign == (0, 1, 1)
+        assert {type(a) for a in m.assign} == {int}
+        order = [(np.int32(0), np.int64(1))]
+        space = FiniteMetricSpace([[0, 1], [1, 0]], order=order)
+        assert space.order == {(0, 1)}
 
 
 class TestMetricMapTable:

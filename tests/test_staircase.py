@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -183,6 +184,26 @@ class TestVerifiers:
         assert verify_james(THETA, 6, 3)["pass"]
         assert calls == {"count_matrix": 1, "enumerate_index_sets": 1}
 
+    def test_james_computes_the_pair_counts_once(self, monkeypatch):
+        # Both pair checks read the counts of one sweep; only their
+        # verdict tables differ, and each report keeps its own pairs.
+        sweeps = []
+        real = staircase.CountMatrix.pair_counts.func
+
+        def counted(m):
+            sweeps.append(m)
+            return real(m)
+
+        spy = cached_property(counted)
+        spy.__set_name__(staircase.CountMatrix, "pair_counts")
+        monkeypatch.setattr(staircase.CountMatrix, "pair_counts", spy)
+        rep = verify_james(THETA, 12, 6)
+        assert len(sweeps) == 1
+        assert rep["staircase_bounds"]["pairs"] == 20_618
+        assert rep["quarter_bounds"]["pairs"] == 20_618
+        checks = ("staircase_bounds", "quarter_bounds", "prefix_exactness")
+        assert sum(rep[k]["pairs"] for k in checks) == 56_034
+
     def test_checks_refuse_a_matrix_of_other_bounds(self):
         m = count_matrix(6, 3)
         for run in (
@@ -215,6 +236,9 @@ class TestCountMatrix:
             m.counts[0, 0] = 1
         with pytest.raises(ValueError):
             m.sizes[0] = 1
+        for a in m.pair_counts:
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestExponentForRadius:

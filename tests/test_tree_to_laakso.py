@@ -6,6 +6,7 @@ import pytest
 
 import loop_reference as ref
 from laakso_lab import cli
+from laakso_lab import quotient_analysis as qa
 from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
@@ -14,6 +15,7 @@ from laakso_lab.tree_to_laakso import (
     ancestor_pairs,
     as_map_table,
     lifted_fork,
+    map_table,
     replay_case,
     sibling_lift_separation,
     verify_projection,
@@ -348,6 +350,23 @@ class TestAncestorPairs:
         assert ancestor_pairs(rows, levels) == prefix
         assert ancestor_pairs(np.array(rows), np.array(levels)) == prefix
 
+    @pytest.mark.parametrize("b,d", [(2, 0), (2, 4), (3, 3)])
+    def test_matches_the_comprehension(self, b, d):
+        # The array rule equals the former comprehension on nested lists
+        # and on arrays; depth 0 is the one-node space.
+        space = TreeSpace(b, d)
+        levels = [J.level for J in space.nodes()]
+        rows = [row.tolist() for _, row in space.distance_rows()]
+        for dist, lv in [(rows, levels), (np.array(rows), np.array(levels))]:
+            assert ancestor_pairs(dist, lv) == ref.ancestor_pairs(dist, lv)
+
+    def test_empty_and_one_point_spaces(self):
+        for dist, levels in [([], []), ([[0]], [0]),
+                             (np.zeros((0, 0), int), np.zeros(0, int)),
+                             (np.zeros((1, 1), int), [3])]:
+            assert ancestor_pairs(dist, levels) == []
+            assert ref.ancestor_pairs(dist, levels) == []
+
     @pytest.mark.parametrize("n,b", [(2, 2), (2, 3), (3, 2)])
     def test_graph_distances_give_is_ancestor(self, n, b):
         g = build_laakso(n, b)
@@ -378,7 +397,23 @@ class TestMapTable:
     @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2)])
     def test_matches_pairwise_reference(self, n, b):
         pm = TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b))
-        assert as_map_table(pm) == ref.as_map_table(pm)
+        want = ref.as_map_table(pm)
+        assert map_table(pm).to_dict() == want
+        assert as_map_table(pm) == want
+
+    def test_entries_are_python_ints(self, pm_small):
+        m = map_table(pm_small)
+        for space in (m.source, m.target):
+            assert {type(d) for row in space.dist for d in row} == {int}
+            assert {type(i) for pair in space.order for i in pair} == {int}
+        assert {type(a) for a in m.assign} == {int}
+
+    def test_sampled_triangle_check_passes_the_phi_source(self):
+        # 1023 points: above the exhaustive limit, so the seeded sample
+        # checks the tree metric while map_table builds the source, and
+        # the metric must pass it.
+        pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+        assert map_table(pm).source.n == 1023 > qa.TRIANGLE_EXHAUSTIVE_LIMIT
 
     def test_round_trip(self, pm_small):
         from laakso_lab.quotient_analysis import MetricMapTable
