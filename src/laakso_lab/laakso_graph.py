@@ -226,6 +226,13 @@ class LaaksoGraph:
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in nbrs
         )
+        # child_table[i]: the neighbours of vertex i one level down, in
+        # fraternal (construction index) order.
+        levels = self.levels
+        self.child_table: tuple[tuple[int, ...], ...] = tuple(
+            tuple(j for j in nb if levels[j] == levels[i] + 1)
+            for i, nb in enumerate(self.neighbors)
+        )
         self.edge_count = len(edges)
         self.root: VertexId = self.vertices[0]
         self.sink: VertexId = self.vertices[-1]
@@ -256,14 +263,10 @@ class LaaksoGraph:
 
     def children(self, v: VertexId) -> list[VertexId]:
         """Immediate descendants in fraternal (construction index) order."""
-        i = self.index(v)
-        lvl = self.levels[i]
-        return [
-            self.vertices[j] for j in self.neighbors[i] if self.levels[j] == lvl + 1
-        ]
+        return [self.vertices[j] for j in self.child_table[self.index(v)]]
 
     def is_branching(self, v: VertexId) -> bool:
-        return len(self.children(v)) > 1
+        return len(self.child_table[self.index(v)]) > 1
 
     # -- metric ------------------------------------------------------------
 
@@ -313,6 +316,17 @@ class LaaksoGraph:
                     f"no child of {self.label(cur)} stays above {self.label(v)}"
                 )
         return path
+
+    def descent(self, u: VertexId, v: VertexId) -> list[int]:
+        """``downward_path(u, v)`` as fraternal increments, one per step:
+        1 where the vertex left does not branch, else the 1-based place of
+        the vertex entered among its children."""
+        path = [self.index(w) for w in self.downward_path(u, v)]
+        out = []
+        for i, j in zip(path, path[1:]):
+            kids = self.child_table[i]
+            out.append(1 if len(kids) == 1 else kids.index(j) + 1)
+        return out
 
 
 def build_laakso(n: int, b: int) -> LaaksoGraph:

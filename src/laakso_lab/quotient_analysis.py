@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import inf
 from typing import Optional, Sequence
 
@@ -36,12 +37,64 @@ from .errors import DomainError
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
 TRIANGLE_SAMPLES = 20_000
+# Relation cells compared in one transitivity step of an order check.
+ORDER_CHUNK_CELLS = 1 << 18
 
 
 def _is_index(value) -> bool:
     """Whether value can index a point: a Python or numpy integer, and not
     a bool, float, string or None."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _strict_order(order, n: int) -> frozenset[tuple[int, int]]:
+    """The pairs of ``order`` as Python int pairs, once every entry is an
+    integer index and the relation is a strict partial order on 0..n-1.
+    Past the entry types, each check is an array step over the pairs and
+    the boolean relation matrix R: range, irreflexivity, antisymmetry as
+    "R[j, i] is false", and transitivity as "row j of R lies inside row
+    i", a chunk of pairs at a time.  A failure names the first offending
+    pair in the given order."""
+    given = list(order)
+    # Plain pairs of Python ints skip the check pair by pair.
+    if (set(map(len, given)) - {2}
+            or set(map(type, chain.from_iterable(given))) - {int}):
+        for i, j in given:
+            for v in (i, j):
+                if not _is_index(v):
+                    raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
+                                     f"not an integer index")
+    try:
+        pairs = np.fromiter(chain.from_iterable(given), dtype=np.int64,
+                            count=2 * len(given)).reshape(-1, 2)
+    except OverflowError:  # past int64, so out of range
+        i, j = next(p for p in given
+                    if not all(-2**63 <= v < 2**63 for v in p))
+        raise ValueError(f"order pair ({i},{j}) out of range") from None
+    first, second = pairs[:, 0], pairs[:, 1]
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        i, j = pairs[np.argmax(outside)].tolist()
+        raise ValueError(f"order pair ({i},{j}) out of range")
+    loops = first == second
+    if loops.any():
+        raise ValueError(
+            f"order is not irreflexive at {first[np.argmax(loops)]}")
+    rel = np.zeros((n, n), dtype=bool)
+    rel[first, second] = True
+    back = rel[second, first]
+    if back.any():
+        i, j = pairs[np.argmax(back)].tolist()
+        raise ValueError(f"order is not antisymmetric on ({i},{j})")
+    step = max(1, ORDER_CHUNK_CELLS // max(n, 1))
+    for s in range(0, len(pairs), step):
+        i, j = first[s:s + step], second[s:s + step]
+        gap = rel[j] & ~rel[i]
+        if gap.any():
+            p, k = np.argwhere(gap)[0].tolist()
+            raise ValueError(f"order is not transitive: "
+                             f"({i[p]},{j[p]}),({j[p]},{k})")
+    return frozenset(zip(first.tolist(), second.tolist()))
 
 
 class FiniteMetricSpace:
@@ -93,33 +146,9 @@ class FiniteMetricSpace:
         self._validate_triangle(arr)
         arr.flags.writeable = False
         self.array = arr
-        self.order: Optional[frozenset[tuple[int, int]]] = None
-        if order is not None:
-            given_pairs = set()
-            for i, j in order:
-                for v in (i, j):
-                    if not _is_index(v):
-                        raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
-                                         f"not an integer index")
-                given_pairs.add((int(i), int(j)))
-            pairs = frozenset(given_pairs)
-            for i, j in pairs:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError(f"order pair ({i},{j}) out of range")
-                if i == j:
-                    raise ValueError(f"order is not irreflexive at {i}")
-                if (j, i) in pairs:
-                    raise ValueError(f"order is not antisymmetric on ({i},{j})")
-            by_first: dict[int, list[int]] = {}
-            for i, j in pairs:
-                by_first.setdefault(i, []).append(j)
-            for i, j in pairs:
-                for k in by_first.get(j, ()):
-                    if (i, k) not in pairs:
-                        raise ValueError(
-                            f"order is not transitive: ({i},{j}),({j},{k})"
-                        )
-            self.order = pairs
+        self.order: Optional[frozenset[tuple[int, int]]] = (
+            None if order is None else _strict_order(order, n)
+        )
 
     def _validate_triangle(self, arr: np.ndarray) -> None:
         n = self.n

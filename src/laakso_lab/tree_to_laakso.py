@@ -14,6 +14,7 @@ tree, so on ancestor pairs the projection loses no distance at all: it is
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -36,10 +37,13 @@ RECORD_KEYS = {"level": {"node": list},
 class TreeToGraphMap:
     """The projection T_{b,d} -> G_n with d = 3**n and matching branching.
 
-    The memo of computed images only grows and every query is pure given the
-    memo, so instances are safe for concurrent reads.  ``_flip_node`` is a
-    test hook: at that one tree node the fraternal index is deliberately
-    mis-wired to the next sibling, which verification must catch.
+    Images are memoized in ``_memo``, keyed by a node's element tuple and
+    holding the index of its image in ``graph.vertices``; a miss recurses
+    on the parent's tuple, so no parent node is built.  The memo only
+    grows and every query is pure given the memo, so instances are safe
+    for concurrent reads.  ``_flip_node`` is a test hook: at that one tree
+    node the fraternal index is deliberately mis-wired to the next
+    sibling, which verification must catch.
     """
 
     def __init__(
@@ -59,50 +63,58 @@ class TreeToGraphMap:
         self.tree = tree
         self.graph = graph
         self._flip_node = _flip_node
-        self._memo: dict[TreeNode, VertexId] = {ROOT: graph.root}
+        self._memo: dict[tuple[int, ...], int] = {
+            (): graph.index(graph.root)
+        }
 
     def image(self, node: TreeNode) -> VertexId:
-        memo = self._memo
-        hit = memo.get(node)
+        return self.graph.vertices[self.image_index(node.elements)]
+
+    def image_index(self, elements: tuple[int, ...]) -> int:
+        """The index in ``graph.vertices`` of the image of the node with
+        these elements.  Every step down must add an increment in 1..b,
+        branching or not, and the node may not lie below the depth."""
+        hit = self._memo.get(elements)
         if hit is not None:
             return hit
-        if node.level > self.tree.depth:
+        if len(elements) > self.tree.depth:
             raise DomainError(
-                f"node {node} has level {node.level} > depth {self.tree.depth}"
+                f"node {TreeNode(elements)} has level {len(elements)} "
+                f"> depth {self.tree.depth}"
             )
-        parent = TreeNode(node.elements[:-1])
-        above = self.image(parent)
-        kids = self.graph.children(above)
+        above = self.image_index(elements[:-1])
+        base = elements[-2] if len(elements) > 1 else 0
+        k = elements[-1] - base
+        if not 1 <= k <= self.tree.branching:
+            raise DomainError(
+                f"node {TreeNode(elements)} has fraternal index {k}, "
+                f"outside 1..{self.tree.branching}"
+            )
+        kids = self.graph.child_table[above]
         if len(kids) == 1:
             img = kids[0]
+        elif (self._flip_node is not None
+              and elements == self._flip_node.elements):
+            img = kids[k % len(kids)]
         else:
-            base = parent.elements[-1] if parent.elements else 0
-            k = node.elements[-1] - base
-            if not 1 <= k <= len(kids):
-                raise DomainError(
-                    f"node {node} has fraternal index {k}, "
-                    f"but {self.graph.label(above)} has {len(kids)} children"
-                )
-            if node == self._flip_node:
-                img = kids[k % len(kids)]
-            else:
-                img = kids[k - 1]
-        memo[node] = img
+            img = kids[k - 1]
+        self._memo[elements] = img
         return img
 
     def lift(self, node: TreeNode, target: VertexId) -> TreeNode:
-        """The tree descendant of ``node`` that projects onto ``target``,
-        one level per step, index 1 wherever the image does not branch.
+        """The tree descendant of ``node`` that projects onto ``target``:
+        ``node`` extended by the fraternal increments of one
+        ``graph.descent``, index 1 wherever the image does not branch.
         Tree distance from ``node`` equals graph distance exactly."""
-        start = self.image(node)
-        path = self.graph.downward_path(start, target)
-        cur = node
-        for i in range(1, len(path)):
-            kids = self.graph.children(path[i - 1])
-            k = 1 if len(kids) == 1 else kids.index(path[i]) + 1
-            base = cur.elements[-1] if cur.elements else 0
-            cur = cur.child(base + k)
-        return cur
+        return _extend(node, accumulate(self.graph.descent(self.image(node),
+                                                         target)))
+
+
+def _extend(node: TreeNode, offsets) -> TreeNode:
+    """``node`` with one element appended per offset: its last element
+    (0 at the root) plus the offset."""
+    last = node.elements[-1] if node.elements else 0
+    return TreeNode(node.elements + tuple(last + o for o in offsets))
 
 
 def verify_projection(
@@ -122,7 +134,9 @@ def verify_projection(
     ``TreeSpace.distance_rows``, each row against the later nodes, and
     records the first Lipschitz failures in row-major order; the sampled
     sweep computes each seeded pair with ``tree_distance``.  Both feed one
-    fold that counts the strata and records the counterexamples.
+    fold that counts the strata and records the counterexamples.  Images
+    and levels are read by vertex index, and the lifts of one ancestor
+    pair share its one ``graph.descent``; each lift is judged on its own.
     ``exhaustive`` forces the mode; left as None it is chosen by size.
     Failures are report content, never exceptions."""
     if samples is not None and samples < 1:
@@ -133,13 +147,13 @@ def verify_projection(
         exhaustive = len(nodes) <= EXHAUSTIVE_NODE_LIMIT and samples is None
     rng = random.Random(seed)
 
-    images = [pm.image(J) for J in nodes]
+    gidx = [pm.image_index(J.elements) for J in nodes]
     level_bad = [
-        _level_record(graph, J, mu)
-        for J, mu in zip(nodes, images) if graph.level(mu) != J.level
+        _level_record(graph, J, graph.vertices[gi])
+        for J, gi in zip(nodes, gidx) if graph.levels[gi] != J.level
     ]
 
-    covered = {graph.index(mu) for mu in images}
+    covered = set(gidx)
     missing = [
         graph.label(v) for i, v in enumerate(graph.vertices) if i not in covered
     ]
@@ -153,7 +167,6 @@ def verify_projection(
     gdist = [
         [graph.distance(u, v) for v in graph.vertices] for u in graph.vertices
     ]
-    gidx = [graph.index(mu) for mu in images]
     if exhaustive:
         blocks = (
             (i, np.arange(i + 1, len(nodes)), row[i + 1:])
@@ -180,7 +193,8 @@ def verify_projection(
             lip_bad.append(_lipschitz_record(pm, J, nodes[j[k]]))
 
     # Lift exactness on every ancestor pair of the graph, over preimages of
-    # the upper vertex.
+    # the upper vertex.  Every preimage J of u has image u, so its lift
+    # towards v extends J by the one descent from u to v.
     preimages: dict[int, list[TreeNode]] = {}
     for J, gi in zip(nodes, gidx):
         preimages.setdefault(gi, []).append(J)
@@ -188,14 +202,15 @@ def verify_projection(
     lifts_done = 0
     ancestors = ancestor_pairs(garr, graph.levels)
     for iu, iv in ancestors:
-        v = graph.vertices[iv]
         pool = preimages.get(iu, [])
         if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
             pool = rng.sample(pool, PREIMAGE_SAMPLE)
+        u, v = graph.vertices[iu], graph.vertices[iv]
+        offsets = tuple(accumulate(graph.descent(u, v)))
+        dm = gdist[iu][iv]
         for J in pool:
             lifts_done += 1
-            K = pm.lift(J, v)
-            dm = gdist[iu][iv]
+            K = _extend(J, offsets)
             ok = _lift_exact(pm, J, K, v, dm)
             if not ok and len(lift_bad) < MAX_COUNTEREXAMPLES:
                 lift_bad.append(_lift_record(pm, J, K, v, dm))

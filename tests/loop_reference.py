@@ -29,6 +29,14 @@ modes, before the exhaustive mode read whole rows of the tree metric.  It
 builds its records through the module's own record builders, so reports
 compare with `==`.
 
+The image and lift of `TreeToGraphMap`, as they were before the map
+worked on vertex indices: `image` recurses on the parent `TreeNode`
+through `graph.children`, with no memo, and honours the `_flip_node`
+hook; it checks every increment against 1..b, as the map now does.
+`lift` walks `downward_path` child by child, building one `TreeNode` per
+step.  `child_indices` is the neighbour filter that `children` ran on
+every call before the graph kept a child table.
+
 The analytic metric of `laakso_graph`, as it was when `_dist` descended
 the address words by recursion, with three special cases and a `_portals`
 helper that recomputed each vertex's level from its address.  It takes
@@ -496,6 +504,40 @@ def verify_projection(
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
+
+
+def image(pm, node):
+    if node.level > pm.tree.depth:
+        raise DomainError(f"node {node} is below the depth")
+    if node.is_root:
+        return pm.graph.root
+    parent = TreeNode(node.elements[:-1])
+    above = image(pm, parent)
+    base = parent.elements[-1] if parent.elements else 0
+    k = node.elements[-1] - base
+    if not 1 <= k <= pm.tree.branching:
+        raise DomainError(f"node {node} has fraternal index {k}")
+    kids = pm.graph.children(above)
+    if len(kids) == 1:
+        return kids[0]
+    if node == pm._flip_node:
+        return kids[k % len(kids)]
+    return kids[k - 1]
+
+
+def lift(pm, node, target):
+    path = pm.graph.downward_path(image(pm, node), target)
+    cur = node
+    for i in range(1, len(path)):
+        kids = pm.graph.children(path[i - 1])
+        k = 1 if len(kids) == 1 else kids.index(path[i]) + 1
+        base = cur.elements[-1] if cur.elements else 0
+        cur = cur.child(base + k)
+    return cur
+
+
+def child_indices(g, i):
+    return tuple(j for j in g.neighbors[i] if g.levels[j] == g.levels[i] + 1)
 
 
 @lru_cache(maxsize=1 << 18)

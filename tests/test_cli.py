@@ -123,6 +123,19 @@ class TestVerifyPhi:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("record", [
+        '{"check": "level", "node": [7]}',
+        '{"check": "lipschitz", "node": [1], "other": [4]}',
+        '{"check": "lift", "node": [1, 2, 5], "vertex": "s"}',
+    ])
+    def test_node_outside_the_tree_is_usage_error(self, capsys, record):
+        # an increment above b = 2, where the image does not branch
+        code, out, err = run(capsys, "verify", "phi", "--n", "2", "--b", "2",
+                             "--replay", record)
+        assert code == 2
+        assert out == ""
+        assert "outside 1..2" in err
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sample_count_below_one_is_usage_error(self, capsys, samples):
         code, out, err = run(capsys, "verify", "phi", "--n", "1", "--b", "2",

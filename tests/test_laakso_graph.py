@@ -119,6 +119,15 @@ class TestStructure:
             else:
                 assert len(kids) == 1
 
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                     (3, 4)])
+    def test_child_table_is_the_neighbour_filter(self, n, b):
+        # every graph that verify all builds
+        g = build_laakso(n, b)
+        assert g.child_table == tuple(
+            ref.child_indices(g, i) for i in range(len(g.vertices))
+        )
+
 
 class TestDistanceOracle:
     @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -232,6 +241,14 @@ class TestAddressing:
         assert not g.is_ancestor(w1, w2)
         with pytest.raises(RelationError):
             g.downward_path(w1, w2)
+
+    def test_descent_is_the_downward_path_as_increments(self):
+        g = build_laakso(2, 2)
+        assert g.descent(g.root, g.sink) == [1] * 3**g.n
+        assert g.descent(g.root, g.by_label("t.w2")) == [1, 2]
+        assert g.descent(g.by_label("t.v"), g.by_label("t.v")) == []
+        with pytest.raises(RelationError):
+            g.descent(g.by_label("t.w1"), g.by_label("t.w2"))
 
 
 class TestCapacity:

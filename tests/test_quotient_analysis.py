@@ -69,6 +69,38 @@ class TestFiniteMetricSpace:
         ok = FiniteMetricSpace(d3, order=[(0, 1), (1, 2), (0, 2)])
         assert ok.related(0, 2) and not ok.related(2, 0)
 
+    @pytest.mark.parametrize("order,message", [
+        ([(0, 1), (2, 3)], r"order pair \(2,3\) out of range"),
+        ([(0, 1), (-1, 2)], r"order pair \(-1,2\) out of range"),
+        ([(0, 10**30)], r"order pair \(0,10{30}\) out of range"),
+        ([(0, 1), (2, 2)], "order is not irreflexive at 2"),
+        ([(1, 2), (2, 1)], r"order is not antisymmetric on \(1,2\)"),
+        ([(1, 2), (0, 1)], r"order is not transitive: \(0,1\),\(1,2\)"),
+    ])
+    def test_each_order_rejection_names_its_first_failure(self, order,
+                                                          message):
+        d3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(d3, order=order)
+
+    def test_transitivity_is_checked_past_the_first_chunk(self):
+        # The star 0 -> 2..n-1 is transitive; (n-1, 1) breaks it, and the
+        # pair (0, n-1) that it completes lies in a later chunk.
+        n = 1100
+        assert n - 3 >= qa.ORDER_CHUNK_CELLS // n
+        dist = np.ones((n, n)) - np.eye(n)
+        star = [(0, j) for j in range(2, n)]
+        assert FiniteMetricSpace(dist, order=star).order == set(star)
+        with pytest.raises(ValueError, match=r"not transitive: "
+                                             rf"\(0,{n - 1}\),\({n - 1},1\)"):
+            FiniteMetricSpace(dist, order=star + [(n - 1, 1)])
+
+    def test_order_keeps_python_int_pairs_once(self):
+        space = FiniteMetricSpace([[0, 1], [1, 0]],
+                                  order=[[0, 1], (0, 1), np.array([0, 1])])
+        assert space.order == {(0, 1)}
+        assert {type(i) for pair in space.order for i in pair} == {int}
+
     def test_large_space_sampled_triangle_check(self):
         k = 300  # past the exhaustive limit; still validates by sampling
         space = path_space(k)

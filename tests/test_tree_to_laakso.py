@@ -8,7 +8,7 @@ import loop_reference as ref
 from laakso_lab import cli
 from laakso_lab import quotient_analysis as qa
 from laakso_lab.errors import DomainError
-from laakso_lab.laakso_graph import build_laakso, find_forks
+from laakso_lab.laakso_graph import LaaksoGraph, build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 from laakso_lab.tree_to_laakso import (
     TreeToGraphMap,
@@ -36,7 +36,8 @@ def pm_folded():
     g = pm.graph
     for J in pm.tree.nodes():
         if J.elements[:1] == (1,):
-            pm._memo[J] = g.by_label("w1") if J.level == 1 else g.sink
+            pm._memo[J.elements] = g.index(
+                g.by_label("w1") if J.level == 1 else g.sink)
     return pm
 
 
@@ -55,7 +56,7 @@ def pm_mid_folded():
     for J in pm.tree.nodes():
         pm.image(J)
     node = TreeNode((1, 2, 3, 4, 5))
-    pm._memo[node] = pm.image(node.child(6))
+    pm._memo[node.elements] = pm.image_index(node.child(6).elements)
     return pm
 
 
@@ -105,6 +106,15 @@ class TestImage:
         with pytest.raises(DomainError):
             pm_small.image(TreeNode((1, 4)))  # offset 3 > branching 2
 
+    @pytest.mark.parametrize("node", [(7,), (1, 2, 5), (1, 4)])
+    def test_increment_above_b_raises_at_every_step(self, pm_mid, node):
+        # (7,) leaves the root and (1, 2, 5) an arm, neither of which
+        # branches; (1, 4) leaves the branching t.v
+        with pytest.raises(DomainError, match=r"outside 1\.\.2"):
+            pm_mid.image(TreeNode(node))
+        with pytest.raises(DomainError):
+            ref.image(pm_mid, TreeNode(node))
+
 
 class TestLift:
     def test_lift_reaches_target(self, pm_mid):
@@ -131,6 +141,56 @@ class TestLift:
         base = pm_small.lift(ROOT, g.by_label("w1"))
         lifted = pm_small.lift(base, g.sink)
         assert lifted.elements == base.elements + (base.elements[-1] + 1,)
+
+
+    def test_lift_from_a_node_outside_the_tree_raises(self, pm_mid):
+        with pytest.raises(DomainError, match=r"outside 1\.\.2"):
+            pm_mid.lift(TreeNode((7,)), pm_mid.graph.sink)
+
+
+class TestIndexRoutesMatchReference:
+    """The index-keyed image and the one-descent lift against the
+    TreeNode-keyed recursion and the child-by-child walk."""
+
+    @pytest.mark.parametrize("n,flip", [(1, None), (2, None),
+                                        (2, cli.FAULT_NODE)])
+    def test_image_on_every_node(self, n, flip):
+        pm = TreeToGraphMap(TreeSpace(2, 3**n), build_laakso(n, 2),
+                            _flip_node=flip)
+        for J in pm.tree.nodes():
+            assert pm.image(J) == ref.image(pm, J)
+
+    def test_lift_on_every_preimage_and_ancestor_target(self, pm_mid):
+        g = pm_mid.graph
+        preimages = {}
+        for J in pm_mid.tree.nodes():
+            preimages.setdefault(g.index(pm_mid.image(J)), []).append(J)
+        dist = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
+        lifts = 0
+        for iu, iv in ancestor_pairs(dist, g.levels):
+            v = g.vertices[iv]
+            for J in preimages[iu]:
+                assert pm_mid.lift(J, v) == ref.lift(pm_mid, J, v)
+                lifts += 1
+        rep = verify_projection(pm_mid)
+        assert lifts == rep["checks"]["lift_exact"]["lifts"] > 0
+
+    def test_one_downward_path_per_ancestor_pair(self, monkeypatch):
+        calls = 0
+        walk = LaaksoGraph.downward_path
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return walk(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "downward_path", counted)
+        pm = TreeToGraphMap(TreeSpace(3, 9), build_laakso(2, 3))
+        rep = verify_projection(pm, seed=0)
+        lift = rep["checks"]["lift_exact"]
+        assert rep["mode"] == "sampled"
+        assert (calls, lift["ancestor_pairs"], lift["lifts"]) == (
+            297, 297, 12_354)
 
 
 class TestVerifyProjection:
@@ -184,8 +244,9 @@ class TestVerifyProjection:
             pm.image(J)
         for J in nodes:
             if J.elements[:1] == (1,):
-                pm._memo[J] = (pm.image(J.child(J.elements[-1] + 1))
-                               if J.level < 9 else pm.graph.sink)
+                pm._memo[J.elements] = (
+                    pm.image_index(J.child(J.elements[-1] + 1).elements)
+                    if J.level < 9 else pm.graph.index(pm.graph.sink))
         rep = verify_projection(pm, seed=seed, exhaustive=False)
         assert rep["mode"] == "sampled"
         assert len(rep["checks"]["lipschitz"]["counterexamples"]) == 5
