@@ -21,7 +21,8 @@ the full metric from addresses and levels by one portal formula: below the
 copies two vertices share, each vertex reaches the block at its cost to the
 root or sink of its copy.  ``bfs_levels_from`` runs BFS over the explicit
 adjacency and is kept strictly independent so the two can be cross-checked
-pair by pair.
+pair by pair.  Whatever needs the metric on all pairs reads it row by row
+from ``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -36,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .errors import CapacityError, RelationError
 
@@ -296,37 +299,48 @@ class LaaksoGraph:
         lu, lv = self.level(u), self.level(v)
         return lu <= lv and self.distance(u, v) == lv - lu
 
-    def downward_path(self, u: VertexId, v: VertexId) -> list[VertexId]:
-        """A shortest u -> v path descending one level per step, taking the
-        lowest fraternal index whenever several children stay above v."""
+    def descent(self, u: VertexId, v: VertexId) -> list[int]:
+        """A shortest u -> v path descending one level per step, as
+        fraternal increments: each step enters the first child, in
+        ``child_table`` order, that stays above v, and records 1 where the
+        vertex left does not branch, else that child's 1-based place."""
         if not self.is_ancestor(u, v):
             raise RelationError(
                 f"{self.label(u)} is not an ancestor of {self.label(v)}"
             )
-        path = [u]
-        cur = u
-        while cur != v:
-            for c in self.children(cur):
-                if self.is_ancestor(c, v):
-                    cur = c
-                    path.append(cur)
+        cur, end = self.index(u), self.index(v)
+        out = []
+        while cur != end:
+            kids = self.child_table[cur]
+            for k, c in enumerate(kids, 1):
+                if self.is_ancestor(self.vertices[c], v):
                     break
             else:
                 raise AssertionError(
-                    f"no child of {self.label(cur)} stays above {self.label(v)}"
+                    f"no child of {self.label(self.vertices[cur])} stays "
+                    f"above {self.label(v)}"
                 )
-        return path
-
-    def descent(self, u: VertexId, v: VertexId) -> list[int]:
-        """``downward_path(u, v)`` as fraternal increments, one per step:
-        1 where the vertex left does not branch, else the 1-based place of
-        the vertex entered among its children."""
-        path = [self.index(w) for w in self.downward_path(u, v)]
-        out = []
-        for i, j in zip(path, path[1:]):
-            kids = self.child_table[i]
-            out.append(1 if len(kids) == 1 else kids.index(j) + 1)
+            out.append(1 if len(kids) == 1 else k)
+            cur = c
         return out
+
+    def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(i, row) in vertex order, where row[k] is the int32 distance from
+        vertex i to vertex i+1+k: each unordered pair once, through
+        ``distance`` in row-major order, one row held at a time."""
+        verts = self.vertices
+        for i, u in enumerate(verts):
+            yield i, np.fromiter((self.distance(u, v) for v in verts[i + 1:]),
+                                 dtype=np.int32, count=len(verts) - 1 - i)
+
+    def distance_matrix(self) -> np.ndarray:
+        """The full symmetric int32 distance matrix, stacked from
+        ``upper_rows``."""
+        n = len(self.vertices)
+        out = np.zeros((n, n), dtype=np.int32)
+        for i, row in self.upper_rows():
+            out[i, i + 1:] = row
+        return out + out.T
 
 
 def build_laakso(n: int, b: int) -> LaaksoGraph:
@@ -404,14 +418,12 @@ def structure_report(g: LaaksoGraph) -> dict:
     # Diameter over all pairs, and uniqueness of the extremal pair.
     diameter = 0
     extremal = 0
-    verts = g.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            d = g.distance(verts[i], verts[j])
-            if d > diameter:
-                diameter, extremal = d, 1
-            elif d == diameter:
-                extremal += 1
+    for _, row in g.upper_rows():
+        top_row = int(row.max(initial=0))
+        if top_row > diameter:
+            diameter, extremal = top_row, 0
+        if top_row == diameter:
+            extremal += int(np.count_nonzero(row == diameter))
     if diameter != top:
         problems.append(f"diameter {diameter} != 3^n = {top}")
     elif extremal != 1:
@@ -419,7 +431,7 @@ def structure_report(g: LaaksoGraph) -> dict:
 
     down_degrees_ok = True
     law_ok = True
-    for v in verts:
+    for v in g.vertices:
         kids = g.children(v)
         lvl = g.level(v)
         if lvl < top and len(kids) not in (1, g.b):
@@ -455,15 +467,13 @@ def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with per-source BFS on every pair."""
     verts = g.vertices
     mismatches = []
-    for i, u in enumerate(verts):
-        bfs = g.bfs_levels_from(u)
-        for j in range(i + 1, len(verts)):
-            a = g.distance(u, verts[j])
-            if a != bfs[j]:
-                mismatches.append(
-                    {"u": g.label(u), "v": g.label(verts[j]),
-                     "analytic": a, "bfs": bfs[j]}
-                )
+    for i, row in g.upper_rows():
+        bfs = g.bfs_levels_from(verts[i])[i + 1:]
+        for k in np.flatnonzero(row != bfs).tolist():
+            mismatches.append(
+                {"u": g.label(verts[i]), "v": g.label(verts[i + 1 + k]),
+                 "analytic": int(row[k]), "bfs": bfs[k]}
+            )
     total = len(verts) * (len(verts) - 1) // 2
     return {
         "n": g.n,

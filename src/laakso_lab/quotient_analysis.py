@@ -47,19 +47,25 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _strict_order(order, n: int) -> frozenset[tuple[int, int]]:
-    """The pairs of ``order`` as Python int pairs, once every entry is an
-    integer index and the relation is a strict partial order on 0..n-1.
-    Past the entry types, each check is an array step over the pairs and
-    the boolean relation matrix R: range, irreflexivity, antisymmetry as
-    "R[j, i] is false", and transitivity as "row j of R lies inside row
-    i", a chunk of pairs at a time.  A failure names the first offending
-    pair in the given order."""
+def _strict_order(order, n: int) -> np.ndarray:
+    """The boolean relation matrix R of ``order``, read-only, once every
+    pair is a two-element list of integer indices and the relation is a
+    strict partial order on 0..n-1.  Past the pair shapes and entry types,
+    each check is an array step over the pairs and R: range,
+    irreflexivity, antisymmetry as "R[j, i] is false", and transitivity as
+    "row j of R lies inside row i", a chunk of pairs at a time.  A failure
+    names the first offending pair in the given order."""
     given = list(order)
     # Plain pairs of Python ints skip the check pair by pair.
-    if (set(map(len, given)) - {2}
+    if (set(map(type, given)) - {list, tuple}
+            or set(map(len, given)) - {2}
             or set(map(type, chain.from_iterable(given))) - {int}):
-        for i, j in given:
+        for pair in given:
+            if not (isinstance(pair, (list, tuple, np.ndarray))
+                    and len(pair) == 2):
+                raise ValueError(f"order pair {pair!r} is not a "
+                                 f"two-element list")
+            i, j = pair
             for v in (i, j):
                 if not _is_index(v):
                     raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
@@ -94,18 +100,21 @@ def _strict_order(order, n: int) -> frozenset[tuple[int, int]]:
             p, k = np.argwhere(gap)[0].tolist()
             raise ValueError(f"order is not transitive: "
                              f"({i[p]},{j[p]}),({j[p]},{k})")
-    return frozenset(zip(first.tolist(), second.tolist()))
+    rel.flags.writeable = False
+    return rel
 
 
 class FiniteMetricSpace:
     """Indexed points 0..n-1 with a full distance table and an optional
-    strict partial order ("ancestor of").  All invariants are validated at
-    construction: finiteness, symmetry, zero diagonal, positivity off the
-    diagonal, the triangle inequality, and strictness of the order, whose
-    entries must be integer indices.  The triangle inequality is checked
-    exhaustively up to 256 points; above that, on 20000 triples (i, j, k)
-    drawn by `np.random.default_rng(0).integers` and compared in one
-    vector step, and the first failing triple in sample order is reported.
+    strict partial order ("ancestor of"), kept as its read-only boolean
+    relation matrix: `order[i, j]` is true iff i precedes j.  All
+    invariants are validated at construction: finiteness, symmetry, zero
+    diagonal, positivity off the diagonal, the triangle inequality, and
+    strictness of the order, whose pairs must be two-element lists of
+    integer indices.  The triangle inequality is checked exhaustively up
+    to 256 points; above that, on 20000 triples (i, j, k) drawn by
+    `np.random.default_rng(0).integers` and compared in one vector step,
+    and the first failing triple in sample order is reported.
     The table is nested sequences or a 2-D numpy array.  `dist` keeps the
     entries as given (an array's through one `tolist()`, so an integer
     array gives Python ints); `array` is a read-only float64 copy.
@@ -146,7 +155,7 @@ class FiniteMetricSpace:
         self._validate_triangle(arr)
         arr.flags.writeable = False
         self.array = arr
-        self.order: Optional[frozenset[tuple[int, int]]] = (
+        self.order: Optional[np.ndarray] = (
             None if order is None else _strict_order(order, n)
         )
 
@@ -169,9 +178,6 @@ class FiniteMetricSpace:
             s = int(np.argmax(over))
             raise ValueError(f"triangle inequality fails via {k[s]} "
                              f"for pair ({i[s]},{j[s]})")
-
-    def related(self, i: int, j: int) -> bool:
-        return self.order is not None and (i, j) in self.order
 
     def to_dict(self) -> dict:
         return {"n": self.n, "dist": [list(row) for row in self.dist]}
@@ -244,11 +250,7 @@ class MetricMapTable:
     def _related(self) -> np.ndarray:
         """related[x, y]: the image of x lies strictly below y in the
         target order."""
-        below = np.zeros((self.target.n, self.target.n), dtype=bool)
-        pairs = np.array(list(self.target.order), dtype=np.intp)
-        pairs = pairs.reshape(-1, 2)
-        below[pairs[:, 0], pairs[:, 1]] = True
-        return below[self._assign_array]
+        return self.target.order[self._assign_array]
 
     @cached_property
     def _source_pairs(self) -> tuple[np.ndarray, ...]:
@@ -266,7 +268,26 @@ class MetricMapTable:
         return sdist, tdist, i * n + j, ratio_tail
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricMapTable":
+    def from_dict(cls, d) -> "MetricMapTable":
+        """The table of a parsed JSON document: an object whose `source`
+        and `target` are objects holding `dist` (and optionally `n`), with
+        a list `assign` and optional orders `source_order` and
+        `target_order`, each a list of [i, j] pairs.  A document of another
+        shape raises ValueError naming the key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a map table must be a JSON object, "
+                             f"got {type(d).__name__}")
+        for key in ("source", "target"):
+            if not isinstance(d.get(key), dict) or "dist" not in d[key]:
+                raise ValueError(f"map table key {key!r} must be an object "
+                                 f"holding 'dist'")
+            order = d.get(f"{key}_order")
+            if order is not None and not isinstance(order, list):
+                raise ValueError(f"map table key '{key}_order' must be a "
+                                 f"list of [i, j] pairs")
+        if not isinstance(d.get("assign"), list):
+            raise ValueError("map table key 'assign' must be a list of "
+                             "target indices")
         source = FiniteMetricSpace(
             d["source"]["dist"], order=d.get("source_order")
         )
@@ -287,9 +308,9 @@ class MetricMapTable:
             "assign": list(self.assign),
         }
         if self.source.order is not None:
-            out["source_order"] = sorted([i, j] for i, j in self.source.order)
+            out["source_order"] = np.argwhere(self.source.order).tolist()
         if self.target.order is not None:
-            out["target_order"] = sorted([i, j] for i, j in self.target.order)
+            out["target_order"] = np.argwhere(self.target.order).tolist()
         return out
 
 
@@ -343,11 +364,10 @@ def atd_pairs(m: MetricMapTable) -> tuple[tuple[int, int, float, float], ...]:
     if m._atd_pairs is None:
         out = []
         sdist, tdist = m.source.dist, m.target.dist
+        below = [np.flatnonzero(row).tolist() for row in m.target.order]
         for x in range(m.source.n):
             fx = m.assign[x]
-            for y in range(m.target.n):
-                if (fx, y) not in m.target.order:
-                    continue
+            for y in below[fx]:
                 rho = min(sdist[x][p] for p in m.preimages(y))
                 out.append((x, y, tdist[fx][y], rho))
         m._atd_pairs = tuple(out)
@@ -562,11 +582,11 @@ def fork_search(
         spread_bound = (1 - 80 * eps) * r / c
         for mu0 in range(m.target.n):
             for mu1 in range(m.target.n):
-                if (mu0, mu1) not in torder or td[mu0][mu1] != r:
+                if not torder[mu0, mu1] or td[mu0][mu1] != r:
                     continue
                 arms: list[int] = []
                 for mu2 in range(m.target.n):
-                    if (mu1, mu2) not in torder:
+                    if not torder[mu1, mu2]:
                         continue
                     if td[mu1][mu2] != r or td[mu0][mu2] != 2 * r:
                         continue
@@ -588,13 +608,13 @@ def fork_search(
 def _lift_fork(m, r, mu0, mu1, arms, arm_bound, spread_bound, eps, sd, sorder):
     for s0 in m.preimages(mu0):
         for s1 in m.preimages(mu1):
-            if (s0, s1) not in sorder or sd[s0][s1] > arm_bound:
+            if not sorder[s0, s1] or sd[s0][s1] > arm_bound:
                 continue
             chosen = []
             for mu2 in arms:
                 pick = None
                 for s2 in m.preimages(mu2):
-                    if (s1, s2) not in sorder:
+                    if not sorder[s1, s2]:
                         continue
                     if sd[s1][s2] > arm_bound:
                         continue

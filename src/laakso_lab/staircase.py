@@ -13,13 +13,13 @@ The verification entry points enumerate all increasing subsets of
 and the two-sided norm bounds with constants theta and theta/3; the same
 shape of bounds with the fixed constant 1/4; exact prefix-pair norms
 theta * (level difference); and the biorthogonality table itself.
-`verify_james` runs all four.  The three checks that take the bounds read
-one exact integer count matrix, whose row for J holds the counts at
-i = 1..index_bound, i.e. v_J / theta; `verify_james` builds it once for
-all three, and the matrix computes the pair counts once for the two pair
-checks.  With count = ||v_J - v_K|| / theta the pair bounds are integer
-tests: |J|+|K| <= 3*count for theta/3 and for 1/4 at theta = 3/4 (theta
-cancels), and theta*count <= |J|+|K|.  Every bound is decided once
+`verify_james` runs all four.  The three checks that sweep the sets take
+one exact integer count matrix (`count_matrix`), whose row for J holds the
+counts at i = 1..index_bound, i.e. v_J / theta; `verify_james` builds it
+once for all three, and the matrix computes the pair counts once for the
+two pair checks.  With count = ||v_J - v_K|| / theta the pair bounds are
+integer tests: |J|+|K| <= 3*count for theta/3 and for 1/4 at theta = 3/4
+(theta cancels), and theta*count <= |J|+|K|.  Every bound is decided once
 per distinct (count, size) in exact Python arithmetic and looked up for
 each set or pair; numpy holds only the counts, so a huge theta stays
 exact, and no Fraction is built per set or pair, only for reported values
@@ -147,8 +147,6 @@ class CountMatrix:
     and `sizes[r]` = |sets[r]|.  Both arrays are int64 and read-only; no
     entry exceeds index_bound, so no difference of two entries overflows."""
 
-    index_bound: int
-    size_bound: int
     sets: list[tuple[int, ...]]
     counts: np.ndarray
     sizes: np.ndarray
@@ -194,18 +192,7 @@ def count_matrix(index_bound: int, size_bound: int) -> CountMatrix:
     sizes = np.array([len(J) for J in sets], dtype=np.int64)
     counts.setflags(write=False)
     sizes.setflags(write=False)
-    return CountMatrix(index_bound, size_bound, sets, counts, sizes)
-
-
-def _matrix(index_bound: int, size_bound: int,
-            matrix: Optional[CountMatrix]) -> CountMatrix:
-    if matrix is None:
-        return count_matrix(index_bound, size_bound)
-    if (matrix.index_bound, matrix.size_bound) != (index_bound, size_bound):
-        raise DomainError(
-            f"count matrix has bounds {matrix.index_bound} and "
-            f"{matrix.size_bound}, not {index_bound} and {size_bound}")
-    return matrix
+    return CountMatrix(sets, counts, sizes)
 
 
 def _table(ok, rows: int, cols: int) -> np.ndarray:
@@ -286,17 +273,13 @@ def verify_biorthogonality(theta: Fraction = THETA_DEFAULT, index_bound: int = 1
     }
 
 
-def verify_staircase_bounds(
-    theta: Fraction = THETA_DEFAULT, index_bound: int = 12, size_bound: int = 6,
-    *, matrix: Optional[CountMatrix] = None,
-) -> dict:
+def verify_staircase_bounds(m: CountMatrix, theta: Fraction) -> dict:
     """Injectivity of J -> v_J, the per-set bounds theta*k <= ||v_J|| <= k,
     and for every ordered pair with max J < min J' the two-sided bound
-    (theta/3)*(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|.  Exact arithmetic;
-    reports the tightest ratios observed.  `matrix`, the count matrix of
-    the same bounds, saves building it again."""
+    (theta/3)*(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|, over the sets of
+    the count matrix m.  Exact arithmetic; reports the tightest ratios
+    observed."""
     theta = exact_theta(theta)
-    m = _matrix(index_bound, size_bound, matrix)
     bad = _injectivity(m)
     norm_bad, tight_norm = _norm_sweep(m, theta, theta)
     bad += norm_bad
@@ -320,15 +303,11 @@ def verify_staircase_bounds(
     }
 
 
-def verify_quarter_bounds(
-    index_bound: int = 12, size_bound: int = 6,
-    *, matrix: Optional[CountMatrix] = None,
-) -> dict:
-    """The same enumeration against the fixed constant 1/4 at theta = 3/4:
-    (1/4)|J| <= ||v_J|| <= |J| for each set, and for max J < min J' the
-    bound (1/4)(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|."""
+def verify_quarter_bounds(m: CountMatrix) -> dict:
+    """The sets of the count matrix m against the fixed constant 1/4 at
+    theta = 3/4: (1/4)|J| <= ||v_J|| <= |J| for each set, and for
+    max J < min J' the bound (1/4)(|J|+|J'|) <= ||v_J - v_J'|| <= |J|+|J'|."""
     theta = Fraction(3, 4)
-    m = _matrix(index_bound, size_bound, matrix)
     bad, _ = _norm_sweep(m, theta, Fraction(1, 4))
     pairs, failed, tight = _pair_sweep(m, theta)
     for J, K, count in failed:
@@ -348,18 +327,14 @@ def verify_quarter_bounds(
     }
 
 
-def verify_prefix_exactness(
-    theta: Fraction = THETA_DEFAULT, index_bound: int = 12, size_bound: int = 6,
-    *, matrix: Optional[CountMatrix] = None,
-) -> dict:
-    """For prefix-comparable sets J below J' the norm of the difference is
-    exactly theta times the level gap: the map J -> v_J distorts
-    ancestor-to-descendant distances by the single factor theta.  Theta is
-    nonzero, so it cancels and the check compares integer counts: the
-    pairs are (K[:p], K) for every K and p <= |K|, taken by gap |K| - p
-    with the rows of K[:p] found by climbing parent indices."""
+def verify_prefix_exactness(m: CountMatrix, theta: Fraction) -> dict:
+    """For prefix-comparable sets J below J' of the count matrix m the norm
+    of the difference is exactly theta times the level gap: the map
+    J -> v_J distorts ancestor-to-descendant distances by the single factor
+    theta.  Theta is nonzero, so it cancels and the check compares integer
+    counts: the pairs are (K[:p], K) for every K and p <= |K|, taken by gap
+    |K| - p with the rows of K[:p] found by climbing parent indices."""
     theta = exact_theta(theta)
-    m = _matrix(index_bound, size_bound, matrix)
     C, sizes = m.counts, m.sizes
     index = {J: r for r, J in enumerate(m.sets)}
     parent = np.array([index[J[:-1]] if J else 0 for J in m.sets])
@@ -400,12 +375,9 @@ def verify_james(
     theta = exact_theta(theta)
     m = count_matrix(index_bound, size_bound)
     out = {
-        "staircase_bounds": verify_staircase_bounds(
-            theta, index_bound, size_bound, matrix=m),
-        "quarter_bounds": verify_quarter_bounds(
-            index_bound, size_bound, matrix=m),
-        "prefix_exactness": verify_prefix_exactness(
-            theta, index_bound, size_bound, matrix=m),
+        "staircase_bounds": verify_staircase_bounds(m, theta),
+        "quarter_bounds": verify_quarter_bounds(m),
+        "prefix_exactness": verify_prefix_exactness(m, theta),
         "biorthogonality": verify_biorthogonality(theta, index_bound),
     }
     out["pass"] = all(rep["pass"] for rep in out.values())

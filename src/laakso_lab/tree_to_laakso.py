@@ -164,9 +164,6 @@ def verify_projection(
     # exercised on both geodesic shapes.  A block is (i, j, tree distances)
     # for pairs (i, j[k]): one row against the later nodes when exhaustive,
     # else the whole sample with i one index per pair.
-    gdist = [
-        [graph.distance(u, v) for v in graph.vertices] for u in graph.vertices
-    ]
     if exhaustive:
         blocks = (
             (i, np.arange(i + 1, len(nodes)), row[i + 1:])
@@ -180,7 +177,7 @@ def verify_projection(
             sample[k] = i, j, tree_distance(nodes[i], nodes[j])
         blocks = [tuple(sample.T)]
     levels = np.array([J.level for J in nodes])
-    garr, gsel = np.array(gdist), np.array(gidx)
+    garr, gsel = graph.distance_matrix(), np.array(gidx)
     lip_bad: list[dict] = []
     comparable = incomparable = 0
     for i, j, dt in blocks:
@@ -207,7 +204,7 @@ def verify_projection(
             pool = rng.sample(pool, PREIMAGE_SAMPLE)
         u, v = graph.vertices[iu], graph.vertices[iv]
         offsets = tuple(accumulate(graph.descent(u, v)))
-        dm = gdist[iu][iv]
+        dm = int(garr[iu, iv])
         for J in pool:
             lifts_done += 1
             K = _extend(J, offsets)
@@ -385,27 +382,23 @@ def ancestor_pairs(dist, levels) -> list[list[int]]:
 
 def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     """The projection as a map table, built from arrays: the tree matrix is
-    the stack of ``TreeSpace.distance_rows``, the graph matrix comes from
-    ``LaaksoGraph.distance``, both int32, and both strict ancestor
+    the stack of ``TreeSpace.distance_rows``, the graph matrix is
+    ``LaaksoGraph.distance_matrix``, both int32, and both strict ancestor
     relations are read off them by the rule of ``ancestor_pairs``.  Every
     input check of ``FiniteMetricSpace`` and ``MetricMapTable`` runs.  Only
     feasible at desk scale; the tree enumeration enforces its own cap."""
     nodes = pm.tree.nodes()
-    verts = pm.graph.vertices
     sdist = np.empty((len(nodes), len(nodes)), dtype=np.int32)
     for i, row in pm.tree.distance_rows():
         sdist[i] = row
-    tdist = np.array(
-        [[pm.graph.distance(u, v) for v in verts] for u in verts],
-        dtype=np.int32,
-    )
+    tdist = pm.graph.distance_matrix()
     source = FiniteMetricSpace(
         sdist, order=ancestor_pairs(sdist, [J.level for J in nodes])
     )
     target = FiniteMetricSpace(
         tdist, order=ancestor_pairs(tdist, pm.graph.levels)
     )
-    assign = [pm.graph.index(pm.image(J)) for J in nodes]
+    assign = [pm.image_index(J.elements) for J in nodes]
     return MetricMapTable(source, target, assign)
 
 

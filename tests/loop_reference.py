@@ -3,8 +3,10 @@
 The profile route of `quotient_analysis`: the nested loops over the
 distance tables that the array-backed profiles replaced, kept verbatim in
 behaviour: same iteration order, same strict comparisons, and the tables'
-own entries as results.  The tests require the library to agree with them
-exactly (`==`, and equal Python types for the moduli pair).
+own entries as results.  `atd_pairs` tests the target order on a set of
+the pairs that `to_dict` writes, not on the library's relation matrix.
+The tests require the library to agree with them exactly (`==`, and
+equal Python types for the moduli pair).
 
 The two staircase bound verifiers, as they were before they shared one
 pair sweep with integer comparisons: each filters all |sets|**2 pairs for
@@ -34,8 +36,11 @@ worked on vertex indices: `image` recurses on the parent `TreeNode`
 through `graph.children`, with no memo, and honours the `_flip_node`
 hook; it checks every increment against 1..b, as the map now does.
 `lift` walks `downward_path` child by child, building one `TreeNode` per
-step.  `child_indices` is the neighbour filter that `children` ran on
-every call before the graph kept a child table.
+step.  `downward_path` is the graph's descent as it was before it walked
+the child table on vertex indices: a list of vertices, each the first
+child, by `children`, that stays above the target.  `child_indices` is
+the neighbour filter that `children` ran on every call before the graph
+kept a child table.
 
 The analytic metric of `laakso_graph`, as it was when `_dist` descended
 the address words by recursion, with three special cases and a `_portals`
@@ -50,7 +55,7 @@ from math import inf
 from typing import Optional
 
 from laakso_lab import staircase
-from laakso_lab.errors import DomainError
+from laakso_lab.errors import DomainError, RelationError
 from laakso_lab.laakso_graph import (
     ROOT_POS,
     _block_distance,
@@ -114,12 +119,13 @@ def atd_pairs(m):
         raise DomainError("relation-restricted analysis needs both orders")
     if not m.surjective:
         raise DomainError("relation-restricted analysis needs surjectivity")
+    order = {tuple(p) for p in m.to_dict()["target_order"]}
     out = []
     sdist, tdist = m.source.dist, m.target.dist
     for x in range(m.source.n):
         fx = m.assign[x]
         for y in range(m.target.n):
-            if (fx, y) not in m.target.order:
+            if (fx, y) not in order:
                 continue
             rho = min(sdist[x][p] for p in m.preimages(y))
             out.append((x, y, tdist[fx][y], rho))
@@ -525,8 +531,26 @@ def image(pm, node):
     return kids[k - 1]
 
 
+def downward_path(g, u, v):
+    if not g.is_ancestor(u, v):
+        raise RelationError(f"{g.label(u)} is not an ancestor of {g.label(v)}")
+    path = [u]
+    cur = u
+    while cur != v:
+        for c in g.children(cur):
+            if g.is_ancestor(c, v):
+                cur = c
+                path.append(cur)
+                break
+        else:
+            raise AssertionError(
+                f"no child of {g.label(cur)} stays above {g.label(v)}"
+            )
+    return path
+
+
 def lift(pm, node, target):
-    path = pm.graph.downward_path(image(pm, node), target)
+    path = downward_path(pm.graph, image(pm, node), target)
     cur = node
     for i in range(1, len(path)):
         kids = pm.graph.children(path[i - 1])

@@ -168,11 +168,12 @@ def test_c5_exact_fork_witness_and_bounds():
 def test_c6_staircase_exact_rational_suite():
     start = time.perf_counter()
     theta = Fraction(3, 4)
-    bounds = st.verify_staircase_bounds(theta, 12, 6)
+    m = st.count_matrix(12, 6)
+    bounds = st.verify_staircase_bounds(m, theta)
     assert bounds["pass"] and bounds["counterexamples"] == []
-    quarter = st.verify_quarter_bounds(12, 6)
+    quarter = st.verify_quarter_bounds(m)
     assert quarter["pass"] and quarter["counterexamples"] == []
-    prefix = st.verify_prefix_exactness(theta, 12, 6)
+    prefix = st.verify_prefix_exactness(m, theta)
     assert prefix["pass"], prefix
     ortho = st.verify_biorthogonality(theta, 12)
     assert ortho["pass"], ortho

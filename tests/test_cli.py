@@ -312,6 +312,45 @@ def test_non_integer_indices_are_usage_errors(capsys, tmp_path, map_file,
     assert "not an integer index" in err
 
 
+MALFORMED_TABLES = {
+    "order_of_ints": (lambda t: {**t, "source_order": [5]},
+                      "order pair 5 is not a two-element list"),
+    "order_not_a_list": (lambda t: {**t, "source_order": 5},
+                         "'source_order' must be a list of [i, j] pairs"),
+    "short_pair": (lambda t: {**t, "source_order": [[0]]},
+                   "order pair [0] is not a two-element list"),
+    "assign_not_a_list": (lambda t: {**t, "assign": 5},
+                          "'assign' must be a list"),
+    "source_not_an_object": (lambda t: {**t, "source": []},
+                             "'source' must be an object holding 'dist'"),
+    "missing_source": (lambda t: {k: v for k, v in t.items()
+                                  if k != "source"},
+                       "'source' must be an object holding 'dist'"),
+    "top_level_list": (lambda t: [1, 2],
+                       "a map table must be a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("command,options,case", [
+    *[pytest.param(["analyze", "map"], ["--delta-grid", "1"], case,
+                   id=f"analyze-{case}") for case in MALFORMED_TABLES],
+    *[pytest.param(["fork"], ["--eps", "0"], case, id=f"fork-{case}")
+      for case in ("order_of_ints", "order_not_a_list", "short_pair")],
+])
+def test_malformed_table_is_usage_error(capsys, tmp_path, map_file,
+                                        command, options, case):
+    spoil, message = MALFORMED_TABLES[case]
+    with open(map_file, encoding="utf-8") as fh:
+        table = json.load(fh)
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(spoil(table)))
+    code, out, err = run(capsys, *command, "--input", str(f), *options)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 class TestFork:
     def test_finds_witness(self, capsys, map_file):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ import loop_reference as ref
 from laakso_lab.errors import CapacityError, RelationError
 from laakso_lab import laakso_graph as lg
 from laakso_lab.laakso_graph import (
+    LaaksoGraph,
     VertexId,
     branch_level_law,
     build_laakso,
@@ -20,6 +22,7 @@ from laakso_lab.laakso_graph import (
     to_dot,
     to_json_dict,
 )
+from laakso_lab.tree_to_laakso import ancestor_pairs
 
 # Vertex counts satisfy V_1 = b + 3 and V_{k+1} = (2b+1)(V_k - 2) + (b + 3):
 # the skeleton block contributes its own b + 3 vertices and each of its
@@ -52,6 +55,16 @@ class TestCounts:
                 nxt = (2 * b + 1) * (v - 2) + (b + 3)
                 assert expected_vertex_count(n + 1, b) == nxt
                 v = nxt
+
+
+def replay_descent(g, u, v):
+    """The vertices that ``g.descent(u, v)`` passes, u first: each
+    increment enters the only child, or the child at that 1-based place."""
+    path = [u]
+    for k in g.descent(u, v):
+        kids = g.children(path[-1])
+        path.append(kids[0] if len(kids) == 1 else kids[k - 1])
+    return path
 
 
 class TestStructure:
@@ -173,6 +186,61 @@ class TestDistanceOracle:
             for j, v in enumerate(g.vertices):
                 assert g.distance(u, v) == sp[i][j]
 
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                     (3, 4), (4, 2)])
+    def test_distance_matrix_is_the_bfs_rows(self, n, b):
+        # every graph that verify all builds, and G(4,2)
+        g = build_laakso(n, b)
+        mat = g.distance_matrix()
+        assert mat.dtype == np.int32
+        assert mat.tolist() == [g.bfs_levels_from(u) for u in g.vertices]
+
+    def test_upper_rows_compute_each_pair_once(self, monkeypatch):
+        g = build_laakso(2, 3)
+        calls = []
+        real = LaaksoGraph.distance
+
+        def counted(self, u, v):
+            calls.append((self.index(u), self.index(v)))
+            return real(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "distance", counted)
+        rows = list(g.upper_rows())
+        n = len(g.vertices)
+        assert calls == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert [i for i, _ in rows] == list(range(n))
+        for i, row in rows:
+            assert row.dtype == np.int32
+            assert row.tolist() == g.bfs_levels_from(g.vertices[i])[i + 1:]
+
+    def test_reports_walk_the_rows_once(self, monkeypatch):
+        # Each report reads every pair once, in row-major order, so the
+        # oracle pass finds in the memo every pair the structure pass put
+        # there.
+        g = build_laakso(2, 2)
+        pairs = len(g.vertices) * (len(g.vertices) - 1) // 2
+        walks = []
+        calls = 0
+        rows, dist = LaaksoGraph.upper_rows, LaaksoGraph.distance
+
+        def counted_rows(self):
+            walks.append(self)
+            return rows(self)
+
+        def counted_dist(self, u, v):
+            nonlocal calls
+            calls += 1
+            return dist(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "upper_rows", counted_rows)
+        monkeypatch.setattr(LaaksoGraph, "distance", counted_dist)
+        assert structure_report(g)["pass"]
+        hits = lg._dist.cache_info().hits
+        assert oracle_agreement_report(g)["pass"]
+        assert lg._dist.cache_info().hits - hits == pairs
+        assert walks == [g, g]
+        assert calls == 2 * pairs
+
     def test_bfs_matches_levels_from_root(self):
         g = build_laakso(2, 3)
         dists = g.bfs_levels_from(g.root)
@@ -231,7 +299,7 @@ class TestAddressing:
     def test_is_ancestor_and_downward_path(self):
         g = build_laakso(2, 2)
         assert g.is_ancestor(g.root, g.sink)
-        path = g.downward_path(g.root, g.sink)
+        path = replay_descent(g, g.root, g.sink)
         assert len(path) == 3**g.n + 1
         assert path[0] == g.root and path[-1] == g.sink
         for a, b_ in zip(path, path[1:]):
@@ -240,7 +308,7 @@ class TestAddressing:
         w2 = g.by_label("t.w2")
         assert not g.is_ancestor(w1, w2)
         with pytest.raises(RelationError):
-            g.downward_path(w1, w2)
+            g.descent(w1, w2)
 
     def test_descent_is_the_downward_path_as_increments(self):
         g = build_laakso(2, 2)
@@ -249,6 +317,24 @@ class TestAddressing:
         assert g.descent(g.by_label("t.v"), g.by_label("t.v")) == []
         with pytest.raises(RelationError):
             g.descent(g.by_label("t.w1"), g.by_label("t.w2"))
+
+    @pytest.mark.parametrize("n,b", [(2, 2), (2, 3), (3, 2)])
+    def test_descent_equals_the_child_by_child_walk(self, n, b):
+        # Every ancestor pair, told by BFS rows, against the reference
+        # walk over `children`; every other ordered pair is refused by both.
+        g = build_laakso(n, b)
+        dist = [g.bfs_levels_from(u) for u in g.vertices]
+        ancestors = {tuple(p) for p in ancestor_pairs(dist, g.levels)}
+        for i, u in enumerate(g.vertices):
+            for j, v in enumerate(g.vertices):
+                if i == j or (i, j) in ancestors:
+                    want = ref.downward_path(g, u, v)
+                    assert replay_descent(g, u, v) == want
+                else:
+                    with pytest.raises(RelationError):
+                        g.descent(u, v)
+                    with pytest.raises(RelationError):
+                        ref.downward_path(g, u, v)
 
 
 class TestCapacity:

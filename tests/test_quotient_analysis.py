@@ -33,6 +33,12 @@ def phi_table(n: int, b: int) -> MetricMapTable:
     return MetricMapTable.from_dict(as_map_table(pm))
 
 
+def order_pairs(space: FiniteMetricSpace) -> list:
+    """The pairs of the space's order as `to_dict` writes them."""
+    m = MetricMapTable(space, space, range(space.n))
+    return m.to_dict()["source_order"]
+
+
 class TestFiniteMetricSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,7 +73,7 @@ class TestFiniteMetricSpace:
             # 0 < 1 and 1 < 2 but the closure pair is missing
             FiniteMetricSpace(d3, order=[(0, 1), (1, 2)])
         ok = FiniteMetricSpace(d3, order=[(0, 1), (1, 2), (0, 2)])
-        assert ok.related(0, 2) and not ok.related(2, 0)
+        assert ok.order[0, 2] and not ok.order[2, 0]
 
     @pytest.mark.parametrize("order,message", [
         ([(0, 1), (2, 3)], r"order pair \(2,3\) out of range"),
@@ -90,7 +96,8 @@ class TestFiniteMetricSpace:
         assert n - 3 >= qa.ORDER_CHUNK_CELLS // n
         dist = np.ones((n, n)) - np.eye(n)
         star = [(0, j) for j in range(2, n)]
-        assert FiniteMetricSpace(dist, order=star).order == set(star)
+        space = FiniteMetricSpace(dist, order=star)
+        assert order_pairs(space) == [list(p) for p in star]
         with pytest.raises(ValueError, match=r"not transitive: "
                                              rf"\(0,{n - 1}\),\({n - 1},1\)"):
             FiniteMetricSpace(dist, order=star + [(n - 1, 1)])
@@ -98,8 +105,15 @@ class TestFiniteMetricSpace:
     def test_order_keeps_python_int_pairs_once(self):
         space = FiniteMetricSpace([[0, 1], [1, 0]],
                                   order=[[0, 1], (0, 1), np.array([0, 1])])
-        assert space.order == {(0, 1)}
-        assert {type(i) for pair in space.order for i in pair} == {int}
+        assert order_pairs(space) == [[0, 1]]
+        assert {type(i) for pair in order_pairs(space) for i in pair} == {int}
+
+    def test_order_is_a_read_only_relation_matrix(self):
+        space = FiniteMetricSpace([[0, 1], [1, 0]], order=[(0, 1)])
+        assert space.order.dtype == bool
+        assert space.order.tolist() == [[False, True], [False, False]]
+        with pytest.raises(ValueError):
+            space.order[1, 0] = True
 
     def test_large_space_sampled_triangle_check(self):
         k = 300  # past the exhaustive limit; still validates by sampling
@@ -158,8 +172,8 @@ class TestFiniteMetricSpaceFromArray:
         space = FiniteMetricSpace(dist, order=order)
         assert space.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
         assert {type(d) for row in space.dist for d in row} == {int}
-        assert space.order == {(0, 1), (1, 2), (0, 2)}
-        assert {type(i) for pair in space.order for i in pair} == {int}
+        assert order_pairs(space) == [[0, 1], [0, 2], [1, 2]]
+        assert {type(i) for pair in order_pairs(space) for i in pair} == {int}
         assert space.array.dtype == np.float64
         assert space.to_dict() == FiniteMetricSpace(dist.tolist()).to_dict()
 
@@ -224,7 +238,7 @@ class TestIntegerIndices:
         assert {type(a) for a in m.assign} == {int}
         order = [(np.int32(0), np.int64(1))]
         space = FiniteMetricSpace([[0, 1], [1, 0]], order=order)
-        assert space.order == {(0, 1)}
+        assert order_pairs(space) == [[0, 1]]
 
 
 class TestMetricMapTable:
@@ -249,7 +263,8 @@ class TestMetricMapTable:
         assert d["schema"] == 1
         m = MetricMapTable.from_dict(d)
         assert m.assign == floor_by_3.assign
-        assert m.source.order == floor_by_3.source.order
+        assert m.to_dict()["source_order"] == d["source_order"]
+        assert m.to_dict()["target_order"] == d["target_order"]
 
     def test_from_dict_without_orders(self):
         d = {

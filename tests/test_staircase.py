@@ -117,17 +117,17 @@ class TestEnumeration:
 
 class TestVerifiers:
     def test_staircase_bounds_pass(self):
-        rep = verify_staircase_bounds()
+        rep = verify_staircase_bounds(count_matrix(12, 6), THETA)
         assert rep["pass"], rep
         assert rep["sets"] == 2510
         assert rep["counterexamples"] == []
 
     def test_quarter_bounds_pass(self):
-        rep = verify_quarter_bounds()
+        rep = verify_quarter_bounds(count_matrix(12, 6))
         assert rep["pass"], rep
 
     def test_prefix_exactness(self):
-        rep = verify_prefix_exactness()
+        rep = verify_prefix_exactness(count_matrix(12, 6), THETA)
         assert rep["pass"], rep
 
     def test_biorthogonality(self):
@@ -135,7 +135,7 @@ class TestVerifiers:
         assert rep["pass"], rep
 
     def test_other_theta_still_passes_theta_bounds(self):
-        rep = verify_staircase_bounds(Fraction(1, 2), 8, 4)
+        rep = verify_staircase_bounds(count_matrix(8, 4), Fraction(1, 2))
         assert rep["pass"], rep
 
     def test_biorthogonality_counts_its_checks(self):
@@ -144,9 +144,7 @@ class TestVerifiers:
     @pytest.mark.parametrize("index_bound,size_bound", [(-3, 2), (0, 0), (3, -1)])
     def test_rejects_empty_bounds(self, index_bound, size_bound):
         for run in (
-            lambda: verify_staircase_bounds(THETA, index_bound, size_bound),
-            lambda: verify_quarter_bounds(index_bound, size_bound),
-            lambda: verify_prefix_exactness(THETA, index_bound, size_bound),
+            lambda: count_matrix(index_bound, size_bound),
             lambda: verify_james(THETA, index_bound, size_bound),
         ):
             with pytest.raises(DomainError):
@@ -162,10 +160,11 @@ class TestVerifiers:
 
     def test_james_runs_the_four_checks(self):
         rep = verify_james(Fraction(1, 2), 6, 3)
+        m = count_matrix(6, 3)
         assert rep == {
-            "staircase_bounds": verify_staircase_bounds(Fraction(1, 2), 6, 3),
-            "quarter_bounds": verify_quarter_bounds(6, 3),
-            "prefix_exactness": verify_prefix_exactness(Fraction(1, 2), 6, 3),
+            "staircase_bounds": verify_staircase_bounds(m, Fraction(1, 2)),
+            "quarter_bounds": verify_quarter_bounds(m),
+            "prefix_exactness": verify_prefix_exactness(m, Fraction(1, 2)),
             "biorthogonality": verify_biorthogonality(Fraction(1, 2), 6),
             "pass": True,
         }
@@ -203,16 +202,6 @@ class TestVerifiers:
         assert rep["quarter_bounds"]["pairs"] == 20_618
         checks = ("staircase_bounds", "quarter_bounds", "prefix_exactness")
         assert sum(rep[k]["pairs"] for k in checks) == 56_034
-
-    def test_checks_refuse_a_matrix_of_other_bounds(self):
-        m = count_matrix(6, 3)
-        for run in (
-            lambda: verify_staircase_bounds(THETA, 6, 2, matrix=m),
-            lambda: verify_quarter_bounds(5, 3, matrix=m),
-            lambda: verify_prefix_exactness(THETA, 6, 4, matrix=m),
-        ):
-            with pytest.raises(DomainError, match="count matrix has bounds"):
-                run()
 
     def test_size_bound_past_index_bound_adds_no_sets(self):
         assert enumerate_index_sets(4, 10**12) == enumerate_index_sets(4, 4)

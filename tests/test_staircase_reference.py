@@ -44,11 +44,12 @@ def counts_lowered(J, points):
 
 
 def assert_matches_reference(theta, index_bound, size_bound):
-    got = st.verify_staircase_bounds(theta, index_bound, size_bound)
+    m = st.count_matrix(index_bound, size_bound)
+    got = st.verify_staircase_bounds(m, theta)
     assert got == ref.verify_staircase_bounds(theta, index_bound, size_bound)
-    quarter = st.verify_quarter_bounds(index_bound, size_bound)
+    quarter = st.verify_quarter_bounds(m)
     assert quarter == ref.verify_quarter_bounds(index_bound, size_bound)
-    prefix = st.verify_prefix_exactness(theta, index_bound, size_bound)
+    prefix = st.verify_prefix_exactness(m, theta)
     assert prefix == ref.verify_prefix_exactness(theta, index_bound, size_bound)
     return got, quarter, prefix
 
@@ -108,9 +109,10 @@ def test_pair_sweep_matches_reference(monkeypatch, cells, fault):
 
 def test_huge_theta_stays_exact():
     theta = Fraction(2**70 - 1, 2**70)
-    got = st.verify_staircase_bounds(theta, 6, 3)
+    m = st.count_matrix(6, 3)
+    got = st.verify_staircase_bounds(m, theta)
     assert got == ref.verify_staircase_bounds(theta, 6, 3)
-    prefix = st.verify_prefix_exactness(theta, 6, 3)
+    prefix = st.verify_prefix_exactness(m, theta)
     assert prefix == ref.verify_prefix_exactness(theta, 6, 3)
     assert got["pass"] and prefix["pass"]
 
@@ -118,7 +120,7 @@ def test_huge_theta_stays_exact():
 def test_theta_domain_matches_reference():
     for theta in (Fraction(0), Fraction(1)):
         with pytest.raises(DomainError):
-            st.verify_staircase_bounds(theta, 4, 2)
+            st.verify_staircase_bounds(st.count_matrix(4, 2), theta)
         with pytest.raises(DomainError):
             ref.verify_staircase_bounds(theta, 4, 2)
 
@@ -128,7 +130,7 @@ def test_theta_domain_matches_reference():
 )
 def test_prefix_exactness_rejects_theta_outside_unit_interval(theta):
     with pytest.raises(DomainError, match="theta must lie in"):
-        st.verify_prefix_exactness(theta, 4, 2)
+        st.verify_prefix_exactness(st.count_matrix(4, 2), theta)
 
 
 @pytest.mark.parametrize(

@@ -177,14 +177,14 @@ class TestIndexRoutesMatchReference:
 
     def test_one_downward_path_per_ancestor_pair(self, monkeypatch):
         calls = 0
-        walk = LaaksoGraph.downward_path
+        walk = LaaksoGraph.descent
 
         def counted(self, u, v):
             nonlocal calls
             calls += 1
             return walk(self, u, v)
 
-        monkeypatch.setattr(LaaksoGraph, "downward_path", counted)
+        monkeypatch.setattr(LaaksoGraph, "descent", counted)
         pm = TreeToGraphMap(TreeSpace(3, 9), build_laakso(2, 3))
         rep = verify_projection(pm, seed=0)
         lift = rep["checks"]["lift_exact"]
@@ -464,9 +464,12 @@ class TestMapTable:
 
     def test_entries_are_python_ints(self, pm_small):
         m = map_table(pm_small)
-        for space in (m.source, m.target):
+        table = m.to_dict()
+        for side in ("source", "target"):
+            space = getattr(m, side)
             assert {type(d) for row in space.dist for d in row} == {int}
-            assert {type(i) for pair in space.order for i in pair} == {int}
+            pairs = table[f"{side}_order"]
+            assert {type(i) for pair in pairs for i in pair} == {int}
         assert {type(a) for a in m.assign} == {int}
 
     def test_sampled_triangle_check_passes_the_phi_source(self):
