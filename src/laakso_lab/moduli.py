@@ -6,7 +6,9 @@ subspaces and cannot live in finite dimension.  What is computed here is the
 standard extremal model for l_p: perturbations disjointly supported from the
 base vector, which turns each modulus into a closed-form expression in one
 scalar.  Every closed form is validated against an independent numerical
-optimization over the model's free parameters, never trusted bare.  The
+optimization over the model's free parameters, never trusted bare: a
+dense grid of the raw objective in numpy, polished in pure Python by
+golden-section search in one parameter or compass search in two.  The
 model values are not claimed to be the Banach-space moduli themselves; they
 are the l_p surrogates the inequalities of interest are checked on.
 
@@ -26,11 +28,10 @@ Closed forms, for 1 < p < infinity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
-from typing import Sequence
+from math import ceil, inf, log, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DomainError
 
@@ -66,10 +67,14 @@ def auc_model(m: LpModel, t: float) -> float:
 
 def auc_oracle(m: LpModel, t: float) -> float:
     """Independent route: minimize ||x + z|| - 1 over the perturbation size
-    ||z|| in [t, 4] numerically instead of arguing monotonicity.  Dense grid
-    including both endpoints, then a local polish of the best cell; the
-    bounded polisher alone stalls ~sqrt(eps) away from a boundary minimum,
-    so the endpoint evaluations are what make the tight tolerance reachable."""
+    ||z|| in [t, 4] numerically instead of arguing monotonicity.  A dense
+    grid including both endpoints, evaluated in one array expression; the
+    best grid point is re-evaluated by the scalar objective, since an
+    array power may differ from a scalar one in the last place.  Then a
+    golden-section polish of the cells on either side of it.  The polish
+    evaluates interior points only and stops up to 1e-12 short of a
+    boundary minimum, so the endpoint evaluations are what make the
+    tight tolerance reachable."""
     if not 0 < t <= 1:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     p = m.p
@@ -78,16 +83,31 @@ def auc_oracle(m: LpModel, t: float) -> float:
         return (1 + abs(z) ** p) ** (1 / p) - 1
 
     zs = np.linspace(t, 4.0, 4097)
-    vals = np.array([f(z) for z in zs])
-    k = int(np.argmin(vals))
-    best = float(vals[k])
-    lo = zs[max(k - 1, 0)]
-    hi = zs[min(k + 1, len(zs) - 1)]
-    if hi > lo:
-        res = minimize_scalar(f, bounds=(float(lo), float(hi)),
-                              method="bounded", options={"xatol": 1e-12})
-        best = min(best, float(res.fun))
-    return best
+    k = int(np.argmin((1 + np.abs(zs) ** p) ** (1 / p) - 1))
+    lo = float(zs[max(k - 1, 0)])
+    hi = float(zs[min(k + 1, len(zs) - 1)])
+    return min(f(float(zs[k])), _golden_min(f, lo, hi, 1e-12))
+
+
+def _golden_min(f: Callable[[float], float], lo: float, hi: float,
+                xtol: float) -> float:
+    """The least value golden-section search finds for f on [lo, hi]: the
+    bracket shrinks by the golden ratio until it is at most xtol wide, and
+    only interior points are evaluated."""
+    g = (sqrt(5) - 1) / 2
+    steps = ceil(log(xtol / (hi - lo)) / log(g)) if hi - lo > xtol else 0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def beta_model(m: LpModel, t: float) -> float:
@@ -113,7 +133,10 @@ def beta_oracle(m: LpModel, t: float, sign: str = "plus") -> float:
     the norm is always optimal, so ||x|| = 1 is built in); W = ||w|| in
     [0, (1-s**p)**(1/p)]; align = the sign of the x-to-w alignment.  Then
     inf_n ||x + x_n||**p = |a*align + W|**p + (1-a**p) + s**p for the plus
-    convention, with W negated for minus."""
+    convention, with W negated for minus.  The 2 x 21 x 21 grid over
+    (align, a, W) is evaluated in one array expression, its best cell is
+    re-evaluated by the scalar objective, and a compass search in the
+    (a, W) box polishes it at that alignment."""
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
     p = m.p
@@ -123,31 +146,47 @@ def beta_oracle(m: LpModel, t: float, sign: str = "plus") -> float:
     w_cap = (1 - s**p) ** (1 / p)
     flip = 1.0 if sign == "plus" else -1.0
 
-    def midpoint(a: float, W: float, align: float) -> float:
-        a = min(max(a, 0.0), 1.0)
-        W = min(max(W, 0.0), w_cap)
+    aligns = np.array([1.0, -1.0])[:, None, None]
+    a_grid = np.linspace(0.0, 1.0, 21)[None, :, None]
+    w_grid = np.linspace(0.0, w_cap, 21)[None, None, :]
+    body = (np.abs(aligns * a_grid + flip * w_grid) ** p
+            + (1 - a_grid**p) + s**p)
+    i, j, k = np.unravel_index(int(np.argmax(body ** (1 / p) / 2)),
+                               body.shape)
+    align = float(aligns[i, 0, 0])
+
+    def midpoint(a: float, W: float) -> float:
         body = abs(align * a + flip * W) ** p + (1 - a**p) + s**p
         return body ** (1 / p) / 2
 
-    best = -inf
-    best_arg = (0.0, 0.0, 1.0)
-    for align in (1.0, -1.0):
-        for a in np.linspace(0.0, 1.0, 21):
-            for W in np.linspace(0.0, w_cap, 21):
-                val = midpoint(a, W, align)
-                if val > best:
-                    best = val
-                    best_arg = (a, W, align)
-    a0, W0, align0 = best_arg
-    res = minimize(
-        lambda v: -midpoint(v[0], v[1], align0),
-        x0=np.array([a0, W0]),
-        bounds=[(0.0, 1.0), (0.0, max(w_cap, 1e-12))],
-        method="L-BFGS-B",
-        options={"ftol": 1e-15, "gtol": 1e-12},
-    )
-    best = max(best, float(-res.fun))
-    return 1 - best
+    start = (float(a_grid[0, j, 0]), float(w_grid[0, 0, k]))
+    return 1 - _compass_max(midpoint, start, (1.0, w_cap),
+                            (1 / 20, w_cap / 20), 1e-10)
+
+
+def _compass_max(f: Callable[[float, float], float],
+                 start: tuple[float, float], upper: tuple[float, float],
+                 step: tuple[float, float], tol: float) -> float:
+    """The greatest value compass search finds for f(a, b) over the box
+    [0, upper[0]] x [0, upper[1]], from start: a move of the current steps
+    along either axis, either way, clipped to the box, is taken when it
+    improves strictly; when none does, both steps halve, until each is at
+    most tol.  The value at start is evaluated first, so the result is
+    never below it."""
+    x = list(start)
+    step = list(step)
+    best = f(*x)
+    while max(step) > tol:
+        for axis, sgn in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)):
+            y = list(x)
+            y[axis] = min(max(x[axis] + sgn * step[axis], 0.0), upper[axis])
+            val = f(*y)
+            if val > best:
+                x, best = y, val
+                break
+        else:
+            step = [h / 2 for h in step]
+    return best
 
 
 def check_beta_leq_auc(m: LpModel, t_grid: Sequence[float]) -> dict:

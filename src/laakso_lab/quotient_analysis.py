@@ -116,8 +116,9 @@ class FiniteMetricSpace:
     `np.random.default_rng(0).integers` and compared in one vector step,
     and the first failing triple in sample order is reported.
     The table is nested sequences or a 2-D numpy array.  `dist` keeps the
-    entries as given (an array's through one `tolist()`, so an integer
-    array gives Python ints); `array` is a read-only float64 copy.
+    entries as given (an array's through one `tolist()` on first read, so
+    an integer array gives Python ints); `array` is a read-only float64
+    copy.
     """
 
     def __init__(
@@ -125,25 +126,28 @@ class FiniteMetricSpace:
         dist: Sequence[Sequence[float]] | np.ndarray,
         order: Optional[Sequence[tuple[int, int]]] = None,
     ):
-        is_array = isinstance(dist, np.ndarray)
-        if is_array and (dist.ndim != 2 or dist.shape[0] != dist.shape[1]):
-            raise ValueError("distance table is not square")
-        try:
-            rows = tuple(map(tuple, dist.tolist() if is_array else dist))
-        except TypeError:
-            raise ValueError("distance table is not square") from None
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("distance table is not square")
-        self.n = n
-        self.dist = rows
-        arr = (dist.astype(float) if is_array
-               else np.asarray(rows, dtype=float).reshape(n, n))
+        if isinstance(dist, np.ndarray):
+            if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+                raise ValueError("distance table is not square")
+            given = dist.copy()
+            given.flags.writeable = False
+            self._given, self._dist = given, None
+            arr = dist.astype(float)
+        else:
+            try:
+                rows = tuple(map(tuple, dist))
+            except TypeError:
+                raise ValueError("distance table is not square") from None
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("distance table is not square")
+            self._given, self._dist = rows, rows
+            arr = np.asarray(rows, dtype=float).reshape(len(rows), len(rows))
+        n = self.n = len(arr)
         finite = np.isfinite(arr)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
             raise ValueError(
-                f"non-finite distance {rows[i][j]!r} at ({i},{j})"
+                f"non-finite distance {self.dist[i][j]!r} at ({i},{j})"
             )
         if n and (np.diag(arr) != 0).any():
             raise ValueError("nonzero diagonal in distance table")
@@ -158,6 +162,14 @@ class FiniteMetricSpace:
         self.order: Optional[np.ndarray] = (
             None if order is None else _strict_order(order, n)
         )
+
+    @property
+    def dist(self) -> tuple[tuple, ...]:
+        """The table as nested tuples of its entries as given; from an
+        array it is built on first read, through one `tolist()`."""
+        if self._dist is None:
+            self._dist = tuple(map(tuple, self._given.tolist()))
+        return self._dist
 
     def _validate_triangle(self, arr: np.ndarray) -> None:
         n = self.n

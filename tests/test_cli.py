@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -481,3 +485,29 @@ class TestUsage:
         assert out == ""
         assert (f"LAAKSO_LAB_MAX_VERTICES must be an integer >= 1, "
                 f"got {value!r}") in err
+
+
+START_PATH = """
+import json, sys
+import laakso_lab, laakso_lab.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = scipy_modules()
+code = laakso_lab.cli.main(["verify", "all", "--seed", "0", "--out", sys.argv[1]])
+print(json.dumps({"import": loaded, "verify_all": scipy_modules(), "rc": code}))
+"""
+
+
+def test_no_scipy_on_the_start_path(tmp_path):
+    """A fresh interpreter imports the package and the CLI and runs
+    `verify all` without loading scipy: neither the start nor the moduli
+    oracles may pay for its import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", START_PATH, str(tmp_path / "all.json")],
+        capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert json.loads(proc.stdout) == {"import": [], "verify_all": [], "rc": 0}
+    assert json.loads((tmp_path / "all.json").read_text())["pass"] is True

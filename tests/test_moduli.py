@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +110,65 @@ class TestOracles:
                                                   abs=BETA_ORACLE_TOL)
 
 
+class TestPolish:
+    """The polish helpers on their own.  Every optimum of the oracles'
+    objectives sits at a grid point, so the helpers are driven here on
+    objectives whose optimum lies strictly inside a grid cell, or at a
+    corner of the box, with the oracles' own cells, steps and stopping
+    widths."""
+
+    @pytest.mark.parametrize("c", [0.30041, 1.7312, 3.99962])
+    def test_golden_inside_a_cell(self, c):
+        zs = np.linspace(0.3, 4.0, 4097)
+        k = int(np.searchsorted(zs, c))  # zs[k - 1] < c < zs[k]
+        assert zs[k - 1] < c < zs[k]
+
+        def f(z):
+            return math.cosh(3 * (z - c)) - 0.25
+
+        best = md._golden_min(f, float(zs[k - 1]), float(zs[k]), 1e-12)
+        assert abs(best - 0.75) <= AUC_ORACLE_TOL
+
+    def test_golden_at_a_boundary(self):
+        zs = np.linspace(0.25, 4.0, 4097)
+
+        def f(z):
+            return (1 + z**3) ** (1 / 3) - 1
+
+        best = md._golden_min(f, float(zs[0]), float(zs[1]), 1e-12)
+        assert f(float(zs[0])) <= best <= f(float(zs[0])) + AUC_ORACLE_TOL
+
+    @pytest.mark.parametrize("kinked", [False, True],
+                             ids=["coupled", "kinked"])
+    @pytest.mark.parametrize("a0,w0", [(0.5234, 0.1177), (0.0312, 0.3891),
+                                       (0.9761, 0.0107)])
+    def test_compass_inside_a_cell(self, a0, w0, kinked):
+        w_cap = 0.4
+        step = (1 / 20, w_cap / 20)
+
+        # concave, best at (a0, w0), off the grid: a coupled quadratic, or
+        # a kinked one that a coarse final step leaves short by the step
+        def f(a, w):
+            da, dw = a - a0, w - w0
+            if kinked:
+                return 1 - abs(da) - 2 * abs(dw)
+            return 1 - da * da - 3 * dw * dw - da * dw
+
+        start = (round(a0 / step[0]) * step[0], round(w0 / step[1]) * step[1])
+        assert start != (a0, w0)
+        best = md._compass_max(f, start, (1.0, w_cap), step, 1e-10)
+        assert 1 - BETA_ORACLE_TOL <= best <= 1
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["far", "origin"])
+    def test_compass_at_a_corner(self, sign):
+        # increasing in both coordinates on the box, or decreasing
+        w_cap = 0.7
+        best = md._compass_max(lambda a, w: sign * (a + w - a * w / 4),
+                               (0.35, 0.21), (1.0, w_cap),
+                               (1 / 20, w_cap / 20), 1e-10)
+        assert best == (1.0 + w_cap - w_cap / 4 if sign > 0 else 0.0)
+
+
 class TestLemmaGrid:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_beta_below_auc(self, p):
@@ -173,6 +234,24 @@ class TestComposedPowerType:
         # the limit ratio is (1 + p) / (p - 1) = 3 at p = 2
         assert ratios[-1] == pytest.approx(3.0, rel=1e-3)
         assert ratios[0] <= 3.5
+
+    @pytest.mark.parametrize("q", [10, 100, 1000, 10000])
+    def test_exact_ratio(self, q):
+        # |f - p| / eps = (p + 1 - eps) / (p - 1 - eps), in exact arithmetic
+        p, eps = Fraction(2), Fraction(1, q)
+        f = composed_power_type(p, eps)
+        assert isinstance(f, Fraction)
+        assert abs(f - p) / eps == (p + 1 - eps) / (p - 1 - eps)
+
+    def test_report_ratios_are_the_exact_ones(self, verify_all_runs):
+        exact = [(3 - eps) / (1 - eps)
+                 for eps in (Fraction(1, 10 ** k) for k in range(1, 5))]
+        assert exact[0] == Fraction(29, 9) < Fraction(7, 2)
+        report = json.loads(verify_all_runs[0][1])
+        ratios = report["suites"]["moduli"]["composed_exponent"]["ratios"]
+        assert len(ratios) == len(exact)
+        for got, want in zip(ratios, exact):
+            assert got == pytest.approx(float(want), rel=1e-9)
 
     def test_rejects_collapsing_eps(self):
         with pytest.raises(DomainError):

@@ -189,6 +189,22 @@ class TestFiniteMetricSpaceFromArray:
         assert FiniteMetricSpace(np.zeros((0, 0), dtype=int)).n == 0
         assert FiniteMetricSpace(np.zeros((1, 1), dtype=int)).dist == ((0,),)
 
+    @pytest.mark.parametrize("given", [
+        [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]],
+        np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]], dtype=np.int64),
+        np.array([[0, 0.5, 1], [0.5, 0, 0.75], [1, 0.75, 0]]),
+    ], ids=["list", "int-array", "float-array"])
+    def test_dist_equals_the_eager_form(self, given):
+        is_array = isinstance(given, np.ndarray)
+        eager = tuple(map(tuple, given.tolist() if is_array else given))
+        space = FiniteMetricSpace(given)
+        assert (space._dist is None) == is_array  # an array's is lazy
+        assert space.dist == eager
+        assert [list(map(type, row)) for row in space.dist] == [
+            list(map(type, row)) for row in eager]
+        assert space.dist is space.dist
+        assert space.to_dict() == {"n": 3, "dist": [list(r) for r in eager]}
+
 
 NON_INDICES = [True, False, 1.0, 1.5, "1", None]
 
