@@ -16,20 +16,29 @@ for the root) and levels are bounded by ``d``.  The node count is
 sum(b**k for k in 0..d).  The distance formula itself is valid for arbitrary
 strictly increasing tuples, truncated or not.
 
-Whole rows of the metric come from the enumeration order instead: in
-depth-first preorder every subtree is a contiguous index range, so the lcp
-depths of one node against all others are the levels of its ancestors
-written over their ranges, root first.
+Nodes are also addressed by their rank, their index in depth-first
+preorder (the order of ``nodes()``), where every subtree is a contiguous
+rank range: the subtree of a node at level l spans ``spans[l]`` ranks, and
+the k-th child of the node at rank r has rank r + 1 + (k - 1) * spans[l+1].
+``node_at`` and ``rank_of`` convert between the two addresses in O(d) of
+this span arithmetic, and ``rank_distance`` computes distances of rank
+pairs by it, an array of pairs at a time, with no node built.  The shape of
+the preorder (every rank's level and increment) is built once per space as
+arrays, and whole rows of the metric come from it: the lcp depths of one
+node against all others are the levels of its ancestors written over their
+ranges, root first.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, DomainError
 
 # Hard ceiling on how many nodes we are willing to materialize at once.
 MAX_ENUMERATED_NODES = 2**21
@@ -100,6 +109,14 @@ def tree_distance(a: TreeNode, b: TreeNode) -> int:
     return len(a.elements) + len(b.elements) - 2 * n
 
 
+class PreorderShape(NamedTuple):
+    """Every node of a tree space, by rank: its level and its increment
+    (the k of "k-th child", 0 at the root), as int32 arrays."""
+
+    levels: np.ndarray
+    increments: np.ndarray
+
+
 @dataclass(frozen=True)
 class TreeSpace:
     """The truncated tree T_{b,d}: increments in 1..b, levels at most d."""
@@ -156,25 +173,99 @@ class TreeSpace:
         walk(ROOT)
         return tuple(out)
 
-    def distance_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, row)`` for each node in ``nodes()`` order, where
-        ``row[j]`` is the tree distance from node i to node j.
-
-        The subtree of a node at level l is the index range of the next
-        ``TreeSpace(b, d - l).size()`` nodes, so the lcp depth of node i
-        against every node is built by writing the level of each ancestor
-        of i (i included) over its range, root first, and the row is
-        level(i) + level - 2 * lcp: exact integers, one slice write per
-        ancestor, O(size) memory per row.  The preorder levels come from
-        the shape alone: a subtree of height h is its root followed by b
-        subtrees of height h - 1, one level deeper; no node is built."""
-        self._require_enumerable()
-        root = levels = np.zeros(1, dtype=np.int32)
-        span = [1]  # span[h]: the nodes of a subtree of height h
+    @cached_property
+    def spans(self) -> tuple[int, ...]:
+        """``spans[l]``: the number of nodes in a subtree whose root is at
+        level l, for l = 0..depth; ``spans[0]`` is the size."""
+        out = [1]
         for _ in range(self.depth):
+            out.append(1 + self.branching * out[-1])
+        return tuple(reversed(out))
+
+    @cached_property
+    def shape(self) -> PreorderShape:
+        """The preorder shape, built from the recursion alone: a subtree of
+        height h is its root followed by b subtrees of height h - 1, one
+        level deeper, whose roots are the increments 1..b.  No node is
+        built; the enumeration cap applies."""
+        self._require_enumerable()
+        root = levels = increments = np.zeros(1, dtype=np.int32)
+        for _ in range(self.depth):
+            height = len(levels)
             levels = np.concatenate([root] + [levels + 1] * self.branching)
-            span.append(len(levels))
-        span.reverse()  # now indexed by the level of the subtree's root
+            kids = np.tile(increments, self.branching)
+            kids[::height] = np.arange(1, self.branching + 1)
+            increments = np.concatenate([root, kids])
+        return PreorderShape(levels, increments)
+
+    def rank_of(self, node: TreeNode) -> int:
+        """The rank of ``node``: each step down to a k-th child skips the
+        node above and the k - 1 subtrees of its earlier children.  A node
+        below the depth or with an increment outside 1..b is refused."""
+        if node.level > self.depth:
+            raise DomainError(
+                f"node {node} has level {node.level} > depth {self.depth}")
+        rank = prev = 0
+        for span, m in zip(self.spans[1:], node.elements):
+            k = m - prev
+            if not 1 <= k <= self.branching:
+                raise DomainError(f"node {node} has increment {k}, outside "
+                                  f"1..{self.branching}")
+            rank += 1 + (k - 1) * span
+            prev = m
+        return rank
+
+    def node_at(self, rank: int) -> TreeNode:
+        """The node of rank ``rank``, for 0 <= rank < size: from the root,
+        each step enters the child whose subtree range holds the rank."""
+        rank = operator.index(rank)
+        if not 0 <= rank < self.size():
+            raise DomainError(
+                f"rank {rank} is outside 0..{self.size() - 1}")
+        at = last = 0
+        elements = []
+        for span in self.spans[1:]:
+            if at == rank:
+                break
+            k = (rank - at - 1) // span + 1
+            at += 1 + (k - 1) * span
+            last += k
+            elements.append(last)
+        return TreeNode(tuple(elements))
+
+    def rank_distance(self, i, j) -> np.ndarray:
+        """Tree distances between the nodes at ranks ``i[k]`` and ``j[k]``,
+        by span arithmetic over arrays of ranks: both ancestor chains are
+        walked down from the root together, one level per step, each
+        entering the child whose range holds its rank until it reaches
+        it; the chains agree down to the lcp.  O(d) array steps and O(len)
+        memory, no node built, no cap."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        ai, aj = np.zeros_like(i), np.zeros_like(j)
+        li, lj, lcp = np.zeros_like(i), np.zeros_like(j), np.zeros_like(i)
+        for span in self.spans[1:]:
+            down_i, down_j = ai != i, aj != j
+            ai = np.where(down_i, ai + 1 + (i - ai - 1) // span * span, ai)
+            aj = np.where(down_j, aj + 1 + (j - aj - 1) // span * span, aj)
+            li += down_i
+            lj += down_j
+            lcp += down_i & down_j & (ai == aj)
+        return li + lj - 2 * lcp
+
+    def distance_rows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, row)`` for each rank i, where ``row[j]`` is the tree
+        distance from node i to node j.
+
+        The subtree of a node at level l is the range of the next
+        ``spans[l]`` ranks, so the lcp depth of node i against every node
+        is built by writing the level of each ancestor of i (i included)
+        over its range, root first, and the row is level(i) + level -
+        2 * lcp: exact integers, one slice write per ancestor, O(size)
+        memory per row.  The levels are those of ``shape``; no node is
+        built."""
+        levels = self.shape.levels
+        span = self.spans
         # (start, level) of the ancestors: in preorder, the latest node
         # seen at each lower level is the current node's ancestor there.
         chain: list[tuple[int, int]] = []

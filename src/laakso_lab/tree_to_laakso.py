@@ -37,9 +37,15 @@ RECORD_KEYS = {"level": {"node": list},
 class TreeToGraphMap:
     """The projection T_{b,d} -> G_n with d = 3**n and matching branching.
 
-    Images are memoized in ``_memo``, keyed by a node's element tuple and
-    holding the index of its image in ``graph.vertices``; a miss recurses
-    on the parent's tuple, so no parent node is built.  The memo only
+    A child's image is one step from its parent's image (``_child_image``)
+    with two drivers.  ``image_index`` answers for one node, of any tree,
+    enumerable or not: images are memoized in ``_memo``, keyed by a node's
+    element tuple and holding the index of its image in ``graph.vertices``;
+    a miss recurses on the parent's tuple, so no parent node is built.
+    ``rank_images`` answers for every node at once, by rank, level by
+    level over ``tree.shape`` through a table of the step, and honours the
+    memo: a tuple found there keeps its memoized image, as ``image_index``
+    would return it, and its descendants step from that.  The memo only
     grows and every query is pure given the memo, so instances are safe
     for concurrent reads.  ``_flip_node`` is a test hook: at that one tree
     node the fraternal index is deliberately mis-wired to the next
@@ -90,16 +96,62 @@ class TreeToGraphMap:
                 f"node {TreeNode(elements)} has fraternal index {k}, "
                 f"outside 1..{self.tree.branching}"
             )
-        kids = self.graph.child_table[above]
-        if len(kids) == 1:
-            img = kids[0]
-        elif (self._flip_node is not None
-              and elements == self._flip_node.elements):
-            img = kids[k % len(kids)]
-        else:
-            img = kids[k - 1]
+        img = self._child_image(above, k, self._flip_node is not None
+                                and elements == self._flip_node.elements)
         self._memo[elements] = img
         return img
+
+    def _child_image(self, above: int, k: int, flip: bool = False) -> int:
+        """The image of a k-th child of a node imaged at vertex ``above``:
+        the unique child of ``above`` when it does not branch, else its
+        k-th child, or the next sibling's where ``flip`` mis-wires it."""
+        kids = self.graph.child_table[above]
+        if len(kids) == 1:
+            return kids[0]
+        return kids[k % len(kids)] if flip else kids[k - 1]
+
+    def rank_images(self) -> np.ndarray:
+        """The image index of every tree node, by rank: equal to
+        ``image_index`` on every node, memo and ``_flip_node`` included.
+        Level by level over ``tree.shape``: each node steps from its
+        parent's image through the |V| x b table of ``_child_image``, the
+        flip node takes the mis-wired step, and every node whose tuple is
+        in the memo takes its memoized image before the next level steps
+        from it."""
+        tree, graph = self.tree, self.graph
+        levels, increments = tree.shape
+        step = np.array([
+            [self._child_image(v, k) if kids else -1
+             for k in range(1, tree.branching + 1)]
+            for v, kids in enumerate(graph.child_table)
+        ], dtype=np.intp)
+        planted: list[list[tuple[int, int]]] = [[] for _ in tree.spans]
+        for elements, img in self._memo.items():
+            planted[len(elements)].append(
+                (tree.rank_of(TreeNode(elements)), img))
+        flip = self._flip_node
+        flip_rank = (tree.rank_of(flip) if flip is not None and flip.level
+                     and flip in tree else None)
+        out = np.full(len(levels), -1, dtype=np.intp)
+        for lv, span in enumerate(tree.spans):
+            at = np.flatnonzero(levels == lv)
+            if lv:
+                k = increments[at]
+                out[at] = step[out[at - 1 - (k - 1) * span], k - 1]
+            if flip_rank is not None and lv == flip.level:
+                k = int(increments[flip_rank])
+                above = out[flip_rank - 1 - (k - 1) * span]
+                out[flip_rank] = self._child_image(int(above), k, True)
+            if planted[lv]:
+                ranks, imgs = zip(*planted[lv])
+                out[list(ranks)] = imgs
+            stuck = at[out[at] < 0]
+            if len(stuck):
+                # Below an image with no child, as only a planted memo
+                # makes: the point driver fails there, and says how.
+                self.image_index(tree.node_at(stuck[0]).elements)
+                raise AssertionError("rank and point images disagree")
+        return out
 
     def lift(self, node: TreeNode, target: VertexId) -> TreeNode:
         """The tree descendant of ``node`` that projects onto ``target``:
@@ -130,54 +182,51 @@ def verify_projection(
     preimages of the upper one.  Both spaces are graded, so the ancestor
     rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
     graph distances and tells comparable node pairs by their distance.
-    The exhaustive sweep reads the tree distances row by row from
-    ``TreeSpace.distance_rows``, each row against the later nodes, and
-    records the first Lipschitz failures in row-major order; the sampled
-    sweep computes each seeded pair with ``tree_distance``.  Both feed one
-    fold that counts the strata and records the counterexamples.  Images
-    and levels are read by vertex index, and the lifts of one ancestor
-    pair share its one ``graph.descent``; each lift is judged on its own.
+    Nodes are handled by rank, as arrays: levels from ``tree.shape`` and
+    images from ``pm.rank_images``.  The exhaustive sweep reads the tree
+    distances row by row from ``TreeSpace.distance_rows``, each row against
+    the later ranks, and records the first Lipschitz failures in row-major
+    order; the sampled sweep computes the seeded pairs by
+    ``TreeSpace.rank_distance``.  Both feed one fold that counts the strata
+    and records the counterexamples.  The lifts of one ancestor pair share
+    its one ``graph.descent``: a lift's rank is its preimage's rank
+    advanced by the descent's increments, and each lift is judged on its
+    own.  ``TreeNode``s are built only for counterexample records.
     ``exhaustive`` forces the mode; left as None it is chosen by size.
     Failures are report content, never exceptions."""
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     tree, graph = pm.tree, pm.graph
-    nodes = tree.nodes()
+    levels = tree.shape.levels
+    size = len(levels)
     if exhaustive is None:
-        exhaustive = len(nodes) <= EXHAUSTIVE_NODE_LIMIT and samples is None
+        exhaustive = size <= EXHAUSTIVE_NODE_LIMIT and samples is None
     rng = random.Random(seed)
 
-    gidx = [pm.image_index(J.elements) for J in nodes]
-    level_bad = [
-        _level_record(graph, J, graph.vertices[gi])
-        for J, gi in zip(nodes, gidx) if graph.levels[gi] != J.level
-    ]
-
-    covered = set(gidx)
-    missing = [
-        graph.label(v) for i, v in enumerate(graph.vertices) if i not in covered
-    ]
+    gsel = pm.rank_images()
+    level_bad = np.flatnonzero(np.take(graph.levels, gsel) != levels)
+    covered = np.zeros(len(graph.vertices), dtype=bool)
+    covered[gsel] = True
+    missing = [graph.label(v) for v, c in zip(graph.vertices, covered)
+               if not c]
 
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
     # of the other, so their distance is the level gap) and incomparable
     # pairs; both strata must be nonempty for the bound to have been
     # exercised on both geodesic shapes.  A block is (i, j, tree distances)
-    # for pairs (i, j[k]): one row against the later nodes when exhaustive,
-    # else the whole sample with i one index per pair.
+    # for rank pairs (i, j[k]): one row against the later ranks when
+    # exhaustive, else the whole sample with i one rank per pair.
     if exhaustive:
         blocks = (
-            (i, np.arange(i + 1, len(nodes)), row[i + 1:])
+            (i, np.arange(i + 1, size), row[i + 1:])
             for i, row in tree.distance_rows()
         )
     else:
         count = samples if samples is not None else 20_000
-        sample = np.empty((count, 3), dtype=np.int64)
-        for k in range(count):
-            i, j = rng.sample(range(len(nodes)), 2)
-            sample[k] = i, j, tree_distance(nodes[i], nodes[j])
-        blocks = [tuple(sample.T)]
-    levels = np.array([J.level for J in nodes])
-    garr, gsel = graph.distance_matrix(), np.array(gidx)
+        i, j = np.array(
+            [rng.sample(range(size), 2) for _ in range(count)]).T
+        blocks = [(i, j, tree.rank_distance(i, j))]
+    garr = graph.distance_matrix()
     lip_bad: list[dict] = []
     comparable = incomparable = 0
     for i, j, dt in blocks:
@@ -186,41 +235,58 @@ def verify_projection(
         incomparable += len(dt) - same
         room = MAX_COUNTEREXAMPLES - len(lip_bad)
         for k in np.flatnonzero(garr[gsel[i], gsel[j]] > dt)[:room]:
-            J = nodes[np.broadcast_to(i, dt.shape)[k]]
-            lip_bad.append(_lipschitz_record(pm, J, nodes[j[k]]))
+            J = tree.node_at(np.broadcast_to(i, dt.shape)[k])
+            lip_bad.append(_lipschitz_record(pm, J, tree.node_at(j[k])))
 
     # Lift exactness on every ancestor pair of the graph, over preimages of
-    # the upper vertex.  Every preimage J of u has image u, so its lift
-    # towards v extends J by the one descent from u to v.
-    preimages: dict[int, list[TreeNode]] = {}
-    for J, gi in zip(nodes, gidx):
-        preimages.setdefault(gi, []).append(J)
+    # the upper vertex, ascending by rank.  Every preimage J of u has image
+    # u, so its lift towards v is J's rank advanced by the increments of
+    # the one descent from u to v, each step to a k-th child skipping k - 1
+    # sibling subtrees of the span one level below.
+    by_image = np.argsort(gsel, kind="stable")
+    counts = np.bincount(gsel, minlength=len(graph.vertices))
+    ends = np.cumsum(counts)
+    spans = np.array(tree.spans)
     lift_bad: list[dict] = []
     lifts_done = 0
     ancestors = ancestor_pairs(garr, graph.levels)
     for iu, iv in ancestors:
-        pool = preimages.get(iu, [])
+        pool = by_image[ends[iu] - counts[iu]:ends[iu]]
         if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
-            pool = rng.sample(pool, PREIMAGE_SAMPLE)
+            pool = np.array(rng.sample(pool.tolist(), PREIMAGE_SAMPLE))
         u, v = graph.vertices[iu], graph.vertices[iv]
-        offsets = tuple(accumulate(graph.descent(u, v)))
+        steps = graph.descent(u, v)
         dm = int(garr[iu, iv])
-        for J in pool:
-            lifts_done += 1
-            K = _extend(J, offsets)
-            ok = _lift_exact(pm, J, K, v, dm)
-            if not ok and len(lift_bad) < MAX_COUNTEREXAMPLES:
-                lift_bad.append(_lift_record(pm, J, K, v, dm))
+        lifts_done += len(pool)
+        top = levels[pool]
+        deep = pool[top + len(steps) > tree.depth]
+        if len(deep):
+            # Only a planted memo lifts a node below the depth: the point
+            # route refuses that lift, and says how.
+            pm.image(_extend(tree.node_at(deep[0]), accumulate(steps)))
+        K = pool.copy()
+        for t, k in enumerate(steps, 1):
+            K += 1 + (k - 1) * spans[top + t]
+        inside = K < pool + spans[top]
+        K = np.where(inside, K, pool)
+        ok = inside & (gsel[K] == iv) & (levels[K] - top == dm)
+        for J in pool[~ok][:MAX_COUNTEREXAMPLES - len(lift_bad)]:
+            J = tree.node_at(J)
+            lift_bad.append(_lift_record(pm, J, _extend(J, accumulate(steps)),
+                                         v, dm))
 
     checks = {
         "level_preserving": {
-            "pass": not level_bad,
-            "checked": len(nodes),
-            "counterexamples": level_bad[:MAX_COUNTEREXAMPLES],
+            "pass": not len(level_bad),
+            "checked": size,
+            "counterexamples": [
+                _level_record(graph, tree.node_at(r), graph.vertices[gsel[r]])
+                for r in level_bad[:MAX_COUNTEREXAMPLES]
+            ],
         },
         "surjective": {
             "pass": not missing,
-            "covered": len(covered),
+            "covered": int(np.count_nonzero(covered)),
             "vertices": len(graph.vertices),
             "counterexamples": missing[:MAX_COUNTEREXAMPLES],
         },
@@ -241,7 +307,7 @@ def verify_projection(
     return {
         "schema": 1,
         "tree": {"branching": tree.branching, "depth": tree.depth,
-                 "nodes": len(nodes)},
+                 "nodes": size},
         "graph": {"n": graph.n, "b": graph.b,
                   "vertices": len(graph.vertices)},
         "mode": "exhaustive" if exhaustive else "sampled",
@@ -384,22 +450,21 @@ def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     """The projection as a map table, built from arrays: the tree matrix is
     the stack of ``TreeSpace.distance_rows``, the graph matrix is
     ``LaaksoGraph.distance_matrix``, both int32, and both strict ancestor
-    relations are read off them by the rule of ``ancestor_pairs``.  Every
-    input check of ``FiniteMetricSpace`` and ``MetricMapTable`` runs.  Only
-    feasible at desk scale; the tree enumeration enforces its own cap."""
-    nodes = pm.tree.nodes()
-    sdist = np.empty((len(nodes), len(nodes)), dtype=np.int32)
+    relations are read off them by the rule of ``ancestor_pairs``, with
+    the tree levels from ``TreeSpace.shape``; the assignment is
+    ``pm.rank_images``.  Every input check of ``FiniteMetricSpace`` and
+    ``MetricMapTable`` runs.  Only feasible at desk scale; the tree shape
+    enforces the enumeration cap."""
+    levels = pm.tree.shape.levels
+    sdist = np.empty((len(levels), len(levels)), dtype=np.int32)
     for i, row in pm.tree.distance_rows():
         sdist[i] = row
     tdist = pm.graph.distance_matrix()
-    source = FiniteMetricSpace(
-        sdist, order=ancestor_pairs(sdist, [J.level for J in nodes])
-    )
+    source = FiniteMetricSpace(sdist, order=ancestor_pairs(sdist, levels))
     target = FiniteMetricSpace(
         tdist, order=ancestor_pairs(tdist, pm.graph.levels)
     )
-    assign = [pm.image_index(J.elements) for J in nodes]
-    return MetricMapTable(source, target, assign)
+    return MetricMapTable(source, target, pm.rank_images().tolist())
 
 
 def as_map_table(pm: TreeToGraphMap) -> dict:

@@ -1,11 +1,13 @@
+import random
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from laakso_lab.errors import CapacityError
+from laakso_lab.errors import CapacityError, DomainError
 from laakso_lab.tree_space import (
+    MAX_ENUMERATED_NODES,
     ROOT,
     TreeNode,
     TreeSpace,
@@ -180,3 +182,79 @@ class TestDistanceRows:
         lengths = dict(nx.all_pairs_shortest_path_length(tree))
         for i, row in space.distance_rows():
             assert row.tolist() == [lengths[nodes[i]][K] for K in nodes]
+
+
+class TestRanks:
+    """Span arithmetic against the enumeration: ranks are ``nodes()``
+    positions, and rank distances are the closed-form point distances."""
+
+    @pytest.mark.parametrize("b,d", [(2, 9), (3, 4), (4, 3)])
+    def test_node_at_and_rank_of_round_trip_on_every_node(self, b, d):
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        assert [space.rank_of(J) for J in nodes] == list(range(len(nodes)))
+        assert [space.node_at(r) for r in range(len(nodes))] == list(nodes)
+        assert space.spans[0] == space.size() == len(nodes)
+
+    @pytest.mark.parametrize("b,d", [(3, 0), (1, 5), (2, 4), (3, 3)])
+    def test_shape_is_the_levels_and_increments_in_node_order(self, b, d):
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        levels, increments = space.shape
+        assert levels.tolist() == [J.level for J in nodes]
+        assert increments.tolist() == [0] + [
+            J.elements[-1] - (J.elements[-2] if J.level > 1 else 0)
+            for J in nodes[1:]
+        ]
+
+    @pytest.mark.parametrize("node,message", [
+        ((1, 4), r"increment 3, outside 1\.\.2"),
+        ((3,), r"increment 3, outside 1\.\.2"),
+        ((1, 2, 3, 4), r"level 4 > depth 3"),
+    ])
+    def test_rank_of_refuses_a_node_outside_the_space(self, node, message):
+        with pytest.raises(DomainError, match=message):
+            TreeSpace(2, 3).rank_of(TreeNode(node))
+
+    @pytest.mark.parametrize("rank", [-1, 15, 16, 10**6])
+    def test_node_at_refuses_a_rank_outside_the_space(self, rank):
+        with pytest.raises(DomainError, match=r"outside 0\.\.14"):
+            TreeSpace(2, 3).node_at(rank)
+
+    def test_refusals_are_bad_input(self):
+        # DomainError is the ValueError that the command line reports as
+        # exit 2.
+        assert issubclass(DomainError, ValueError)
+
+    def test_rank_arithmetic_runs_above_the_cap(self):
+        space = TreeSpace(2, 27)
+        node = TreeNode(tuple(range(1, 28)))
+        assert space.size() > MAX_ENUMERATED_NODES
+        assert space.rank_of(node) == 27
+        assert space.node_at(space.size() - 1) == TreeNode(
+            tuple(range(2, 56, 2)))
+        far = space.rank_of(TreeNode((2, 4)))
+        assert space.rank_distance([27, far], [far, 0]).tolist() == [29, 2]
+        with pytest.raises(CapacityError):
+            space.shape
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rank_distances_of_the_sampled_pairs(self, seed):
+        # The pairs verify_projection draws at (2,3): the same seeded stream.
+        space = TreeSpace(3, 9)
+        nodes = space.nodes()
+        rng = random.Random(seed)
+        i, j = np.array([rng.sample(range(len(nodes)), 2)
+                         for _ in range(20_000)]).T
+        assert space.rank_distance(i, j).tolist() == [
+            tree_distance(nodes[a], nodes[b]) for a, b in zip(i, j)
+        ]
+
+    @pytest.mark.parametrize("b,d", [(1, 4), (2, 4), (3, 3)])
+    def test_rank_distances_of_every_pair(self, b, d):
+        space = TreeSpace(b, d)
+        nodes = space.nodes()
+        i, j = np.indices((len(nodes), len(nodes))).reshape(2, -1)
+        assert space.rank_distance(i, j).tolist() == [
+            tree_distance(nodes[a], nodes[b]) for a, b in zip(i, j)
+        ]

@@ -193,6 +193,82 @@ class TestIndexRoutesMatchReference:
             297, 297, 12_354)
 
 
+class TestRankImages:
+    """The rank driver of the image step against the point driver, node by
+    node, clean, mis-wired and on memo-planted maps."""
+
+    @pytest.mark.parametrize("flip", [None, cli.FAULT_NODE])
+    @pytest.mark.parametrize("n,b", [(1, 2), (2, 2), (2, 3)])
+    def test_equal_image_index_on_every_node(self, n, b, flip):
+        pm = TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b),
+                            _flip_node=flip)
+        images = pm.rank_images()
+        assert images.tolist() == [pm.image_index(J.elements)
+                                   for J in pm.tree.nodes()]
+
+    @pytest.mark.parametrize("fixture", ["pm_folded", "pm_mid_folded"])
+    def test_equal_image_index_on_planted_maps(self, fixture, request):
+        pm = request.getfixturevalue(fixture)
+        images = pm.rank_images()
+        assert images.tolist() == [pm.image_index(J.elements)
+                                   for J in pm.tree.nodes()]
+
+    def test_a_planted_image_with_no_child_fails_as_the_point_driver(self):
+        # {1} planted on the sink: its children have no image, and both
+        # drivers refuse them the same way.
+        pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
+        pm._memo[(1,)] = pm.graph.index(pm.graph.sink)
+        with pytest.raises(Exception) as point:
+            pm.image_index((1, 2))
+        with pytest.raises(type(point.value), match=str(point.value)):
+            pm.rank_images()
+
+    def test_a_lift_below_the_depth_is_refused_as_by_the_point_route(self):
+        # A leaf planted on the root: lifting it towards any vertex leaves
+        # the tree, which both verifiers refuse.
+        pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
+        pm._memo[(1, 2, 3)] = pm.graph.index(pm.graph.root)
+        with pytest.raises(DomainError, match=r"level 4 > depth 3"):
+            ref.verify_projection(pm)
+        with pytest.raises(DomainError, match=r"level 4 > depth 3"):
+            verify_projection(pm)
+
+
+class TestNoEnumeration:
+    """The sweep and the map table run on ranks: with ``TreeSpace.nodes``
+    refused they still give the pair-by-pair reference's results."""
+
+    @staticmethod
+    def refuse_nodes(monkeypatch):
+        def refuse(self):
+            raise AssertionError("the sweep enumerated the nodes")
+
+        monkeypatch.setattr(TreeSpace, "nodes", refuse)
+
+    @pytest.mark.parametrize("n,b,fault,mode", [(2, 3, False, "sampled"),
+                                                (2, 2, True, "exhaustive")])
+    def test_verify_projection(self, monkeypatch, n, b, fault, mode):
+        want = ref.verify_projection(cli._phi_map(n, b, fault), seed=0)
+        self.refuse_nodes(monkeypatch)
+        got = verify_projection(cli._phi_map(n, b, fault), seed=0)
+        assert got["mode"] == mode
+        assert got["pass"] is not fault
+        assert got == want
+
+    def test_verify_phi_cli(self, monkeypatch, tmp_path):
+        self.refuse_nodes(monkeypatch)
+        out = tmp_path / "phi.json"
+        assert cli.main(["verify", "phi", "--n", "2", "--b", "2",
+                         "--inject-fault", "--out", str(out)]) == 1
+        golden = DATA / "verify_phi_n2_b2_inject_fault.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_map_table(self, monkeypatch):
+        want = ref.as_map_table(cli._phi_map(1, 3, False))
+        self.refuse_nodes(monkeypatch)
+        assert map_table(cli._phi_map(1, 3, False)).to_dict() == want
+
+
 class TestVerifyProjection:
     def test_exhaustive_small(self, pm_small):
         rep = verify_projection(pm_small, seed=0)
