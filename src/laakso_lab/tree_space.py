@@ -21,12 +21,12 @@ preorder (the order of ``nodes()``), where every subtree is a contiguous
 rank range: the subtree of a node at level l spans ``spans[l]`` ranks, and
 the k-th child of the node at rank r has rank r + 1 + (k - 1) * spans[l+1].
 ``node_at`` and ``rank_of`` convert between the two addresses in O(d) of
-this span arithmetic, and ``rank_distance`` computes distances of rank
-pairs by it, an array of pairs at a time, with no node built.  The shape of
-the preorder (every rank's level and increment) is built once per space as
-arrays, and whole rows of the metric come from it: the lcp depths of one
-node against all others are the levels of its ancestors written over their
-ranges, root first.
+this span arithmetic, ``child_ranks`` is its child step on arrays of
+ranks, and ``rank_distance`` computes distances of rank pairs by it, an
+array of pairs at a time, with no node built.  The level of every rank is
+built once per space as an array, and whole rows of the metric come from
+it: the lcp depths of one node against all others are the levels of its
+ancestors written over their ranges, root first.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -109,14 +109,6 @@ def tree_distance(a: TreeNode, b: TreeNode) -> int:
     return len(a.elements) + len(b.elements) - 2 * n
 
 
-class PreorderShape(NamedTuple):
-    """Every node of a tree space, by rank: its level and its increment
-    (the k of "k-th child", 0 at the root), as int32 arrays."""
-
-    levels: np.ndarray
-    increments: np.ndarray
-
-
 @dataclass(frozen=True)
 class TreeSpace:
     """The truncated tree T_{b,d}: increments in 1..b, levels at most d."""
@@ -183,20 +175,23 @@ class TreeSpace:
         return tuple(reversed(out))
 
     @cached_property
-    def shape(self) -> PreorderShape:
-        """The preorder shape, built from the recursion alone: a subtree of
-        height h is its root followed by b subtrees of height h - 1, one
-        level deeper, whose roots are the increments 1..b.  No node is
-        built; the enumeration cap applies."""
+    def levels(self) -> np.ndarray:
+        """The level of every rank, as an int32 array, built from the
+        recursion alone: a subtree of height h is its root followed by b
+        subtrees of height h - 1, one level deeper.  No node is built; the
+        enumeration cap applies."""
         self._require_enumerable()
-        root = levels = increments = np.zeros(1, dtype=np.int32)
+        root = levels = np.zeros(1, dtype=np.int32)
         for _ in range(self.depth):
-            height = len(levels)
             levels = np.concatenate([root] + [levels + 1] * self.branching)
-            kids = np.tile(increments, self.branching)
-            kids[::height] = np.arange(1, self.branching + 1)
-            increments = np.concatenate([root, kids])
-        return PreorderShape(levels, increments)
+        return levels
+
+    def child_ranks(self, ranks, levels, k) -> np.ndarray:
+        """The ranks of the k-th children of the nodes at ``ranks`` on
+        ``levels``, r + 1 + (k - 1) * spans[l + 1]: past the parent and the
+        subtrees of its k - 1 earlier children.  Each argument is an
+        integer or an integer array; arrays broadcast."""
+        return ranks + (1 + (k - 1) * np.asarray(self.spans)[levels + 1])
 
     def rank_of(self, node: TreeNode) -> int:
         """The rank of ``node``: each step down to a k-th child skips the
@@ -239,9 +234,15 @@ class TreeSpace:
         walked down from the root together, one level per step, each
         entering the child whose range holds its rank until it reaches
         it; the chains agree down to the lcp.  O(d) array steps and O(len)
-        memory, no node built, no cap."""
+        memory, no node built, no cap.  A rank outside 0..size - 1 is
+        refused, as by ``node_at``."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
+        ranks = np.concatenate([i.ravel(), j.ravel()])
+        outside = ranks[(ranks < 0) | (ranks >= self.size())]
+        if len(outside):
+            raise DomainError(
+                f"rank {outside[0]} is outside 0..{self.size() - 1}")
         ai, aj = np.zeros_like(i), np.zeros_like(j)
         li, lj, lcp = np.zeros_like(i), np.zeros_like(j), np.zeros_like(i)
         for span in self.spans[1:]:
@@ -262,9 +263,8 @@ class TreeSpace:
         is built by writing the level of each ancestor of i (i included)
         over its range, root first, and the row is level(i) + level -
         2 * lcp: exact integers, one slice write per ancestor, O(size)
-        memory per row.  The levels are those of ``shape``; no node is
-        built."""
-        levels = self.shape.levels
+        memory per row.  The levels are ``levels``; no node is built."""
+        levels = self.levels
         span = self.spans
         # (start, level) of the ancestors: in preorder, the latest node
         # seen at each lower level is the current node's ancestor there.

@@ -14,7 +14,7 @@ tree, so on ancestor pairs the projection loses no distance at all: it is
 from __future__ import annotations
 
 import random
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, RelationError
 from .laakso_graph import LaaksoGraph, VertexId
 from .quotient_analysis import FiniteMetricSpace, MetricMapTable
-from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance
+from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance, tree_parent
 
 EXHAUSTIVE_NODE_LIMIT = 2**12
 PREIMAGE_SAMPLE = 256
@@ -38,18 +38,13 @@ class TreeToGraphMap:
     """The projection T_{b,d} -> G_n with d = 3**n and matching branching.
 
     A child's image is one step from its parent's image (``_child_image``)
-    with two drivers.  ``image_index`` answers for one node, of any tree,
-    enumerable or not: images are memoized in ``_memo``, keyed by a node's
-    element tuple and holding the index of its image in ``graph.vertices``;
-    a miss recurses on the parent's tuple, so no parent node is built.
-    ``rank_images`` answers for every node at once, by rank, level by
-    level over ``tree.shape`` through a table of the step, and honours the
-    memo: a tuple found there keeps its memoized image, as ``image_index``
-    would return it, and its descendants step from that.  The memo only
-    grows and every query is pure given the memo, so instances are safe
-    for concurrent reads.  ``_flip_node`` is a test hook: at that one tree
-    node the fraternal index is deliberately mis-wired to the next
-    sibling, which verification must catch.
+    with two drivers: ``image_index`` for one node of any tree, enumerable
+    or not, and ``rank_images`` for every node by rank; images are indices
+    in ``graph.vertices``.  An instance holds only its tree, its graph and
+    ``_flip_node`` and never changes after construction, so every query is
+    pure and instances are safe for concurrent reads.  ``_flip_node`` is a
+    test hook: at that one tree node the fraternal index is deliberately
+    mis-wired to the next sibling, which verification must catch.
     """
 
     def __init__(
@@ -69,36 +64,28 @@ class TreeToGraphMap:
         self.tree = tree
         self.graph = graph
         self._flip_node = _flip_node
-        self._memo: dict[tuple[int, ...], int] = {
-            (): graph.index(graph.root)
-        }
 
     def image(self, node: TreeNode) -> VertexId:
         return self.graph.vertices[self.image_index(node.elements)]
 
     def image_index(self, elements: tuple[int, ...]) -> int:
         """The index in ``graph.vertices`` of the image of the node with
-        these elements.  Every step down must add an increment in 1..b,
-        branching or not, and the node may not lie below the depth."""
-        hit = self._memo.get(elements)
-        if hit is not None:
-            return hit
-        if len(elements) > self.tree.depth:
-            raise DomainError(
-                f"node {TreeNode(elements)} has level {len(elements)} "
-                f"> depth {self.tree.depth}"
-            )
-        above = self.image_index(elements[:-1])
-        base = elements[-2] if len(elements) > 1 else 0
-        k = elements[-1] - base
-        if not 1 <= k <= self.tree.branching:
-            raise DomainError(
-                f"node {TreeNode(elements)} has fraternal index {k}, "
-                f"outside 1..{self.tree.branching}"
-            )
-        img = self._child_image(above, k, self._flip_node is not None
-                                and elements == self._flip_node.elements)
-        self._memo[elements] = img
+        these elements, stepped down from the root one element at a time.
+        Every step must add an increment in 1..b, branching or not, and
+        the node may not lie below the depth."""
+        tree, flip = self.tree, self._flip_node
+        if len(elements) > tree.depth:
+            raise DomainError(f"node {TreeNode(elements)} has level "
+                              f"{len(elements)} > depth {tree.depth}")
+        img = self.graph.index(self.graph.root)
+        for level, (prev, m) in enumerate(zip((0,) + elements, elements), 1):
+            k = m - prev
+            if not 1 <= k <= tree.branching:
+                raise DomainError(
+                    f"node {TreeNode(elements[:level])} has fraternal index "
+                    f"{k}, outside 1..{tree.branching}")
+            img = self._child_image(img, k, flip is not None
+                                    and elements[:level] == flip.elements)
         return img
 
     def _child_image(self, above: int, k: int, flip: bool = False) -> int:
@@ -111,46 +98,34 @@ class TreeToGraphMap:
         return kids[k % len(kids)] if flip else kids[k - 1]
 
     def rank_images(self) -> np.ndarray:
-        """The image index of every tree node, by rank: equal to
-        ``image_index`` on every node, memo and ``_flip_node`` included.
-        Level by level over ``tree.shape``: each node steps from its
-        parent's image through the |V| x b table of ``_child_image``, the
-        flip node takes the mis-wired step, and every node whose tuple is
-        in the memo takes its memoized image before the next level steps
-        from it."""
-        tree, graph = self.tree, self.graph
-        levels, increments = tree.shape
+        """The image index of every tree node, by rank, equal to
+        ``image_index`` on every node.  Level by level from the root: the
+        k-th children of every node, at their ``TreeSpace.child_ranks``,
+        take its image's step through the |V| x b table of ``_child_image``;
+        then the flip node, if it is a tree node below the root, takes the
+        mis-wired step, and its descendants step from that.  The
+        enumeration cap applies."""
+        tree, graph, b = self.tree, self.graph, self.tree.branching
         step = np.array([
-            [self._child_image(v, k) if kids else -1
-             for k in range(1, tree.branching + 1)]
+            [self._child_image(v, k) if kids else -1 for k in range(1, b + 1)]
             for v, kids in enumerate(graph.child_table)
         ], dtype=np.intp)
-        planted: list[list[tuple[int, int]]] = [[] for _ in tree.spans]
-        for elements, img in self._memo.items():
-            planted[len(elements)].append(
-                (tree.rank_of(TreeNode(elements)), img))
-        flip = self._flip_node
-        flip_rank = (tree.rank_of(flip) if flip is not None and flip.level
-                     and flip in tree else None)
-        out = np.full(len(levels), -1, dtype=np.intp)
-        for lv, span in enumerate(tree.spans):
-            at = np.flatnonzero(levels == lv)
-            if lv:
-                k = increments[at]
-                out[at] = step[out[at - 1 - (k - 1) * span], k - 1]
-            if flip_rank is not None and lv == flip.level:
-                k = int(increments[flip_rank])
-                above = out[flip_rank - 1 - (k - 1) * span]
-                out[flip_rank] = self._child_image(int(above), k, True)
-            if planted[lv]:
-                ranks, imgs = zip(*planted[lv])
-                out[list(ranks)] = imgs
-            stuck = at[out[at] < 0]
-            if len(stuck):
-                # Below an image with no child, as only a planted memo
-                # makes: the point driver fails there, and says how.
-                self.image_index(tree.node_at(stuck[0]).elements)
-                raise AssertionError("rank and point images disagree")
+        flip, flip_rank = self._flip_node, None
+        if flip is not None and flip.level and flip in tree:
+            parent = tree_parent(flip)
+            above, flip_rank = tree.rank_of(parent), tree.rank_of(flip)
+            k = flip.elements[-1] - (parent.elements[-1] if parent.level
+                                     else 0)
+        out = np.empty(len(tree.levels), dtype=np.intp)
+        out[0] = graph.index(graph.root)
+        at = np.zeros(1, dtype=np.intp)
+        for lv in range(tree.depth):
+            below = [tree.child_ranks(at, lv, k) for k in range(1, b + 1)]
+            for col, ranks in enumerate(below):
+                out[ranks] = step[out[at], col]
+            if flip_rank is not None and lv + 1 == flip.level:
+                out[flip_rank] = self._child_image(int(out[above]), k, True)
+            at = np.concatenate(below)
         return out
 
     def lift(self, node: TreeNode, target: VertexId) -> TreeNode:
@@ -182,7 +157,7 @@ def verify_projection(
     preimages of the upper one.  Both spaces are graded, so the ancestor
     rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
     graph distances and tells comparable node pairs by their distance.
-    Nodes are handled by rank, as arrays: levels from ``tree.shape`` and
+    Nodes are handled by rank, as arrays: levels from ``tree.levels`` and
     images from ``pm.rank_images``.  The exhaustive sweep reads the tree
     distances row by row from ``TreeSpace.distance_rows``, each row against
     the later ranks, and records the first Lipschitz failures in row-major
@@ -190,14 +165,15 @@ def verify_projection(
     ``TreeSpace.rank_distance``.  Both feed one fold that counts the strata
     and records the counterexamples.  The lifts of one ancestor pair share
     its one ``graph.descent``: a lift's rank is its preimage's rank
-    advanced by the descent's increments, and each lift is judged on its
-    own.  ``TreeNode``s are built only for counterexample records.
+    advanced by ``TreeSpace.child_ranks`` along the descent's increments,
+    and each lift is judged on its own.  ``TreeNode``s are built only for
+    counterexample records.
     ``exhaustive`` forces the mode; left as None it is chosen by size.
     Failures are report content, never exceptions."""
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     tree, graph = pm.tree, pm.graph
-    levels = tree.shape.levels
+    levels = tree.levels
     size = len(levels)
     if exhaustive is None:
         exhaustive = size <= EXHAUSTIVE_NODE_LIMIT and samples is None
@@ -240,9 +216,9 @@ def verify_projection(
 
     # Lift exactness on every ancestor pair of the graph, over preimages of
     # the upper vertex, ascending by rank.  Every preimage J of u has image
-    # u, so its lift towards v is J's rank advanced by the increments of
-    # the one descent from u to v, each step to a k-th child skipping k - 1
-    # sibling subtrees of the span one level below.
+    # u, so its lift towards v is J's rank advanced to the k-th child for
+    # each increment k of the one descent from u to v.  A step to a child
+    # adds an offset set by the level and k alone, so the offsets add up.
     by_image = np.argsort(gsel, kind="stable")
     counts = np.bincount(gsel, minlength=len(graph.vertices))
     ends = np.cumsum(counts)
@@ -261,12 +237,11 @@ def verify_projection(
         top = levels[pool]
         deep = pool[top + len(steps) > tree.depth]
         if len(deep):
-            # Only a planted memo lifts a node below the depth: the point
-            # route refuses that lift, and says how.
+            # Only a map that breaks levels lifts a node below the depth:
+            # the point route refuses that lift, and says how.
             pm.image(_extend(tree.node_at(deep[0]), accumulate(steps)))
-        K = pool.copy()
-        for t, k in enumerate(steps, 1):
-            K += 1 + (k - 1) * spans[top + t]
+        step_levels = top[:, None] + np.arange(len(steps))
+        K = pool + tree.child_ranks(0, step_levels, np.array(steps)).sum(1)
         inside = K < pool + spans[top]
         K = np.where(inside, K, pool)
         ok = inside & (gsel[K] == iv) & (levels[K] - top == dm)
@@ -403,12 +378,9 @@ def sibling_lift_separation(pm: TreeToGraphMap) -> dict:
             bad.append({"center": graph.label(mu1), "error": str(exc)})
             continue
         for m in SIBLING_DEPTHS:
-            targets = []
-            for c in kids:
-                nu = c
-                for _ in range(m - 1):
-                    nu = graph.children(nu)[0]
-                targets.append(nu)
+            targets = kids
+            for _ in range(m - 1):
+                targets = [graph.children(nu)[0] for nu in targets]
             try:
                 lifted = [
                     pm.lift(child, nu)
@@ -420,17 +392,14 @@ def sibling_lift_separation(pm: TreeToGraphMap) -> dict:
                 bad.append({"center": graph.label(mu1), "depth": m,
                             "error": str(exc)})
                 continue
-            for a in range(len(kids)):
-                for b_ in range(a + 1, len(kids)):
-                    checked += 1
-                    dt = tree_distance(lifted[a], lifted[b_])
-                    dm = graph.distance(targets[a], targets[b_])
-                    if dt != 2 * m or dm > dt:
-                        bad.append(
-                            {"center": graph.label(mu1), "depth": m,
-                             "tree_dist": dt, "graph_dist": dm,
-                             "expected_tree_dist": 2 * m}
-                        )
+            for a, b_ in combinations(range(len(kids)), 2):
+                checked += 1
+                dt = tree_distance(lifted[a], lifted[b_])
+                dm = graph.distance(targets[a], targets[b_])
+                if dt != 2 * m or dm > dt:
+                    bad.append({"center": graph.label(mu1), "depth": m,
+                                "tree_dist": dt, "graph_dist": dm,
+                                "expected_tree_dist": 2 * m})
     return {"checked": checked, "counterexamples": bad[:5], "pass": not bad}
 
 
@@ -451,11 +420,11 @@ def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     the stack of ``TreeSpace.distance_rows``, the graph matrix is
     ``LaaksoGraph.distance_matrix``, both int32, and both strict ancestor
     relations are read off them by the rule of ``ancestor_pairs``, with
-    the tree levels from ``TreeSpace.shape``; the assignment is
+    the tree levels from ``TreeSpace.levels``; the assignment is
     ``pm.rank_images``.  Every input check of ``FiniteMetricSpace`` and
-    ``MetricMapTable`` runs.  Only feasible at desk scale; the tree shape
-    enforces the enumeration cap."""
-    levels = pm.tree.shape.levels
+    ``MetricMapTable`` runs.  Only feasible at desk scale; the tree levels
+    enforce the enumeration cap."""
+    levels = pm.tree.levels
     sdist = np.empty((len(levels), len(levels)), dtype=np.int32)
     for i, row in pm.tree.distance_rows():
         sdist[i] = row
@@ -494,10 +463,9 @@ def lifted_fork(pm: TreeToGraphMap, fork: tuple) -> dict:
             problems.append(f"center-to-{graph.label(a)} lift length != r")
         if tree_distance(s0, K) != 2 * r:
             problems.append(f"head-to-{graph.label(a)} lift length != 2r")
-    for i in range(len(s2)):
-        for j in range(i + 1, len(s2)):
-            if tree_distance(s2[i], s2[j]) != 2 * r:
-                problems.append(f"lifted arms {i},{j} not at spread 2r")
+    for i, j in combinations(range(len(s2)), 2):
+        if tree_distance(s2[i], s2[j]) != 2 * r:
+            problems.append(f"lifted arms {i},{j} not at spread 2r")
     return {
         "r": r,
         "head": graph.label(head),

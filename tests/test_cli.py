@@ -221,6 +221,18 @@ class TestVerifyAll:
         assert rep["suites"]["projection"]["pass"] is False
         assert rep["suites"]["graphs"]["pass"] is True
 
+    @pytest.mark.parametrize("argv,code,name", [
+        ([], 0, "verify_all_seed0"),
+        (["--inject-fault"], 1, "verify_all_seed0_inject_fault"),
+    ])
+    def test_report_is_golden(self, tmp_path, argv, code, name):
+        out = tmp_path / "all.json"
+        assert cli.main(["verify", "all", "--seed", "0", *argv,
+                         "--out", str(out)]) == code
+        golden = Path(__file__).parent / "data" / f"{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
+        assert "timings_seconds" not in json.loads(out.read_text())
+
     def test_builds_the_map_tables_without_a_dict_round_trip(self,
                                                            monkeypatch):
         def refuse(*args):

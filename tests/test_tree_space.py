@@ -197,15 +197,17 @@ class TestRanks:
         assert space.spans[0] == space.size() == len(nodes)
 
     @pytest.mark.parametrize("b,d", [(3, 0), (1, 5), (2, 4), (3, 3)])
-    def test_shape_is_the_levels_and_increments_in_node_order(self, b, d):
+    def test_levels_and_child_ranks_in_node_order(self, b, d):
+        # Every non-root node is the k-th child of its parent, k its
+        # increment, at the child rank of its parent's rank.
         space = TreeSpace(b, d)
         nodes = space.nodes()
-        levels, increments = space.shape
-        assert levels.tolist() == [J.level for J in nodes]
-        assert increments.tolist() == [0] + [
-            J.elements[-1] - (J.elements[-2] if J.level > 1 else 0)
-            for J in nodes[1:]
-        ]
+        assert space.levels.tolist() == [J.level for J in nodes]
+        for J in nodes[1:]:
+            parent = tree_parent(J)
+            k = J.elements[-1] - (parent.elements[-1] if parent.level else 0)
+            assert space.child_ranks(space.rank_of(parent), J.level - 1,
+                                     k) == space.rank_of(J)
 
     @pytest.mark.parametrize("node,message", [
         ((1, 4), r"increment 3, outside 1\.\.2"),
@@ -220,6 +222,17 @@ class TestRanks:
     def test_node_at_refuses_a_rank_outside_the_space(self, rank):
         with pytest.raises(DomainError, match=r"outside 0\.\.14"):
             TreeSpace(2, 3).node_at(rank)
+
+    @pytest.mark.parametrize("i,j,rank", [
+        ([0, 0, 3], [15, 10**6, -1], 15),
+        ([-1], [0], -1),
+        ([3, 10**6], [14, 0], 10**6),
+    ])
+    def test_rank_distance_refuses_a_rank_outside_the_space(self, i, j,
+                                                            rank):
+        with pytest.raises(DomainError,
+                           match=rf"rank {rank} is outside 0\.\.14"):
+            TreeSpace(2, 3).rank_distance(i, j)
 
     def test_refusals_are_bad_input(self):
         # DomainError is the ValueError that the command line reports as
@@ -236,7 +249,7 @@ class TestRanks:
         far = space.rank_of(TreeNode((2, 4)))
         assert space.rank_distance([27, far], [far, 0]).tolist() == [29, 2]
         with pytest.raises(CapacityError):
-            space.shape
+            space.levels
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rank_distances_of_the_sampled_pairs(self, seed):

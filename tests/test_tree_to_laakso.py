@@ -27,18 +27,37 @@ def pm_small():
     return TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
 
 
+class Planted(TreeToGraphMap):
+    """A projection with faulty images planted at some nodes: ``planted``
+    maps element tuples to vertex indices.  Both drivers return the
+    planted image of a planted node and the true image of every other
+    node, descendants of planted nodes included."""
+
+    def __init__(self, tree, graph, planted):
+        super().__init__(tree, graph)
+        self.planted = planted
+
+    def image_index(self, elements):
+        hit = self.planted.get(elements)
+        return super().image_index(elements) if hit is None else hit
+
+    def rank_images(self):
+        out = super().rank_images()
+        for elements, img in self.planted.items():
+            out[self.tree.rank_of(TreeNode(elements))] = img
+        return out
+
+
 @pytest.fixture(scope="module")
 def pm_folded():
     """phi(1,2) with the subtree of {1} pushed one level down: {1} onto w1
     and its descendants onto the sink.  Levels, the 1-Lipschitz bound and
     lift exactness all fail, and every image and lift stays defined."""
-    pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
-    g = pm.graph
-    for J in pm.tree.nodes():
-        if J.elements[:1] == (1,):
-            pm._memo[J.elements] = g.index(
-                g.by_label("w1") if J.level == 1 else g.sink)
-    return pm
+    tree, g = TreeSpace(2, 3), build_laakso(1, 2)
+    return Planted(tree, g, {
+        J.elements: g.index(g.by_label("w1") if J.level == 1 else g.sink)
+        for J in tree.nodes() if J.elements[:1] == (1,)
+    })
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +66,14 @@ def pm_mid():
 
 
 @pytest.fixture(scope="module")
-def pm_mid_folded():
+def pm_mid_folded(pm_mid):
     """phi(2,2) with {1,2,3,4,5} pushed one level down onto the image of
     its first child.  Each of its five ancestors, from the root down, and
     the node itself against later nodes break the 1-Lipschitz bound: twelve
     failures over six rows, every image and lift still defined."""
-    pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
-    for J in pm.tree.nodes():
-        pm.image(J)
     node = TreeNode((1, 2, 3, 4, 5))
-    pm._memo[node.elements] = pm.image_index(node.child(6).elements)
-    return pm
+    return Planted(pm_mid.tree, pm_mid.graph, {
+        node.elements: pm_mid.image_index(node.child(6).elements)})
 
 
 DATA = Path(__file__).parent / "data"
@@ -195,7 +211,7 @@ class TestIndexRoutesMatchReference:
 
 class TestRankImages:
     """The rank driver of the image step against the point driver, node by
-    node, clean, mis-wired and on memo-planted maps."""
+    node, clean, mis-wired and on planted maps."""
 
     @pytest.mark.parametrize("flip", [None, cli.FAULT_NODE])
     @pytest.mark.parametrize("n,b", [(1, 2), (2, 2), (2, 3)])
@@ -213,21 +229,33 @@ class TestRankImages:
         assert images.tolist() == [pm.image_index(J.elements)
                                    for J in pm.tree.nodes()]
 
-    def test_a_planted_image_with_no_child_fails_as_the_point_driver(self):
-        # {1} planted on the sink: its children have no image, and both
-        # drivers refuse them the same way.
-        pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
-        pm._memo[(1,)] = pm.graph.index(pm.graph.sink)
-        with pytest.raises(Exception) as point:
-            pm.image_index((1, 2))
-        with pytest.raises(type(point.value), match=str(point.value)):
-            pm.rank_images()
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3)])
+    def test_every_flip_moves_both_drivers(self, n, b):
+        # The flip node in turn at every node of the tree, at the root and
+        # at two nodes outside it (an increment above b): both drivers
+        # agree with each other and with the reference recursion, and the
+        # root and the outside nodes change no image.
+        tree, g = TreeSpace(b, 3**n), build_laakso(n, b)
+        nodes = tree.nodes()
+        clean = TreeToGraphMap(tree, g).rank_images().tolist()
+        moved = 0
+        for flip in [*nodes, TreeNode((b + 1,)), TreeNode((1, b + 2))]:
+            pm = TreeToGraphMap(tree, g, _flip_node=flip)
+            images = pm.rank_images().tolist()
+            assert images == [pm.image_index(J.elements) for J in nodes]
+            assert images == [g.index(ref.image(pm, J)) for J in nodes]
+            if flip.is_root or flip not in tree:
+                assert images == clean
+            moved += images != clean
+            if (n, b) == (1, 2):
+                assert verify_projection(pm) == ref.verify_projection(pm)
+        assert moved > 0
 
     def test_a_lift_below_the_depth_is_refused_as_by_the_point_route(self):
         # A leaf planted on the root: lifting it towards any vertex leaves
         # the tree, which both verifiers refuse.
-        pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
-        pm._memo[(1, 2, 3)] = pm.graph.index(pm.graph.root)
+        g = build_laakso(1, 2)
+        pm = Planted(TreeSpace(2, 3), g, {(1, 2, 3): g.index(g.root)})
         with pytest.raises(DomainError, match=r"level 4 > depth 3"):
             ref.verify_projection(pm)
         with pytest.raises(DomainError, match=r"level 4 > depth 3"):
@@ -314,15 +342,13 @@ class TestVerifyProjection:
     def test_sampled_failures_match_pairwise_reference(self, seed):
         # phi(2,2) with the subtree of {1} pushed one level down, leaves
         # onto the sink: Lipschitz failures common enough to be sampled.
-        pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
-        nodes = pm.tree.nodes()
-        for J in nodes:
-            pm.image(J)
-        for J in nodes:
-            if J.elements[:1] == (1,):
-                pm._memo[J.elements] = (
-                    pm.image_index(J.child(J.elements[-1] + 1).elements)
-                    if J.level < 9 else pm.graph.index(pm.graph.sink))
+        clean = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+        pm = Planted(clean.tree, clean.graph, {
+            J.elements: (
+                clean.image_index(J.child(J.elements[-1] + 1).elements)
+                if J.level < 9 else clean.graph.index(clean.graph.sink))
+            for J in clean.tree.nodes() if J.elements[:1] == (1,)
+        })
         rep = verify_projection(pm, seed=seed, exhaustive=False)
         assert rep["mode"] == "sampled"
         assert len(rep["checks"]["lipschitz"]["counterexamples"]) == 5
@@ -605,3 +631,29 @@ class TestLiftedFork:
         for i in range(len(tines)):
             for j in range(i + 1, len(tines)):
                 assert tree_distance(tines[i], tines[j]) == 6
+
+
+@pytest.mark.parametrize("flip", [None, cli.FAULT_NODE])
+def test_queries_leave_the_map_unchanged(flip):
+    # A map holds its tree, its graph and its flip node, and no query
+    # writes to it: no image is remembered between calls.
+    pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2), _flip_node=flip)
+    before = dict(vars(pm))
+    assert set(before) == {"tree", "graph", "_flip_node"}
+    g = pm.graph
+    pm.image(TreeNode((1, 2, 3)))
+    pm.lift(ROOT, g.sink)
+    pm.rank_images()
+    rep = verify_projection(pm)
+    cases = [c for chk in rep["checks"].values()
+             for c in chk["counterexamples"] if isinstance(c, dict)]
+    for case in cases + [{"check": "level", "node": [1, 2]},
+                         {"check": "lipschitz", "node": [1, 2],
+                          "other": [1, 3]},
+                         {"check": "lift", "node": [], "vertex": "t.w1"}]:
+        replay_case(pm, case)
+    map_table(pm)
+    sibling_lift_separation(pm)
+    lifted_fork(pm, next(find_forks(g, r_min=1)))
+    assert vars(pm) == before
+    assert all(vars(pm)[key] is value for key, value in before.items())
