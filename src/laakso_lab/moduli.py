@@ -7,10 +7,10 @@ standard extremal model for l_p: perturbations disjointly supported from the
 base vector, which turns each modulus into a closed-form expression in one
 scalar.  Every closed form is validated against an independent numerical
 optimization over the model's free parameters, never trusted bare: a
-dense grid of the raw objective in numpy, polished in pure Python by
-golden-section search in one parameter or compass search in two.  The
-model values are not claimed to be the Banach-space moduli themselves; they
-are the l_p surrogates the inequalities of interest are checked on.
+dense grid of the raw objective in numpy, polished in pure Python by one
+compass search, in one parameter or in two.  The model values are not
+claimed to be the Banach-space moduli themselves; they are the l_p
+surrogates the inequalities of interest are checked on.
 
 Closed forms, for 1 < p < infinity:
 
@@ -28,7 +28,7 @@ Closed forms, for 1 < p < infinity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, log, sqrt
+from math import inf
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,11 +70,9 @@ def auc_oracle(m: LpModel, t: float) -> float:
     ||z|| in [t, 4] numerically instead of arguing monotonicity.  A dense
     grid including both endpoints, evaluated in one array expression; the
     best grid point is re-evaluated by the scalar objective, since an
-    array power may differ from a scalar one in the last place.  Then a
-    golden-section polish of the cells on either side of it.  The polish
-    evaluates interior points only and stops up to 1e-12 short of a
-    boundary minimum, so the endpoint evaluations are what make the
-    tight tolerance reachable."""
+    array power may differ from a scalar one in the last place.  Then the
+    compass search polishes it on [t, 4], from a step of one grid spacing
+    down to 1e-12."""
     if not 0 < t <= 1:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     p = m.p
@@ -84,30 +82,8 @@ def auc_oracle(m: LpModel, t: float) -> float:
 
     zs = np.linspace(t, 4.0, 4097)
     k = int(np.argmin((1 + np.abs(zs) ** p) ** (1 / p) - 1))
-    lo = float(zs[max(k - 1, 0)])
-    hi = float(zs[min(k + 1, len(zs) - 1)])
-    return min(f(float(zs[k])), _golden_min(f, lo, hi, 1e-12))
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float) -> float:
-    """The least value golden-section search finds for f on [lo, hi]: the
-    bracket shrinks by the golden ratio until it is at most xtol wide, and
-    only interior points are evaluated."""
-    g = (sqrt(5) - 1) / 2
-    steps = ceil(log(xtol / (hi - lo)) / log(g)) if hi - lo > xtol else 0
-    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = f(d)
-    return min(fc, fd)
+    return -_compass_max(lambda z: -f(z), (float(zs[k]),), (t,), (4.0,),
+                         ((4.0 - t) / 4096,), 1e-12)
 
 
 def beta_model(m: LpModel, t: float) -> float:
@@ -160,26 +136,29 @@ def beta_oracle(m: LpModel, t: float, sign: str = "plus") -> float:
         return body ** (1 / p) / 2
 
     start = (float(a_grid[0, j, 0]), float(w_grid[0, 0, k]))
-    return 1 - _compass_max(midpoint, start, (1.0, w_cap),
+    return 1 - _compass_max(midpoint, start, (0.0, 0.0), (1.0, w_cap),
                             (1 / 20, w_cap / 20), 1e-10)
 
 
-def _compass_max(f: Callable[[float, float], float],
-                 start: tuple[float, float], upper: tuple[float, float],
-                 step: tuple[float, float], tol: float) -> float:
-    """The greatest value compass search finds for f(a, b) over the box
-    [0, upper[0]] x [0, upper[1]], from start: a move of the current steps
-    along either axis, either way, clipped to the box, is taken when it
-    improves strictly; when none does, both steps halve, until each is at
-    most tol.  The value at start is evaluated first, so the result is
-    never below it."""
+def _compass_max(f: Callable[..., float], start: Sequence[float],
+                 lower: Sequence[float], upper: Sequence[float],
+                 step: Sequence[float], tol: float) -> float:
+    """The greatest value compass search finds for f(*x) over the box
+    lower <= x <= upper, of any dimension, from start: a move of the
+    current step along one axis, up or down, clipped to the box, is taken
+    when it improves strictly, the moves tried in the order (axis 0, up),
+    (axis 0, down), (axis 1, up), ...; when none does, every step halves,
+    until each is at most tol.  The value at start is evaluated first, so
+    the result is never below it."""
     x = list(start)
     step = list(step)
+    moves = [(axis, sgn) for axis in range(len(x)) for sgn in (1.0, -1.0)]
     best = f(*x)
     while max(step) > tol:
-        for axis, sgn in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)):
+        for axis, sgn in moves:
             y = list(x)
-            y[axis] = min(max(x[axis] + sgn * step[axis], 0.0), upper[axis])
+            y[axis] = min(max(x[axis] + sgn * step[axis], lower[axis]),
+                          upper[axis])
             val = f(*y)
             if val > best:
                 x, best = y, val

@@ -20,10 +20,15 @@ share only the input table:
   per table.
 
 `cross_validate_atd` checks the two routes against each other on a grid.
+Both decide the boundary D/rho = c exactly, so that they disagree only
+about the map, never about rounding: the profile takes its restricted
+minima as Fractions and reports their floats, and the predicate compares
+a float quotient equal to c as a Fraction.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,9 +117,11 @@ class FiniteMetricSpace:
     diagonal, positivity off the diagonal, the triangle inequality, and
     strictness of the order, whose pairs must be two-element lists of
     integer indices.  The triangle inequality is checked exhaustively up
-    to 256 points; above that, on 20000 triples (i, j, k) drawn by
-    `np.random.default_rng(0).integers` and compared in one vector step,
-    and the first failing triple in sample order is reported.
+    to 256 points; above that, on 20000 triples (i, j, k) compared in one
+    vector step, and the first failing triple in sample order is reported.
+    The triples are 60000 little-endian 32-bit words of
+    `random.Random(0).randbytes`, reduced mod n (a bias below n / 2**32),
+    i the first third, j the second, k the last.
     The table is nested sequences or a 2-D numpy array.  `dist` keeps the
     entries as given (an array's through one `tolist()` on first read, so
     an integer array gives Python ints); `array` is a read-only float64
@@ -183,8 +190,8 @@ class FiniteMetricSpace:
                         f"for pair ({bad[0]},{bad[1]})"
                     )
             return
-        rng = np.random.default_rng(0)
-        i, j, k = rng.integers(n, size=(3, TRIANGLE_SAMPLES))
+        draw = random.Random(0).randbytes(12 * TRIANGLE_SAMPLES)
+        i, j, k = np.frombuffer(draw, dtype="<u4").reshape(3, -1) % n
         over = arr[i, j] > arr[i, k] + arr[k, j] + 1e-12
         if over.any():
             s = int(np.argmax(over))
@@ -386,11 +393,33 @@ def atd_pairs(m: MetricMapTable) -> tuple[tuple[int, int, float, float], ...]:
     return m._atd_pairs
 
 
-def _co_minimum(m: MetricMapTable, mask: np.ndarray) -> float:
-    """min D/rho over the masked (source, target) cells; inf if none."""
+def _co_minimum(m: MetricMapTable, mask: np.ndarray) -> Fraction | float:
+    """The least D/rho over the masked (source, target) cells, exactly, as
+    a Fraction; inf if there are none.  Division is correctly rounded and
+    rounding is monotone, so the exact minimum lies among the cells whose
+    float quotient ties for the least one; it is taken over their distinct
+    (D, rho) pairs, and its float() is that least float quotient."""
     if not mask.any():
         return inf
-    return float((m._image_gap[mask] / m._nearest_preimage[mask]).min())
+    gap, rho = m._image_gap[mask], m._nearest_preimage[mask]
+    ratio = gap / rho
+    tied = ratio == ratio.min()
+    return min(Fraction(d) / Fraction(r)
+               for d, r in set(zip(gap[tied].tolist(), rho[tied].tolist())))
+
+
+def _restricted_minima(m: MetricMapTable, deltas) -> dict:
+    """c_atd(delta) for each delta, exactly: the least D/rho over the
+    related cells whose nearest preimage is past delta."""
+    related, rho = m._related, m._nearest_preimage
+    return {d: _co_minimum(m, related & (rho > d)) for d in deltas}
+
+
+def _delta_grid(delta_grid: Sequence[float]) -> list[float]:
+    deltas = sorted(set(float(d) for d in delta_grid))
+    if any(not d > 0 for d in deltas):
+        raise DomainError("delta grid must be positive")
+    return deltas
 
 
 @dataclass(frozen=True)
@@ -409,9 +438,7 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     this is its supremum over the grid)."""
     if not m.surjective:
         raise DomainError("coarse profile requires a surjective assignment")
-    deltas = sorted(set(float(d) for d in delta_grid))
-    if any(not d > 0 for d in deltas):
-        raise DomainError("delta grid must be positive")
+    deltas = _delta_grid(delta_grid)
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
 
     # L(d): the largest ratio over source pairs at distance >= d.
@@ -422,13 +449,12 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
 
     # c(d): the smallest D/rho over cells whose nearest preimage is past d.
     rho = m._nearest_preimage
-    c = {d: _co_minimum(m, rho > d) for d in deltas}
+    c = {d: float(_co_minimum(m, rho > d)) for d in deltas}
 
     c_atd = None
     c_atd_inf = None
     if m.source.order is not None and m.target.order is not None:
-        related = m._related
-        c_atd = {d: _co_minimum(m, related & (rho > d)) for d in deltas}
+        c_atd = {d: float(v) for d, v in _restricted_minima(m, deltas).items()}
         finite = [v for v in c_atd.values() if v < inf]
         c_atd_inf = max(finite) if finite else inf
     return CoarseProfile(lip=lip, L=L, c=c, c_atd=c_atd, c_atd_inf=c_atd_inf)
@@ -445,7 +471,8 @@ def c_atd_infinity(m: MetricMapTable) -> float:
     if not related.any():
         return inf
     rho = m._nearest_preimage[related]
-    return _co_minimum(m, related & (m._nearest_preimage == rho.max()))
+    return float(
+        _co_minimum(m, related & (m._nearest_preimage == rho.max())))
 
 
 def atd_violation(
@@ -453,13 +480,18 @@ def atd_violation(
 ) -> Optional[dict]:
     """Direct predicate route: hunt for a scale R >= delta and a related
     pair whose image gap fits under c*R while every preimage sits farther
-    than R.  Scanning R over the per-pair threshold max(delta, D/c) is
-    exhaustive because the predicate is monotone between realized values."""
+    than R.  The least candidate is R = max(delta, D/c), so for delta >= 0
+    a pair violates exactly when delta < rho and D/rho < c.  That is
+    decided exactly: a correctly rounded D / rho below or above c settles
+    it, and only a quotient equal to c is compared as a Fraction.  The
+    record reports that least R as its scale, in floats."""
     for x, y, D, rho in atd_pairs(m):
-        R = max(delta, D / c)
-        if R < rho and D <= c * R:
+        if not delta < rho:
+            continue
+        ratio = D / rho
+        if ratio < c or ratio == c and Fraction(D) / Fraction(rho) < c:
             return {
-                "source": x, "target": y, "scale": R,
+                "source": x, "target": y, "scale": max(delta, D / c),
                 "image_gap": D, "nearest_preimage": rho,
             }
     return None
@@ -474,19 +506,22 @@ def cross_validate_atd(
 ) -> dict:
     """Grid agreement between the predicate route and the optimized profile:
     for every (c, delta) the predicate must pass exactly when c does not
-    exceed the tabulated constant at delta."""
-    prof = coarse_profile(m, delta_grid)
+    exceed the profile's constant at delta.  c is compared with the exact
+    constant (a float against a Fraction compares exactly), not with its
+    float rounding; a disagreement reports the float."""
+    _require_orders(m)
+    exact = _restricted_minima(m, _delta_grid(delta_grid))
     disagreements = []
     checked = 0
     for d in delta_grid:
         for c in c_grid:
             checked += 1
             direct = check_atd_colip(m, c, d)
-            tabulated = c <= prof.c_atd[float(d)]
+            tabulated = c <= exact[float(d)]
             if direct != tabulated:
                 disagreements.append(
                     {"c": c, "delta": d, "predicate": direct,
-                     "tabulated_constant": prof.c_atd[float(d)]}
+                     "tabulated_constant": float(exact[float(d)])}
                 )
     return {
         "checked": checked,

@@ -12,9 +12,9 @@ common prefix and then descends to K.
 
 ``TreeSpace(b, d)`` truncates the tree to finitely many nodes: increments are
 bounded by ``b`` (children of J are J + (max(J)+k,) for k = 1..b, and (k,)
-for the root) and levels are bounded by ``d``.  The node count is
-sum(b**k for k in 0..d).  The distance formula itself is valid for arbitrary
-strictly increasing tuples, truncated or not.
+for the root) and levels are bounded by ``d``.  The node count, ``spans[0]``
+below, is sum(b**k for k in 0..d).  The distance formula itself is valid
+for arbitrary strictly increasing tuples, truncated or not.
 
 Nodes are also addressed by their rank, their index in depth-first
 preorder (the order of ``nodes()``), where every subtree is a contiguous
@@ -123,19 +123,14 @@ class TreeSpace:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
 
     def size(self) -> int:
-        b, d = self.branching, self.depth
-        if b == 1:
-            return d + 1
-        return (b ** (d + 1) - 1) // (b - 1)
+        return self.spans[0]
 
     def __contains__(self, node: TreeNode) -> bool:
-        if node.level > self.depth:
+        """Whether ``rank_of`` gives the node a rank."""
+        try:
+            self.rank_of(node)
+        except DomainError:
             return False
-        prev = 0
-        for m in node.elements:
-            if not 1 <= m - prev <= self.branching:
-                return False
-            prev = m
         return True
 
     def children(self, node: TreeNode) -> list[TreeNode]:

@@ -502,18 +502,20 @@ class TestUsage:
 START_PATH = """
 import json, sys
 import laakso_lab, laakso_lab.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-loaded = scipy_modules()
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy", "numpy.random")))
+loaded = heavy_modules()
 code = laakso_lab.cli.main(["verify", "all", "--seed", "0", "--out", sys.argv[1]])
-print(json.dumps({"import": loaded, "verify_all": scipy_modules(), "rc": code}))
+print(json.dumps({"import": loaded, "verify_all": heavy_modules(), "rc": code}))
 """
 
 
 def test_no_scipy_on_the_start_path(tmp_path):
     """A fresh interpreter imports the package and the CLI and runs
-    `verify all` without loading scipy: neither the start nor the moduli
-    oracles may pay for its import."""
+    `verify all` without loading scipy or `numpy.random`: neither the
+    start, the moduli oracles nor the sampled triangle check of the
+    1023-point projection table may pay for their import."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

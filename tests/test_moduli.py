@@ -111,32 +111,38 @@ class TestOracles:
 
 
 class TestPolish:
-    """The polish helpers on their own.  Every optimum of the oracles'
-    objectives sits at a grid point, so the helpers are driven here on
-    objectives whose optimum lies strictly inside a grid cell, or at a
-    corner of the box, with the oracles' own cells, steps and stopping
-    widths."""
+    """The one polish, compass search, on its own.  Every optimum of the
+    oracles' objectives sits at a grid point, so the search is driven here
+    on objectives whose optimum lies strictly inside a grid cell, or at an
+    end or a corner of the box, with the oracles' own cells, steps and
+    stopping widths: in one parameter as `auc_oracle` polishes, in two as
+    `beta_oracle` does."""
 
     @pytest.mark.parametrize("c", [0.30041, 1.7312, 3.99962])
-    def test_golden_inside_a_cell(self, c):
+    def test_compass_1d_inside_a_cell(self, c):
         zs = np.linspace(0.3, 4.0, 4097)
         k = int(np.searchsorted(zs, c))  # zs[k - 1] < c < zs[k]
         assert zs[k - 1] < c < zs[k]
+        lo, hi = float(zs[k - 1]), float(zs[k])
 
         def f(z):
             return math.cosh(3 * (z - c)) - 0.25
 
-        best = md._golden_min(f, float(zs[k - 1]), float(zs[k]), 1e-12)
+        best = -md._compass_max(lambda z: -f(z), (lo,), (lo,), (hi,),
+                                (hi - lo,), 1e-12)
         assert abs(best - 0.75) <= AUC_ORACLE_TOL
 
-    def test_golden_at_a_boundary(self):
+    def test_compass_1d_at_a_boundary(self):
         zs = np.linspace(0.25, 4.0, 4097)
+        lo, hi = float(zs[0]), float(zs[1])
 
         def f(z):
             return (1 + z**3) ** (1 / 3) - 1
 
-        best = md._golden_min(f, float(zs[0]), float(zs[1]), 1e-12)
-        assert f(float(zs[0])) <= best <= f(float(zs[0])) + AUC_ORACLE_TOL
+        # from the far end of the cell, the search must walk to its start
+        best = -md._compass_max(lambda z: -f(z), (hi,), (lo,), (hi,),
+                                (hi - lo,), 1e-12)
+        assert f(lo) <= best <= f(lo) + AUC_ORACLE_TOL
 
     @pytest.mark.parametrize("kinked", [False, True],
                              ids=["coupled", "kinked"])
@@ -156,7 +162,8 @@ class TestPolish:
 
         start = (round(a0 / step[0]) * step[0], round(w0 / step[1]) * step[1])
         assert start != (a0, w0)
-        best = md._compass_max(f, start, (1.0, w_cap), step, 1e-10)
+        best = md._compass_max(f, start, (0.0, 0.0), (1.0, w_cap), step,
+                               1e-10)
         assert 1 - BETA_ORACLE_TOL <= best <= 1
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["far", "origin"])
@@ -164,7 +171,7 @@ class TestPolish:
         # increasing in both coordinates on the box, or decreasing
         w_cap = 0.7
         best = md._compass_max(lambda a, w: sign * (a + w - a * w / 4),
-                               (0.35, 0.21), (1.0, w_cap),
+                               (0.35, 0.21), (0.0, 0.0), (1.0, w_cap),
                                (1 / 20, w_cap / 20), 1e-10)
         assert best == (1.0 + w_cap - w_cap / 4 if sign > 0 else 0.0)
 

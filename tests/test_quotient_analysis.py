@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -132,10 +133,14 @@ class TestFiniteMetricSpace:
         broken = sum(np.count_nonzero(dist > dist[:, [m]] + dist[[m], :])
                      for m in range(k))
         assert broken >= 0.01 * k**3
-        # The first failing triple in sample order, found one by one.
-        a, b, c = np.random.default_rng(0).integers(
-            k, size=(3, qa.TRIANGLE_SAMPLES)).tolist()
-        s = next(s for s in range(qa.TRIANGLE_SAMPLES)
+        # The first failing triple in sample order, found one by one: the
+        # draw's 32-bit little-endian words, reduced mod k, in thirds.
+        samples = qa.TRIANGLE_SAMPLES
+        draw = random.Random(0).randbytes(12 * samples)
+        words = [int.from_bytes(draw[4 * w:4 * w + 4], "little") % k
+                 for w in range(3 * samples)]
+        a, b, c = words[:samples], words[samples:-samples], words[-samples:]
+        s = next(s for s in range(samples)
                  if dist[a[s], b[s]] > dist[a[s], c[s]] + dist[c[s], b[s]])
         message = rf"fails via {c[s]} for pair \({a[s]},{b[s]}\)"
         for table in (dist, dist.tolist()):
@@ -387,6 +392,40 @@ class TestAtdPredicate:
         for m in (floor_by_3, identity_path, phi_table(1, 2), collapse_pair):
             rep = cross_validate_atd(m, c_grid, d_grid)
             assert rep["pass"], rep
+
+
+class TestAtdBoundary:
+    """At c equal to the tabulated constant, the two routes must agree about
+    the map, not about rounding: collapsing a path of 2k points onto two by
+    i -> i // k has c_atd = 1/k, and a float D / (D/rho) may round below
+    rho."""
+
+    @staticmethod
+    def collapse(k):
+        return MetricMapTable(path_space(2 * k), path_space(2),
+                              [i // k for i in range(2 * k)])
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_collapse_of_210_points(self, delta):
+        m = self.collapse(105)
+        c = coarse_profile(m, [delta]).c_atd[delta]
+        assert c == 1 / 105
+        assert cross_validate_atd(m, [c], [delta])["pass"]
+
+    def test_collapses_at_and_beside_the_constant(self):
+        for k in range(2, 61):
+            m = self.collapse(k)
+            prof = coarse_profile(m, [0.5, 1.0])
+            for delta, c in prof.c_atd.items():
+                grid = [math.nextafter(c, 0), c, math.nextafter(c, 1)]
+                rep = cross_validate_atd(m, grid, [delta])
+                assert rep["disagreements"] == [], (k, delta)
+
+    def test_cross_validation_needs_both_orders(self, identity_path):
+        bare = MetricMapTable(FiniteMetricSpace(identity_path.source.dist),
+                              identity_path.target, identity_path.assign)
+        with pytest.raises(DomainError, match="needs both orders"):
+            cross_validate_atd(bare, [1.0], [0.5])
 
 
 class TestForkSearch:

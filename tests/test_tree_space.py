@@ -108,6 +108,13 @@ class TestTreeSpace:
         assert TreeSpace(2, 3).size() == 1 + 2 + 4 + 8
         assert TreeSpace(3, 2).size() == 1 + 3 + 9
 
+    @pytest.mark.parametrize("b,d", [(b, d) for b in range(1, 5)
+                                     for d in range(6)] + [(8, 81)])
+    def test_size_is_the_closed_form(self, b, d):
+        # the geometric sum in closed form; T(8,81) is above the cap
+        want = d + 1 if b == 1 else (b ** (d + 1) - 1) // (b - 1)
+        assert TreeSpace(b, d).size() == want
+
     def test_enumeration_is_sorted_dfs(self):
         space = TreeSpace(2, 2)
         labels = [n.elements for n in space.nodes()]
@@ -130,6 +137,24 @@ class TestTreeSpace:
         assert TreeNode((1, 2, 3)) in space
         assert TreeNode((1, 2, 3, 4)) not in space  # too deep
         assert TreeNode((1, 4)) not in space  # offset 3 exceeds branching
+
+    @pytest.mark.parametrize("b,d", [(2, 3), (3, 2)])
+    def test_contains_iff_rank_of_accepts(self, b, d):
+        space = TreeSpace(b, d)
+
+        def ranked(node):
+            try:
+                space.rank_of(node)
+            except DomainError:
+                return False
+            return True
+
+        deep = TreeNode(tuple(range(1, d + 2)))  # one level too deep
+        wide = TreeNode((b + 1,))  # an increment of b + 1
+        for node in space.nodes():
+            assert node in space and ranked(node)
+        for node in (deep, wide):
+            assert node not in space and not ranked(node)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
