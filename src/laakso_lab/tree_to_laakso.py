@@ -161,7 +161,10 @@ def verify_projection(
     images from ``pm.rank_images``.  The exhaustive sweep reads the tree
     distances row by row from ``TreeSpace.distance_rows``, each row against
     the later ranks, and records the first Lipschitz failures in row-major
-    order; the sampled sweep computes the seeded pairs by
+    order; the sampled sweep draws its seeded pairs with ``_sample_pairs``,
+    pair by pair the stream of ``random.Random(seed).sample(range(size),
+    2)``, read off one bulk word stream for 21 < size < 2**32 and by the
+    per-pair loop at other sizes, and computes them by
     ``TreeSpace.rank_distance``.  Both feed one fold that counts the strata
     and records the counterexamples.  The lifts of one ancestor pair share
     its one ``graph.descent``: a lift's rank is its preimage's rank
@@ -198,9 +201,8 @@ def verify_projection(
             for i, row in tree.distance_rows()
         )
     else:
-        count = samples if samples is not None else 20_000
-        i, j = np.array(
-            [rng.sample(range(size), 2) for _ in range(count)]).T
+        i, j = _sample_pairs(rng, size,
+                             samples if samples is not None else 20_000)
         blocks = [(i, j, tree.rank_distance(i, j))]
     garr = graph.distance_matrix()
     lip_bad: list[dict] = []
@@ -290,6 +292,64 @@ def verify_projection(
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
+
+
+def _sample_pairs(rng: random.Random, size: int,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``count`` calls of ``rng.sample(range(size), 2)``, as
+    two int64 arrays, leaving ``rng`` in the state those calls leave.
+
+    It mirrors two CPython ``Random`` internals.  ``sample`` takes its
+    pool path for populations up to its ``setsize`` of 21 (k = 2 adds no
+    table size), and otherwise draws ``_randbelow(size)`` and redraws
+    while the value is already selected.  ``_randbelow_with_getrandbits``
+    draws ``getrandbits(size.bit_length())`` until the value is below
+    ``size``, and below 2**32 each of those is one 32-bit Mersenne word
+    shifted right by ``32 - size.bit_length()``.  So for 21 < size < 2**32
+    the pairs are read off one word stream: the words a probe copy of the
+    generator yields by ``randbytes``, shifted, with the values of at least
+    ``size`` dropped, and then each pair's second value dropped while it
+    equals the first (``_kept``).  The probe reads chunks sized by the
+    acceptance rate size / 2**bit_length, at least 1/2, plus a margin, and
+    tops up by the shortfall, so it holds O(count) words.  ``rng`` then
+    skips the words the pairs used with one ``getrandbits``.  Other sizes
+    keep the per-pair ``sample`` loop."""
+    bits = size.bit_length()
+    if size <= 21 or bits > 32:
+        return np.array([rng.sample(range(size), 2) for _ in range(count)]).T
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    rate = size / 2**bits
+    need = 2 * count
+    values = words = kept = np.empty(0, dtype=np.int64)
+    drawn = 0
+    while len(kept) < need:
+        short = (need - len(kept)) * (1 + 1 / size) / rate
+        chunk = int(short + 4 * short**0.5) + 16
+        draw = np.frombuffer(probe.randbytes(4 * chunk),
+                             dtype="<u4") >> (32 - bits)
+        hit = np.flatnonzero(draw < size)
+        values = np.concatenate([values, draw[hit]])
+        words = np.concatenate([words, hit + drawn])
+        drawn += len(draw)
+        kept = _kept(values)
+    kept = kept[:need]
+    rng.getrandbits(32 * (int(words[kept[-1]]) + 1))
+    return values[kept].reshape(count, 2).T
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """The positions in a stream of accepted ``_randbelow`` values that
+    ``sample`` keeps when it reads the stream two distinct values a pair:
+    a value is dropped when it equals its pair's first.  Only equal
+    neighbours can be dropped, so only they are visited, in order."""
+    drop: list[int] = []
+    for k in np.flatnonzero(values[1:] == values[:-1]).tolist():
+        # k - len(drop) is even iff k is a pair's first or a dropped
+        # redraw of it, and then k + 1 repeats that first.
+        if (k - len(drop)) % 2 == 0:
+            drop.append(k + 1)
+    return np.delete(np.arange(len(values)), drop)
 
 
 # One record per counterexample kind, built by the sweep and by replay_case.

@@ -29,7 +29,9 @@ The projection verifier of `tree_to_laakso`, as it was when its
 1-Lipschitz sweep called `tree_distance` once per node pair in both
 modes, before the exhaustive mode read whole rows of the tree metric.  It
 builds its records through the module's own record builders, so reports
-compare with `==`.
+compare with `==`.  Its sampled pairs come from `sample_pairs`, one
+`random.Random.sample` call per pair, as they were before the sweep read
+them off a bulk word stream.
 
 The image and lift of `TreeToGraphMap`, as they were before the map
 worked on vertex indices: `image` recurses on the parent `TreeNode`
@@ -386,6 +388,13 @@ def ancestor_pairs(dist, levels):
     ]
 
 
+def sample_pairs(rng: random.Random, size: int,
+                 count: int) -> list[tuple[int, int]]:
+    """The seeded pairs of the sampled sweep, one ``rng.sample(range(size),
+    2)`` call per pair."""
+    return [tuple(rng.sample(range(size), 2)) for _ in range(count)]
+
+
 def verify_projection(
     pm: TreeToGraphMap,
     seed: int = 0,
@@ -437,9 +446,7 @@ def verify_projection(
         pairs_checked = len(nodes) * (len(nodes) - 1) // 2
     else:
         count = samples if samples is not None else 20_000
-        pair_iter = (
-            tuple(rng.sample(range(len(nodes)), 2)) for _ in range(count)
-        )
+        pair_iter = sample_pairs(rng, len(nodes), count)
         pairs_checked = count
     for i, j in pair_iter:
         J, K = nodes[i], nodes[j]

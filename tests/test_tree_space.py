@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import loop_reference as ref
 from laakso_lab.errors import CapacityError, DomainError
 from laakso_lab.tree_space import (
     MAX_ENUMERATED_NODES,
@@ -281,9 +282,8 @@ class TestRanks:
         # The pairs verify_projection draws at (2,3): the same seeded stream.
         space = TreeSpace(3, 9)
         nodes = space.nodes()
-        rng = random.Random(seed)
-        i, j = np.array([rng.sample(range(len(nodes)), 2)
-                         for _ in range(20_000)]).T
+        i, j = np.array(
+            ref.sample_pairs(random.Random(seed), len(nodes), 20_000)).T
         assert space.rank_distance(i, j).tolist() == [
             tree_distance(nodes[a], nodes[b]) for a, b in zip(i, j)
         ]

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import loop_reference as ref
 from laakso_lab import cli
 from laakso_lab import quotient_analysis as qa
+from laakso_lab import tree_to_laakso as ttl
 from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import LaaksoGraph, build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
@@ -480,6 +482,116 @@ class TestVerifyProjection:
         assert cli.main(["verify", "phi", *argv, "--out", str(out)]) == code
         golden = DATA / f"verify_phi_{name}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+
+class TestSamplePairs:
+    """The bulk pair draw against the per-pair ``rng.sample`` loop: the
+    same pairs, the same generator state, and so the same next draw.
+    Sizes 21 and 2**32 keep the loop; 22 and 23 redraw repeats often."""
+
+    class Counting(random.Random):
+        """Counts ``_randbelow`` calls: each past two per pair is a
+        redraw of a pair's repeated second value."""
+
+        calls = 0
+
+        def _randbelow(self, n):
+            self.calls += 1
+            return super()._randbelow(n)
+
+    @pytest.mark.parametrize("count", [1, 2, 500, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("size", [21, 22, 23, 30, 1_023, 29_524,
+                                      2**28 - 1, 2**32 - 1, 2**32])
+    def test_equals_the_loop(self, size, seed, count):
+        want_rng, got_rng = self.Counting(seed), random.Random(seed)
+        want = ref.sample_pairs(want_rng, size, count)
+        redraws = want_rng.calls - 2 * count
+        i, j = ttl._sample_pairs(got_rng, size, count)
+        assert (i.dtype, j.dtype) == (np.int64, np.int64)
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert got_rng.getstate() == want_rng.getstate()
+        assert (got_rng.sample(range(1000), 256)
+                == want_rng.sample(range(1000), 256))
+        if size in (22, 23) and count >= 500:
+            assert redraws > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_short_chunks_top_up_to_the_same_pairs(self, monkeypatch, seed):
+        # Every read capped at 16 words: the 1,000 values of 500 pairs take
+        # more than 1000 / 16 top-ups.
+        reads = []
+        randbytes = random.Random.randbytes
+
+        def capped(self, n):
+            reads.append(n)
+            return randbytes(self, min(n, 64))
+
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = ref.sample_pairs(want_rng, 22, 500)
+        monkeypatch.setattr(random.Random, "randbytes", capped)
+        i, j = ttl._sample_pairs(got_rng, 22, 500)
+        assert len(reads) > 1000 // 16
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("size", [22, 32, 33, 29_524, 2**31, 2**32 - 1])
+    def test_reads_a_bounded_overdraw(self, monkeypatch, size):
+        # At acceptance rate p the pairs need about 2 * count / p words;
+        # the chunks read at most a margin more, never a doubling.
+        reads = []
+        randbytes = random.Random.randbytes
+
+        def counted(self, n):
+            reads.append(n // 4)
+            return randbytes(self, n)
+
+        count = 20_000
+        monkeypatch.setattr(random.Random, "randbytes", counted)
+        ttl._sample_pairs(random.Random(0), size, count)
+        need = 2 * count * (1 + 1 / size) * 2**size.bit_length() / size
+        assert sum(reads) < need + 5 * need**0.5 + 100
+
+
+@pytest.fixture(scope="module")
+def pm_b3():
+    return TreeToGraphMap(TreeSpace(3, 3), build_laakso(1, 3))
+
+
+@pytest.fixture(scope="module")
+def pm_b3_folded(pm_b3):
+    """phi(1,3) with the subtree of {1} pushed one level down: {1} onto
+    the image of its first child and its descendants onto the sink."""
+    g = pm_b3.graph
+    return Planted(pm_b3.tree, g, {
+        J.elements: (
+            pm_b3.image_index(J.child(2).elements) if J.level == 1
+            else g.index(g.sink))
+        for J in pm_b3.tree.nodes() if J.elements[:1] == (1,)
+    })
+
+
+class TestSampledSweepAtTheBoundary:
+    """The sampled sweep against the pair-by-pair verifier on both sides of
+    the bulk draw's lower bound: T(2,3) has 15 nodes and keeps the loop,
+    T(3,3) has 40 and draws in bulk.  (A depth-4 tree has no graph.)"""
+
+    @pytest.mark.parametrize("samples", [1, 2, 500])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name,nodes,fault", [
+        ("pm_small", 15, False), ("pm_folded", 15, True),
+        ("pm_b3", 40, False), ("pm_b3_folded", 40, True)])
+    def test_matches_pairwise_reference(self, request, name, nodes, fault,
+                                        seed, samples):
+        pm = request.getfixturevalue(name)
+        rep = verify_projection(pm, seed=seed, samples=samples,
+                                exhaustive=False)
+        assert rep["tree"]["nodes"] == nodes
+        assert rep["mode"] == "sampled"
+        assert rep["checks"]["lipschitz"]["pairs"] == samples
+        assert rep["pass"] is not fault
+        assert rep == ref.verify_projection(pm, seed=seed, samples=samples,
+                                            exhaustive=False)
 
 
 class TestAncestorPairs:
