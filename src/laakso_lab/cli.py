@@ -77,8 +77,6 @@ def _phi_map(n: int, b: int, inject_fault: bool) -> tl.TreeToGraphMap:
     graph = lg.build_laakso(n, b)
     tree = ts.TreeSpace(b, 3**n)
     flip = FAULT_NODE if inject_fault else None
-    if flip is not None and tree.depth < 2:
-        raise DomainError("fault injection needs depth >= 2")
     return tl.TreeToGraphMap(tree, graph, _flip_node=flip)
 
 

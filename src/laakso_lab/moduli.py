@@ -47,10 +47,6 @@ class LpModel:
         if not 1 < self.p < inf:
             raise DomainError(f"p must lie in (1, inf), got {self.p}")
 
-    @property
-    def conjugate(self) -> float:
-        return self.p / (self.p - 1)
-
     def separation_cap(self) -> float:
         """Largest achievable pairwise separation of the unit-ball
         perturbations: s = 1 gives 2**(1/p)."""

@@ -236,10 +236,10 @@ class MetricMapTable:
         self.source = source
         self.target = target
         self.surjective = len(set(self.assign)) == target.n
-        self._preimages: dict[int, tuple[int, ...]] = {}
+        groups: dict[int, list[int]] = {}
         for i, a in enumerate(self.assign):
-            self._preimages.setdefault(a, ())
-            self._preimages[a] = self._preimages[a] + (i,)
+            groups.setdefault(a, []).append(i)
+        self._preimages = {a: tuple(pre) for a, pre in groups.items()}
         self._atd_pairs: Optional[tuple] = None
 
     def preimages(self, t: int) -> tuple[int, ...]:

@@ -94,11 +94,6 @@ def tree_parent(node: TreeNode) -> Optional[TreeNode]:
     return TreeNode(node.elements[:-1])
 
 
-def tree_lcp(a: TreeNode, b: TreeNode) -> TreeNode:
-    """Longest common prefix, i.e. the closest common ancestor."""
-    return TreeNode(a.elements[: (a.level + b.level - tree_distance(a, b)) // 2])
-
-
 def tree_distance(a: TreeNode, b: TreeNode) -> int:
     """Graph distance |a| + |b| - 2|lcp(a, b)|. Valid for any two nodes."""
     n = 0

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, RelationError
 from .laakso_graph import LaaksoGraph, VertexId
 from .quotient_analysis import FiniteMetricSpace, MetricMapTable
-from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance, tree_parent
+from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 
 EXHAUSTIVE_NODE_LIMIT = 2**12
 PREIMAGE_SAMPLE = 256
@@ -102,20 +102,17 @@ class TreeToGraphMap:
         ``image_index`` on every node.  Level by level from the root: the
         k-th children of every node, at their ``TreeSpace.child_ranks``,
         take its image's step through the |V| x b table of ``_child_image``;
-        then the flip node, if it is a tree node below the root, takes the
-        mis-wired step, and its descendants step from that.  The
+        then the flip node, if it is a tree node, takes its ``image_index``,
+        the mis-wired step, and its descendants step from that.  The
         enumeration cap applies."""
         tree, graph, b = self.tree, self.graph, self.tree.branching
         step = np.array([
             [self._child_image(v, k) if kids else -1 for k in range(1, b + 1)]
             for v, kids in enumerate(graph.child_table)
         ], dtype=np.intp)
-        flip, flip_rank = self._flip_node, None
-        if flip is not None and flip.level and flip in tree:
-            parent = tree_parent(flip)
-            above, flip_rank = tree.rank_of(parent), tree.rank_of(flip)
-            k = flip.elements[-1] - (parent.elements[-1] if parent.level
-                                     else 0)
+        flip = self._flip_node
+        if flip is not None and flip not in tree:
+            flip = None
         out = np.empty(len(tree.levels), dtype=np.intp)
         out[0] = graph.index(graph.root)
         at = np.zeros(1, dtype=np.intp)
@@ -123,8 +120,8 @@ class TreeToGraphMap:
             below = [tree.child_ranks(at, lv, k) for k in range(1, b + 1)]
             for col, ranks in enumerate(below):
                 out[ranks] = step[out[at], col]
-            if flip_rank is not None and lv + 1 == flip.level:
-                out[flip_rank] = self._child_image(int(out[above]), k, True)
+            if flip is not None and lv + 1 == flip.level:
+                out[tree.rank_of(flip)] = self.image_index(flip.elements)
             at = np.concatenate(below)
         return out
 
@@ -158,19 +155,21 @@ def verify_projection(
     rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
     graph distances and tells comparable node pairs by their distance.
     Nodes are handled by rank, as arrays: levels from ``tree.levels`` and
-    images from ``pm.rank_images``.  The exhaustive sweep reads the tree
+    images from ``pm.rank_images``, counted once per vertex for both the
+    coverage and the preimage pools.  The exhaustive sweep reads the tree
     distances row by row from ``TreeSpace.distance_rows``, each row against
     the later ranks, and records the first Lipschitz failures in row-major
     order; the sampled sweep draws its seeded pairs with ``_sample_pairs``,
     pair by pair the stream of ``random.Random(seed).sample(range(size),
-    2)``, read off one bulk word stream for 21 < size < 2**32 and by the
-    per-pair loop at other sizes, and computes them by
+    2)``, read off the generator's own word stream for 21 < size < 2**32
+    and by the per-pair loop at other sizes, and computes them by
     ``TreeSpace.rank_distance``.  Both feed one fold that counts the strata
     and records the counterexamples.  The lifts of one ancestor pair share
     its one ``graph.descent``: a lift's rank is its preimage's rank
     advanced by ``TreeSpace.child_ranks`` along the descent's increments,
-    and each lift is judged on its own.  ``TreeNode``s are built only for
-    counterexample records.
+    which stays inside the preimage's subtree once a lift below the depth
+    is refused, and each lift is judged on its own.  ``TreeNode``s are
+    built only for counterexample records.
     ``exhaustive`` forces the mode; left as None it is chosen by size.
     Failures are report content, never exceptions."""
     if samples is not None and samples < 1:
@@ -184,8 +183,8 @@ def verify_projection(
 
     gsel = pm.rank_images()
     level_bad = np.flatnonzero(np.take(graph.levels, gsel) != levels)
-    covered = np.zeros(len(graph.vertices), dtype=bool)
-    covered[gsel] = True
+    counts = np.bincount(gsel, minlength=len(graph.vertices))
+    covered = counts > 0
     missing = [graph.label(v) for v, c in zip(graph.vertices, covered)
                if not c]
 
@@ -220,16 +219,15 @@ def verify_projection(
     # the upper vertex, ascending by rank.  Every preimage J of u has image
     # u, so its lift towards v is J's rank advanced to the k-th child for
     # each increment k of the one descent from u to v.  A step to a child
-    # adds an offset set by the level and k alone, so the offsets add up.
-    by_image = np.argsort(gsel, kind="stable")
-    counts = np.bincount(gsel, minlength=len(graph.vertices))
-    ends = np.cumsum(counts)
-    spans = np.array(tree.spans)
+    # adds an offset set by the level and k alone, so the offsets add up;
+    # each is at most spans[l] - spans[l + 1], so their sum stays inside
+    # J's subtree.
+    pools = np.split(np.argsort(gsel, kind="stable"), np.cumsum(counts)[:-1])
     lift_bad: list[dict] = []
     lifts_done = 0
     ancestors = ancestor_pairs(garr, graph.levels)
     for iu, iv in ancestors:
-        pool = by_image[ends[iu] - counts[iu]:ends[iu]]
+        pool = pools[iu]
         if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
             pool = np.array(rng.sample(pool.tolist(), PREIMAGE_SAMPLE))
         u, v = graph.vertices[iu], graph.vertices[iv]
@@ -244,9 +242,7 @@ def verify_projection(
             pm.image(_extend(tree.node_at(deep[0]), accumulate(steps)))
         step_levels = top[:, None] + np.arange(len(steps))
         K = pool + tree.child_ranks(0, step_levels, np.array(steps)).sum(1)
-        inside = K < pool + spans[top]
-        K = np.where(inside, K, pool)
-        ok = inside & (gsel[K] == iv) & (levels[K] - top == dm)
+        ok = (gsel[K] == iv) & (levels[K] - top == dm)
         for J in pool[~ok][:MAX_COUNTEREXAMPLES - len(lift_bad)]:
             J = tree.node_at(J)
             lift_bad.append(_lift_record(pm, J, _extend(J, accumulate(steps)),
@@ -306,35 +302,25 @@ def _sample_pairs(rng: random.Random, size: int,
     draws ``getrandbits(size.bit_length())`` until the value is below
     ``size``, and below 2**32 each of those is one 32-bit Mersenne word
     shifted right by ``32 - size.bit_length()``.  So for 21 < size < 2**32
-    the pairs are read off one word stream: the words a probe copy of the
-    generator yields by ``randbytes``, shifted, with the values of at least
-    ``size`` dropped, and then each pair's second value dropped while it
-    equals the first (``_kept``).  The probe reads chunks sized by the
-    acceptance rate size / 2**bit_length, at least 1/2, plus a margin, and
-    tops up by the shortfall, so it holds O(count) words.  ``rng`` then
-    skips the words the pairs used with one ``getrandbits``.  Other sizes
-    keep the per-pair ``sample`` loop."""
+    the pairs are read off one word stream: the words ``rng`` yields by
+    ``randbytes``, shifted, with the values of at least ``size`` dropped,
+    and then each pair's second value dropped while it equals the first
+    (``_kept``).  Each round reads exactly as many words as values are
+    still missing.  Every missing value takes at least one word, so no
+    round reads a word that the loop would not, and a round that completes
+    the pairs has kept the value of every word it read: the draw ends on
+    the last kept value, in the state the loop leaves.  Other sizes keep
+    the per-pair ``sample`` loop."""
     bits = size.bit_length()
     if size <= 21 or bits > 32:
         return np.array([rng.sample(range(size), 2) for _ in range(count)]).T
-    probe = random.Random()
-    probe.setstate(rng.getstate())
-    rate = size / 2**bits
     need = 2 * count
-    values = words = kept = np.empty(0, dtype=np.int64)
-    drawn = 0
+    values = kept = np.empty(0, dtype=np.int64)
     while len(kept) < need:
-        short = (need - len(kept)) * (1 + 1 / size) / rate
-        chunk = int(short + 4 * short**0.5) + 16
-        draw = np.frombuffer(probe.randbytes(4 * chunk),
+        draw = np.frombuffer(rng.randbytes(4 * (need - len(kept))),
                              dtype="<u4") >> (32 - bits)
-        hit = np.flatnonzero(draw < size)
-        values = np.concatenate([values, draw[hit]])
-        words = np.concatenate([words, hit + drawn])
-        drawn += len(draw)
+        values = np.concatenate([values, draw[draw < size]])
         kept = _kept(values)
-    kept = kept[:need]
-    rng.getrandbits(32 * (int(words[kept[-1]]) + 1))
     return values[kept].reshape(count, 2).T
 
 

@@ -30,10 +30,6 @@ class TestLpModel:
             with pytest.raises(DomainError):
                 LpModel(p)
 
-    def test_conjugate(self):
-        assert LpModel(2.0).conjugate == 2.0
-        assert LpModel(3.0).conjugate == pytest.approx(1.5)
-
     def test_separation_cap(self):
         assert LpModel(2.0).separation_cap() == pytest.approx(math.sqrt(2))
 

@@ -13,7 +13,6 @@ from laakso_lab.tree_space import (
     TreeNode,
     TreeSpace,
     tree_distance,
-    tree_lcp,
     tree_parent,
     to_json_vertices,
 )
@@ -81,10 +80,6 @@ class TestDistance:
         assert tree_distance(ROOT, TreeNode((1, 2, 3))) == 3
         assert tree_distance(TreeNode((2,)), TreeNode((2,))) == 0
         assert tree_distance(TreeNode((1, 2, 4)), TreeNode((1, 2, 5, 6))) == 3
-
-    def test_lcp(self):
-        assert tree_lcp(TreeNode((1, 2, 4)), TreeNode((1, 2, 5))) == TreeNode((1, 2))
-        assert tree_lcp(TreeNode((2,)), TreeNode((3,))) == ROOT
 
     @given(incr_tuples(), incr_tuples())
     def test_symmetry(self, a, b):

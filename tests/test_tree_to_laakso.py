@@ -490,14 +490,19 @@ class TestSamplePairs:
     Sizes 21 and 2**32 keep the loop; 22 and 23 redraw repeats often."""
 
     class Counting(random.Random):
-        """Counts ``_randbelow`` calls: each past two per pair is a
-        redraw of a pair's repeated second value."""
+        """Counts ``_randbelow`` calls, each past two per pair a redraw of
+        a pair's repeated second value, and the 32-bit words that
+        ``getrandbits`` reads."""
 
-        calls = 0
+        calls = words = 0
 
         def _randbelow(self, n):
             self.calls += 1
             return super()._randbelow(n)
+
+        def getrandbits(self, k):
+            self.words += -(-k // 32)
+            return super().getrandbits(k)
 
     @pytest.mark.parametrize("count", [1, 2, 500, 20_000])
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -536,9 +541,8 @@ class TestSamplePairs:
         assert got_rng.getstate() == want_rng.getstate()
 
     @pytest.mark.parametrize("size", [22, 32, 33, 29_524, 2**31, 2**32 - 1])
-    def test_reads_a_bounded_overdraw(self, monkeypatch, size):
-        # At acceptance rate p the pairs need about 2 * count / p words;
-        # the chunks read at most a margin more, never a doubling.
+    def test_reads_exactly_the_words_of_the_loop(self, monkeypatch, size):
+        # randbytes hands out no word that the per-pair loop does not read.
         reads = []
         randbytes = random.Random.randbytes
 
@@ -547,10 +551,11 @@ class TestSamplePairs:
             return randbytes(self, n)
 
         count = 20_000
+        want_rng = self.Counting(0)
+        ref.sample_pairs(want_rng, size, count)
         monkeypatch.setattr(random.Random, "randbytes", counted)
         ttl._sample_pairs(random.Random(0), size, count)
-        need = 2 * count * (1 + 1 / size) * 2**size.bit_length() / size
-        assert sum(reads) < need + 5 * need**0.5 + 100
+        assert sum(reads) == want_rng.words >= 2 * count
 
 
 @pytest.fixture(scope="module")
