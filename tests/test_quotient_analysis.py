@@ -279,6 +279,22 @@ class TestMetricMapTable:
         assert floor_by_3.preimages(0) == (0, 1, 2)
         assert floor_by_3.preimages(3) == (9,)
 
+    def test_preimages_of_an_interleaved_assignment(self):
+        # Targets taken out of order and in turns, with two left uncovered:
+        # each preimage tuple lists its source points in increasing order,
+        # an uncovered target has none, and the tuples partition the source.
+        assign = [4, 1, 4, 0, 1, 4, 0, 6, 1, 4]
+        m = MetricMapTable(path_space(10), path_space(7), assign)
+        assert m.preimages(4) == (0, 2, 5, 9)
+        assert m.preimages(1) == (1, 4, 8)
+        assert m.preimages(0) == (3, 6)
+        assert m.preimages(6) == (7,)
+        assert m.preimages(2) == m.preimages(3) == m.preimages(5) == ()
+        for t in range(7):
+            assert m.preimages(t) == tuple(
+                i for i, a in enumerate(assign) if a == t)
+        assert not m.surjective
+
     def test_dict_round_trip(self, floor_by_3):
         d = floor_by_3.to_dict()
         assert d["schema"] == 1

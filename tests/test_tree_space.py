@@ -82,6 +82,16 @@ class TestDistance:
         assert tree_distance(TreeNode((1, 2, 4)), TreeNode((1, 2, 5, 6))) == 3
 
     @given(incr_tuples(), incr_tuples())
+    def test_is_the_common_prefix_formula(self, a, b):
+        # The closest common ancestor is the longest common prefix.
+        common = 0
+        for x, y in zip(a.elements, b.elements):
+            if x != y:
+                break
+            common += 1
+        assert tree_distance(a, b) == a.level + b.level - 2 * common
+
+    @given(incr_tuples(), incr_tuples())
     def test_symmetry(self, a, b):
         assert tree_distance(a, b) == tree_distance(b, a)
 
