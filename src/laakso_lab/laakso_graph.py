@@ -19,10 +19,13 @@ printable id such as ``r``, ``v``, ``m2.w1``, ``t.v``.
 Level (distance from the root) is computed analytically from addresses, and
 the full metric from addresses and levels by one portal formula: below the
 copies two vertices share, each vertex reaches the block at its cost to the
-root or sink of its copy.  ``bfs_levels_from`` runs BFS over the explicit
-adjacency and is kept strictly independent so the two can be cross-checked
-pair by pair.  Whatever needs the metric on all pairs reads it row by row
-from ``LaaksoGraph.upper_rows``.
+root or sink of its copy.  The formula reads the block rule from tables
+built once per b (each block edge's ends, the distance between every two
+block positions), and each graph builds one ``(word, pos, level)`` memo key
+per vertex, so every query looks its two keys up.  ``bfs_levels_from`` runs
+BFS over the explicit adjacency and is kept strictly independent so the two
+can be cross-checked pair by pair.  Whatever needs the metric on all pairs
+reads it row by row from ``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -221,6 +224,11 @@ class LaaksoGraph:
         self._index: dict[VertexId, int] = {
             v: i for i, v in enumerate(self.vertices)
         }
+        # The memo key of each vertex for ``_dist``, built once so that every
+        # key of the memo shares these tuples.
+        self._keys: dict[VertexId, tuple] = {
+            v: (v.word, v.pos, lvl) for lvl, v in ranked
+        }
         nbrs: list[set[int]] = [set() for _ in self.vertices]
         for u, v in edges:
             iu, iv = self._index[u], self._index[v]
@@ -276,8 +284,15 @@ class LaaksoGraph:
     def distance(self, u: VertexId, v: VertexId) -> int:
         """Exact metric, computed from each vertex's address and level by
         one portal formula (see ``_dist``)."""
-        return _dist(self.n, self.b, (u.word, u.pos, self.level(u)),
-                     (v.word, v.pos, self.level(v)))
+        keys = self._keys
+        try:
+            ku, kv = keys[u], keys[v]
+        except KeyError:
+            # index raises the one KeyError every query gives a stranger.
+            self.index(u)
+            self.index(v)
+            raise
+        return _dist(self.n, self.b, ku, kv)
 
     def bfs_levels_from(self, v: VertexId) -> list[int]:
         """BFS distance from v to every vertex, indexed like ``vertices``."""
@@ -360,34 +375,59 @@ def branch_level_law(level: int, n: int) -> bool:
     return lowest_nonzero_base3_digit(level) == 1
 
 
+@lru_cache(maxsize=None)
+def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                   tuple[tuple[int, ...], ...]]:
+    """Per-b lookup tables for ``_dist``: each block edge's source and
+    destination position, and the block distance between every two
+    positions, filled from ``_edge_src``, ``_edge_dst`` and
+    ``_block_distance``."""
+    edges = range(2 * b + 1)
+    positions = range(b + 3)
+    return (tuple(_edge_src(e, b) for e in edges),
+            tuple(_edge_dst(e, b) for e in edges),
+            tuple(tuple(_block_distance(p, q, b) for q in positions)
+                  for p in positions))
+
+
 @lru_cache(maxsize=1 << 18)
 def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
     # Strip the k leading block edges both words share: they name the copies
     # that contain both vertices.  At the scale that remains every path
     # between distinct copies crosses their boundaries at glue vertices, so
     # route through the portals of each vertex's next edge.
-    wu, wv = u[0], v[0]
+    src, dst, block = _block_tables(b)
+    wu, pu, lu = u
+    wv, pv, lv = v
     k = 0
-    while k < len(wu) and k < len(wv) and wu[k] == wv[k]:
+    for eu, ev in zip(wu, wv):
+        if eu != ev:
+            break
         k += 1
     unit = 3 ** (n - k - 1)
-    ends = []
-    for word, pos, level in (u, v):
-        if len(word) == k:
-            ends.append(((pos, 0),))
-        else:
-            # Every copy's root level is a multiple of its span, so a vertex
-            # strictly inside a copy of span ``unit`` sits level % unit below
-            # that copy's root.
-            inner = level % unit
-            e = word[k]
-            ends.append(((_edge_src(e, b), inner),
-                         (_edge_dst(e, b), unit - inner)))
-    return min(
-        cp + unit * _block_distance(p, q, b) + cq
-        for p, cp in ends[0]
-        for q, cq in ends[1]
-    )
+    # Every copy's root level is a multiple of its span, so a vertex strictly
+    # inside a copy of span ``unit`` sits level % unit below that copy's
+    # root; a vertex whose word ends at k is its own portal at cost 0.
+    if len(wu) == k:
+        ends_u = ((pu, 0),)
+    else:
+        e = wu[k]
+        inner = lu % unit
+        ends_u = ((src[e], inner), (dst[e], unit - inner))
+    if len(wv) == k:
+        ends_v = ((pv, 0),)
+    else:
+        e = wv[k]
+        inner = lv % unit
+        ends_v = ((src[e], inner), (dst[e], unit - inner))
+    best = None
+    for p, cp in ends_u:
+        row = block[p]
+        for q, cq in ends_v:
+            d = cp + unit * row[q] + cq
+            if best is None or d < best:
+                best = d
+    return best
 
 
 # -- structure verification ---------------------------------------------------

@@ -306,7 +306,8 @@ def _sample_pairs(rng: random.Random, size: int,
     ``randbytes``, shifted, with the values of at least ``size`` dropped,
     and then each pair's second value dropped while it equals the first
     (``_kept``).  Each round reads exactly as many words as values are
-    still missing.  Every missing value takes at least one word, so no
+    still missing, and scans only its own words, led by the first value of
+    a pair left open.  Every missing value takes at least one word, so no
     round reads a word that the loop would not, and a round that completes
     the pairs has kept the value of every word it read: the draw ends on
     the last kept value, in the state the loop leaves.  Other sizes keep
@@ -315,13 +316,20 @@ def _sample_pairs(rng: random.Random, size: int,
     if size <= 21 or bits > 32:
         return np.array([rng.sample(range(size), 2) for _ in range(count)]).T
     need = 2 * count
-    values = kept = np.empty(0, dtype=np.int64)
-    while len(kept) < need:
-        draw = np.frombuffer(rng.randbytes(4 * (need - len(kept))),
+    chunks = []
+    have = 0
+    # The first value of a pair whose second is still missing, if any: it
+    # leads the next round's stream, so ``_kept`` sees only new words.
+    lead = np.empty(0, dtype=np.int64)
+    while have < need:
+        draw = np.frombuffer(rng.randbytes(4 * (need - have)),
                              dtype="<u4") >> (32 - bits)
-        values = np.concatenate([values, draw[draw < size]])
-        kept = _kept(values)
-    return values[kept].reshape(count, 2).T
+        stream = np.concatenate([lead, draw[draw < size]])
+        kept = stream[_kept(stream)]
+        chunks.append(kept[len(lead):])
+        have += len(kept) - len(lead)
+        lead = kept[-1:] if have % 2 else kept[:0]
+    return np.concatenate(chunks).reshape(count, 2).T
 
 
 def _kept(values: np.ndarray) -> np.ndarray:

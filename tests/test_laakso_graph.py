@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -142,6 +143,11 @@ class TestStructure:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _graph(n, b):
+    return build_laakso(n, b)
+
+
 class TestDistanceOracle:
     @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_analytic_equals_bfs(self, n, b):
@@ -155,8 +161,10 @@ class TestDistanceOracle:
             row = [g.distance(u, v) for v in g.vertices]
             assert row == g.bfs_levels_from(u), g.label(u)
 
-    @pytest.mark.parametrize("n,b", [(2, 5), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,b", [(2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
     def test_portal_formula_equals_recursive_reference(self, n, b):
+        # (4, 2) reaches a four-letter word, and (2, 7) a block of ten
+        # positions in the per-b tables.
         g = build_laakso(n, b)
         got = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
         want = [
@@ -166,13 +174,27 @@ class TestDistanceOracle:
         ]
         assert got == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(3, 5), (4, 3)]), st.data())
+    def test_random_pairs_equal_recursive_reference(self, nb, data):
+        n, b = nb
+        g = _graph(n, b)
+        idx = st.integers(min_value=0, max_value=len(g.vertices) - 1)
+        u = g.vertices[data.draw(idx)]
+        v = g.vertices[data.draw(idx)]
+        assert g.distance(u, v) == ref._dist(n, b, (u.word, u.pos),
+                                             (v.word, v.pos))
+
     def test_unknown_vertex_is_rejected(self):
         g = build_laakso(2, 2)
         stranger = VertexId((0, 0), lg.MID_POS)
-        with pytest.raises(KeyError):
+        message = "is not in this graph"
+        with pytest.raises(KeyError, match=message):
             g.distance(g.root, stranger)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=message):
             g.distance(stranger, g.root)
+        with pytest.raises(KeyError, match=message):
+            g.distance(stranger, stranger)
 
     def test_networkx_third_route(self):
         nx = pytest.importorskip("networkx")
@@ -240,6 +262,17 @@ class TestDistanceOracle:
         assert lg._dist.cache_info().hits - hits == pairs
         assert walks == [g, g]
         assert calls == 2 * pairs
+
+    def test_reports_fill_then_reread_the_memo(self):
+        # The structure pass misses once per pair and the oracle pass then
+        # hits once per pair: G(3,2)'s pairs fit the memo.
+        g = build_laakso(3, 2)
+        pairs = len(g.vertices) * (len(g.vertices) - 1) // 2
+        lg._dist.cache_clear()
+        assert structure_report(g)["pass"]
+        assert oracle_agreement_report(g)["pass"]
+        info = lg._dist.cache_info()
+        assert (info.misses, info.hits) == (pairs, pairs)
 
     def test_bfs_matches_levels_from_root(self):
         g = build_laakso(2, 3)
