@@ -13,8 +13,10 @@ scale first, which block edge the vertex lies on, and ``pos`` is a block
 position at the finest scale the address reaches.  Glue vertices are shared
 between copies and take the address of the coarsest scope that contains them
 (so their word is short and their pos is a block position of that scope).
-This makes equality plain tuple equality and gives every vertex a compact
-printable id such as ``r``, ``v``, ``m2.w1``, ``t.v``.
+``VertexId`` is a named tuple, so a vertex hashes, compares and sorts as
+the plain tuple ``(word, pos)``, which names the same vertex in every query,
+and every vertex has a compact printable id such as ``r``, ``v``, ``m2.w1``,
+``t.v``.
 
 Level (distance from the root) is computed analytically from addresses, and
 the full metric from addresses and levels by one portal formula: below the
@@ -22,10 +24,14 @@ copies two vertices share, each vertex reaches the block at its cost to the
 root or sink of its copy.  The formula reads the block rule from tables
 built once per b (each block edge's ends, the distance between every two
 block positions), and each graph builds one ``(word, pos, level)`` memo key
-per vertex, so every query looks its two keys up.  ``bfs_levels_from`` runs
-BFS over the explicit adjacency and is kept strictly independent so the two
-can be cross-checked pair by pair.  Whatever needs the metric on all pairs
-reads it row by row from ``LaaksoGraph.upper_rows``.
+per vertex, so every query looks its two keys up.  The formula has three
+explicit cases at the scale below the two words' shared prefix: both
+vertices are block positions there (a block distance), one is (the minimum
+over the other's two portals), or neither is (the minimum over the four
+portal pairs).  ``bfs_levels_from`` runs BFS over the explicit adjacency
+and is kept strictly independent so the two can be cross-checked pair by
+pair.  Whatever needs the metric on all pairs reads it row by row from
+``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -37,9 +43,8 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,10 +122,13 @@ def _block_distance(p: int, q: int, b: int) -> int:
     return abs(_pos_level(p, b) - _pos_level(q, b))
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class VertexId(NamedTuple):
     """Canonical vertex address: block-edge word (coarse to fine) plus a
-    block position at the scale where the address bottoms out."""
+    block position at the scale where the address bottoms out.
+
+    A named tuple, so hashing, equality and ordering are those of the plain
+    tuple ``(word, pos)``, which names the same vertex: every query accepts
+    either form."""
 
     word: tuple[int, ...]
     pos: int
@@ -407,27 +415,29 @@ def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
     unit = 3 ** (n - k - 1)
     # Every copy's root level is a multiple of its span, so a vertex strictly
     # inside a copy of span ``unit`` sits level % unit below that copy's
-    # root; a vertex whose word ends at k is its own portal at cost 0.
+    # root and reaches the two ends of its next edge at costs inner and
+    # unit - inner; a vertex whose word ends at k is its own portal at cost 0.
     if len(wu) == k:
-        ends_u = ((pu, 0),)
-    else:
-        e = wu[k]
-        inner = lu % unit
-        ends_u = ((src[e], inner), (dst[e], unit - inner))
-    if len(wv) == k:
-        ends_v = ((pv, 0),)
-    else:
+        if len(wv) == k:
+            return unit * block[pu][pv]
         e = wv[k]
         inner = lv % unit
-        ends_v = ((src[e], inner), (dst[e], unit - inner))
-    best = None
-    for p, cp in ends_u:
-        row = block[p]
-        for q, cq in ends_v:
-            d = cp + unit * row[q] + cq
-            if best is None or d < best:
-                best = d
-    return best
+        row = block[pu]
+        return min(unit * row[src[e]] + inner,
+                   unit * row[dst[e]] + unit - inner)
+    e = wu[k]
+    inner = lu % unit
+    if len(wv) == k:
+        return min(inner + unit * block[src[e]][pv],
+                   unit - inner + unit * block[dst[e]][pv])
+    f = wv[k]
+    inner_v = lv % unit
+    from_src, from_dst = block[src[e]], block[dst[e]]
+    p, q = src[f], dst[f]
+    return min(inner + unit * from_src[p] + inner_v,
+               inner + unit * from_src[q] + unit - inner_v,
+               unit - inner + unit * from_dst[p] + inner_v,
+               unit - inner + unit * from_dst[q] + unit - inner_v)
 
 
 # -- structure verification ---------------------------------------------------

@@ -148,6 +148,17 @@ def _graph(n, b):
     return build_laakso(n, b)
 
 
+def _portal_case(u, v):
+    """(u's word ends at k, v's word ends at k, k), where k is the length of
+    the prefix the two words share: the branch of ``_dist`` the pair takes."""
+    k = 0
+    for eu, ev in zip(u.word, v.word):
+        if eu != ev:
+            break
+        k += 1
+    return len(u.word) == k, len(v.word) == k, k
+
+
 class TestDistanceOracle:
     @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_analytic_equals_bfs(self, n, b):
@@ -163,7 +174,7 @@ class TestDistanceOracle:
 
     @pytest.mark.parametrize("n,b", [(2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
     def test_portal_formula_equals_recursive_reference(self, n, b):
-        # (4, 2) reaches a four-letter word, and (2, 7) a block of ten
+        # (4, 2) reaches a three-letter word, and (2, 7) a block of ten
         # positions in the per-b tables.
         g = build_laakso(n, b)
         got = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
@@ -173,6 +184,17 @@ class TestDistanceOracle:
             for u in g.vertices
         ]
         assert got == want
+        # Each return of the kernel is among the pairs just checked, at
+        # every shared-prefix length k it can take.  Below k = n - 1 both
+        # words can end at k (block), either one alone (two portals) or
+        # neither (four portals); at k = n - 1 both words have length n - 1,
+        # so only the block case is possible.
+        cases = {_portal_case(u, v) for u in g.vertices for v in g.vertices}
+        assert cases == (
+            {(True, True, k) for k in range(n)}
+            | {(eu, ev, k) for eu, ev in [(True, False), (False, True),
+                                          (False, False)]
+               for k in range(n - 1)})
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(3, 5), (4, 3)]), st.data())
@@ -308,6 +330,25 @@ class TestNesting:
         assert big.distance(big.root, big.sink) == 3 * small.distance(
             small.root, small.sink
         )
+
+
+class TestVertexId:
+    def test_is_the_address_tuple(self):
+        # Hashing, equality and order are those of the tuple (word, pos), as
+        # they were for the frozen dataclass it replaced, so set and dict
+        # orders are unchanged; the plain tuple names the same vertex.
+        g = build_laakso(3, 5)
+        for v in g.vertices:
+            address = (v.word, v.pos)
+            assert hash(v) == hash(address)
+            assert v == address
+            assert repr(v) == f"VertexId(word={v.word!r}, pos={v.pos!r})"
+            with pytest.raises(AttributeError):
+                v.pos = 0
+            assert g.index(address) == g.index(v)
+            assert g.distance(address, g.sink) == g.distance(v, g.sink)
+        assert sorted(g.vertices) == [
+            VertexId(*a) for a in sorted((v.word, v.pos) for v in g.vertices)]
 
 
 class TestAddressing:
