@@ -28,10 +28,14 @@ per vertex, so every query looks its two keys up.  The formula has three
 explicit cases at the scale below the two words' shared prefix: both
 vertices are block positions there (a block distance), one is (the minimum
 over the other's two portals), or neither is (the minimum over the four
-portal pairs).  ``bfs_levels_from`` runs BFS over the explicit adjacency
-and is kept strictly independent so the two can be cross-checked pair by
-pair.  Whatever needs the metric on all pairs reads it row by row from
-``LaaksoGraph.upper_rows``.
+portal pairs).  A graph with at most 2**18 pairs reads the formula
+through ``_dist``, an LRU memo of that many entries, which its all-pairs
+walks fill once and then reread; a larger graph calls the formula
+directly, since a row-major walk over more pairs than the memo holds
+evicts every entry before the next walk reaches it.  ``bfs_levels_from``
+runs BFS over the explicit adjacency and is kept strictly independent so
+the two can be cross-checked pair by pair.  Whatever needs the metric on
+all pairs reads it row by row from ``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -237,6 +241,11 @@ class LaaksoGraph:
         self._keys: dict[VertexId, tuple] = {
             v: (v.word, v.pos, lvl) for lvl, v in ranked
         }
+        # A walk over more pairs than the memo holds evicts each entry before
+        # anything rereads it, so a graph with that many pairs calls the
+        # portal formula directly.
+        pairs = len(self.vertices) * (len(self.vertices) - 1) // 2
+        self._metric = _dist if pairs <= _MEMO_PAIRS else _portal_distance
         nbrs: list[set[int]] = [set() for _ in self.vertices]
         for u, v in edges:
             iu, iv = self._index[u], self._index[v]
@@ -291,7 +300,8 @@ class LaaksoGraph:
 
     def distance(self, u: VertexId, v: VertexId) -> int:
         """Exact metric, computed from each vertex's address and level by
-        one portal formula (see ``_dist``)."""
+        one portal formula (see ``_portal_distance``), through the ``_dist``
+        memo when the graph's pairs fit it."""
         keys = self._keys
         try:
             ku, kv = keys[u], keys[v]
@@ -300,7 +310,7 @@ class LaaksoGraph:
             self.index(u)
             self.index(v)
             raise
-        return _dist(self.n, self.b, ku, kv)
+        return self._metric(self.n, self.b, ku, kv)
 
     def bfs_levels_from(self, v: VertexId) -> list[int]:
         """BFS distance from v to every vertex, indexed like ``vertices``."""
@@ -386,9 +396,9 @@ def branch_level_law(level: int, n: int) -> bool:
 @lru_cache(maxsize=None)
 def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                    tuple[tuple[int, ...], ...]]:
-    """Per-b lookup tables for ``_dist``: each block edge's source and
-    destination position, and the block distance between every two
-    positions, filled from ``_edge_src``, ``_edge_dst`` and
+    """Per-b lookup tables for ``_portal_distance``: each block edge's
+    source and destination position, and the block distance between every
+    two positions, filled from ``_edge_src``, ``_edge_dst`` and
     ``_block_distance``."""
     edges = range(2 * b + 1)
     positions = range(b + 3)
@@ -398,8 +408,7 @@ def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
                   for p in positions))
 
 
-@lru_cache(maxsize=1 << 18)
-def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
+def _portal_distance(n: int, b: int, u: tuple, v: tuple) -> int:
     # Strip the k leading block edges both words share: they name the copies
     # that contain both vertices.  At the scale that remains every path
     # between distinct copies crosses their boundaries at glue vertices, so
@@ -440,6 +449,11 @@ def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
                unit - inner + unit * from_dst[q] + unit - inner_v)
 
 
+# The memo of ``_portal_distance``, for graphs with at most _MEMO_PAIRS pairs.
+_MEMO_PAIRS = 1 << 18
+_dist = lru_cache(maxsize=_MEMO_PAIRS)(_portal_distance)
+
+
 # -- structure verification ---------------------------------------------------
 
 
@@ -455,8 +469,8 @@ def structure_report(g: LaaksoGraph) -> dict:
     if g.edge_count != expected_e:
         problems.append(f"edge count {g.edge_count} != (2b+1)^n = {expected_e}")
 
-    bfs = g.bfs_levels_from(g.root)
-    if list(g.levels) != bfs:
+    levels_match_bfs = list(g.levels) == g.bfs_levels_from(g.root)
+    if not levels_match_bfs:
         problems.append("analytic levels disagree with BFS from the root")
 
     top = 3**g.n
@@ -505,7 +519,7 @@ def structure_report(g: LaaksoGraph) -> dict:
         "expected_edge_count": expected_e,
         "diameter": diameter,
         "expected_diameter": top,
-        "levels_match_bfs": list(g.levels) == bfs,
+        "levels_match_bfs": levels_match_bfs,
         "down_degrees_ok": down_degrees_ok,
         "branch_level_law_ok": law_ok,
         "problems": problems,

@@ -196,6 +196,8 @@ class TestDistanceOracle:
                                           (False, False)]
                for k in range(n - 1)})
 
+    # Both graphs have more pairs than the memo holds, so these pairs go
+    # through the portal formula directly, without the memo.
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(3, 5), (4, 3)]), st.data())
     def test_random_pairs_equal_recursive_reference(self, nb, data):
@@ -295,6 +297,53 @@ class TestDistanceOracle:
         assert oracle_agreement_report(g)["pass"]
         info = lg._dist.cache_info()
         assert (info.misses, info.hits) == (pairs, pairs)
+
+    def test_graph_at_the_memo_capacity_uses_the_memo(self):
+        # G(2,18) has 724 vertices, the most whose pairs fit the memo.
+        g = _graph(2, 18)
+        pairs = len(g.vertices) * (len(g.vertices) - 1) // 2
+        assert (len(g.vertices), pairs) == (724, 261_726)
+        assert pairs <= lg._MEMO_PAIRS == 1 << 18
+        u, v = g.vertices[5], g.vertices[-7]
+        lg._dist.cache_clear()
+        assert g.distance(u, v) == ref._dist(2, 18, (u.word, u.pos),
+                                             (v.word, v.pos))
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+    def test_graph_over_the_memo_capacity_skips_it(self):
+        # G(2,19) is the smallest G(2,b) whose pairs overflow the memo: its
+        # queries call the portal formula directly and leave the memo empty.
+        g = _graph(2, 19)
+        verts, levels = g.vertices, g.levels
+        pairs = len(verts) * (len(verts) - 1) // 2
+        assert (len(verts), pairs) == (802, 321_201)
+        assert pairs > lg._MEMO_PAIRS
+        lg._dist.cache_clear()
+        picks = list(range(0, len(verts), 37)) + [len(verts) - 1]
+        ancestors = 0
+        for i in picks:
+            bfs = g.bfs_levels_from(verts[i])
+            for j in picks:
+                u, v = verts[i], verts[j]
+                d = g.distance(u, v)
+                assert d == bfs[j] == ref._dist(2, 19, (u.word, u.pos),
+                                                (v.word, v.pos))
+                below = bfs[j] == levels[j] - levels[i]
+                assert g.is_ancestor(u, v) == below
+                ancestors += below
+        assert ancestors > len(picks)
+        i, row = next(itertools.islice(g.upper_rows(), 40, None))
+        assert row.tolist() == g.bfs_levels_from(verts[i])[i + 1:]
+        path = replay_descent(g, g.root, g.sink)
+        from_root = g.bfs_levels_from(g.root)
+        from_sink = g.bfs_levels_from(g.sink)
+        top = 3**g.n
+        assert [from_root[g.index(p)] for p in path] == list(range(top + 1))
+        assert [from_sink[g.index(p)] for p in path] == list(range(top, -1,
+                                                                   -1))
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_bfs_matches_levels_from_root(self):
         g = build_laakso(2, 3)
