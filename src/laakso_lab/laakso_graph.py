@@ -28,14 +28,17 @@ per vertex, so every query looks its two keys up.  The formula has three
 explicit cases at the scale below the two words' shared prefix: both
 vertices are block positions there (a block distance), one is (the minimum
 over the other's two portals), or neither is (the minimum over the four
-portal pairs).  A graph with at most 2**18 pairs reads the formula
-through ``_dist``, an LRU memo of that many entries, which its all-pairs
-walks fill once and then reread; a larger graph calls the formula
-directly, since a row-major walk over more pairs than the memo holds
-evicts every entry before the next walk reaches it.  ``bfs_levels_from``
-runs BFS over the explicit adjacency and is kept strictly independent so
-the two can be cross-checked pair by pair.  Whatever needs the metric on
-all pairs reads it row by row from ``LaaksoGraph.upper_rows``.
+portal pairs).  ``LaaksoGraph.distance_row`` applies the same rule to all
+vertices at once in numpy, giving one source's distances to every vertex.
+A graph with at most 2**18 pairs reads the formula through ``_dist``, an
+LRU memo of that many entries, which its all-pairs walks fill once and
+then reread; a larger graph answers point queries by the formula without
+the memo, since a row-major walk over more pairs than the memo holds
+evicts every entry before the next walk reaches it, and its all-pairs
+walks read ``distance_row``.  ``bfs_levels_from`` runs BFS over the
+explicit adjacency and is kept strictly independent so the two can be
+cross-checked pair by pair.  Whatever needs the metric on all pairs reads
+it row by row from ``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -243,7 +246,8 @@ class LaaksoGraph:
         }
         # A walk over more pairs than the memo holds evicts each entry before
         # anything rereads it, so a graph with that many pairs calls the
-        # portal formula directly.
+        # portal formula without the memo, and ``upper_rows`` reads its
+        # rows from ``distance_row``.
         pairs = len(self.vertices) * (len(self.vertices) - 1) // 2
         self._metric = _dist if pairs <= _MEMO_PAIRS else _portal_distance
         nbrs: list[set[int]] = [set() for _ in self.vertices]
@@ -357,11 +361,69 @@ class LaaksoGraph:
             cur = c
         return out
 
+    @cached_property
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        # Words padded with -1 to width n (a word has at most n - 1 letters,
+        # so every row ends in a pad), word lengths, positions, levels, and
+        # the block tables of ``_block_tables`` as arrays.
+        words = np.full((len(self.vertices), self.n), -1, dtype=np.int64)
+        for i, v in enumerate(self.vertices):
+            words[i, :len(v.word)] = v.word
+        lengths = np.array([len(v.word) for v in self.vertices], dtype=np.int64)
+        pos = np.array([v.pos for v in self.vertices], dtype=np.int64)
+        levels = np.array(self.levels, dtype=np.int64)
+        src, dst, block = (np.array(t, dtype=np.int64)
+                           for t in _block_tables(self.b))
+        return words, lengths, pos, levels, src, dst, block
+
+    def distance_row(self, u: VertexId) -> np.ndarray:
+        """Exact int64 distance from u to every vertex, indexed like
+        ``vertices``: ``_portal_distance``'s rule applied to all vertices at
+        once.  It reads addresses and levels only, never the adjacency."""
+        i = self.index(u)
+        word, own_pos = self.vertices[i]
+        words, lengths, pos, levels, src, dst, block = self._row_arrays
+        own = len(word)
+        # k, the shared-prefix length, is the first column that differs; no
+        # column past u's word counts as shared, so k <= own.
+        same = words == words[i]
+        same[:, own:] = False
+        k = same.argmin(axis=1)
+        unit = 3 ** (self.n - 1 - k)
+        # u's two portals at each shared-prefix length k it can have with
+        # another vertex; at k = own u is its own portal at cost 0.
+        up = np.full((2, own + 1), own_pos, dtype=np.int64)
+        uc = np.zeros((2, own + 1), dtype=np.int64)
+        for kk, e in enumerate(word):
+            span = 3 ** (self.n - 1 - kk)
+            inner = self.levels[i] % span
+            up[:, kk] = src[e], dst[e]
+            uc[:, kk] = inner, span - inner
+        # The other vertices' portals; a word that ends at k reads the pad
+        # -1 there, and ``where`` drops what the tables return for it.
+        ends = lengths == k
+        f = words[np.arange(len(k)), k]
+        inner = levels % unit
+        vp = (np.where(ends, pos, src[f]), np.where(ends, pos, dst[f]))
+        vc = (np.where(ends, 0, inner), np.where(ends, 0, unit - inner))
+        best = None
+        for p, cp in zip(up[:, k], uc[:, k]):
+            for q, cq in zip(vp, vc):
+                cand = cp + unit * block[p, q] + cq
+                best = cand if best is None else np.minimum(best, cand)
+        return best
+
     def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, row) in vertex order, where row[k] is the int32 distance from
-        vertex i to vertex i+1+k: each unordered pair once, through
-        ``distance`` in row-major order, one row held at a time."""
+        vertex i to vertex i+1+k: each unordered pair once, one row held at a
+        time.  A graph whose pairs fit the ``_dist`` memo walks the pairs
+        through ``distance`` in row-major order; a larger one slices
+        ``distance_row``, since its pairs would only overflow the memo."""
         verts = self.vertices
+        if self._metric is _portal_distance:
+            for i, u in enumerate(verts):
+                yield i, self.distance_row(u)[i + 1:].astype(np.int32)
+            return
         for i, u in enumerate(verts):
             yield i, np.fromiter((self.distance(u, v) for v in verts[i + 1:]),
                                  dtype=np.int32, count=len(verts) - 1 - i)

@@ -484,7 +484,9 @@ def atd_violation(
     a pair violates exactly when delta < rho and D/rho < c.  That is
     decided exactly: a correctly rounded D / rho below or above c settles
     it, and only a quotient equal to c is compared as a Fraction.  The
-    record reports that least R as its scale, in floats."""
+    record reports that least R as its scale twice: ``scale`` in floats,
+    which may round up to rho, and ``scale_exact``, the exact Fraction of
+    the given floats, which is always below rho."""
     for x, y, D, rho in atd_pairs(m):
         if not delta < rho:
             continue
@@ -492,6 +494,7 @@ def atd_violation(
         if ratio < c or ratio == c and Fraction(D) / Fraction(rho) < c:
             return {
                 "source": x, "target": y, "scale": max(delta, D / c),
+                "scale_exact": max(Fraction(delta), Fraction(D) / Fraction(c)),
                 "image_gap": D, "nearest_preimage": rho,
             }
     return None

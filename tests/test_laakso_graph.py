@@ -150,7 +150,8 @@ def _graph(n, b):
 
 def _portal_case(u, v):
     """(u's word ends at k, v's word ends at k, k), where k is the length of
-    the prefix the two words share: the branch of ``_dist`` the pair takes."""
+    the prefix the two words share: the branch of ``_portal_distance`` the
+    pair takes."""
     k = 0
     for eu, ev in zip(u.word, v.word):
         if eu != ev:
@@ -184,17 +185,47 @@ class TestDistanceOracle:
             for u in g.vertices
         ]
         assert got == want
-        # Each return of the kernel is among the pairs just checked, at
-        # every shared-prefix length k it can take.  Below k = n - 1 both
-        # words can end at k (block), either one alone (two portals) or
-        # neither (four portals); at k = n - 1 both words have length n - 1,
-        # so only the block case is possible.
+        # The row formula gives the same matrix.  These graphs fit the memo,
+        # so their all-pairs walks never read the rows.
+        rows = [g.distance_row(u) for u in g.vertices]
+        assert {row.dtype for row in rows} == {np.dtype(np.int64)}
+        assert [row.tolist() for row in rows] == got
+        # Each return of the kernel and of the rows is among the pairs just
+        # checked, at every shared-prefix length k it can take.  Below
+        # k = n - 1 both words can end at k (block), either one alone (two
+        # portals) or neither (four portals); at k = n - 1 both words have
+        # length n - 1, so only the block case is possible.
         cases = {_portal_case(u, v) for u in g.vertices for v in g.vertices}
         assert cases == (
             {(True, True, k) for k in range(n)}
             | {(eu, ev, k) for eu, ev in [(True, False), (False, True),
                                           (False, False)]
                for k in range(n - 1)})
+
+    @pytest.mark.parametrize("n,b", [(2, 19), (1, 722), (3, 5)])
+    def test_distance_row_is_bfs_past_the_memo(self, n, b):
+        # G(1,722) is the smallest G(1,b) whose pairs overflow the memo.
+        g = _graph(n, b)
+        assert len(g.vertices) * (len(g.vertices) - 1) // 2 > lg._MEMO_PAIRS
+        for u in g.vertices:
+            assert g.distance_row(u).tolist() == g.bfs_levels_from(u), u
+
+    def test_distance_row_at_g45(self):
+        # G(4,5) has 8,786 vertices; three sources of each word length,
+        # against BFS and the recursive reference.
+        g = build_laakso(4, 5)
+        assert len(g.vertices) == 8_786
+        by_length = {}
+        for v in g.vertices:
+            by_length.setdefault(len(v.word), []).append(v)
+        assert sorted(by_length) == [0, 1, 2, 3]
+        for group in by_length.values():
+            for u in (group[0], group[len(group) // 2], group[-1]):
+                row = g.distance_row(u).tolist()
+                assert row == g.bfs_levels_from(u), u
+                assert row == [ref._dist(4, 5, (u.word, u.pos),
+                                         (v.word, v.pos))
+                               for v in g.vertices], u
 
     # Both graphs have more pairs than the memo holds, so these pairs go
     # through the portal formula directly, without the memo.
@@ -342,6 +373,34 @@ class TestDistanceOracle:
         assert [from_root[g.index(p)] for p in path] == list(range(top + 1))
         assert [from_sink[g.index(p)] for p in path] == list(range(top, -1,
                                                                    -1))
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_rows_past_the_memo_skip_the_point_formula(self, monkeypatch):
+        # G(2,19)'s pairs overflow the memo, so its all-pairs walks slice
+        # ``distance_row``: no ``distance`` call and no memo traffic.
+        g = _graph(2, 19)
+        calls = 0
+        real = LaaksoGraph.distance
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return real(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "distance", counted)
+        lg._dist.cache_clear()
+        size = len(g.vertices)
+        rows = 0
+        for i, row in g.upper_rows():
+            assert i == rows
+            assert row.dtype == np.int32
+            assert len(row) == size - 1 - i
+            rows += 1
+        assert rows == size
+        assert structure_report(g)["pass"]
+        assert oracle_agreement_report(g)["pass"]
+        assert calls == 0
         info = lg._dist.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 

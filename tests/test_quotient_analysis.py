@@ -437,6 +437,26 @@ class TestAtdBoundary:
                 rep = cross_validate_atd(m, grid, [delta])
                 assert rep["disagreements"] == [], (k, delta)
 
+    def test_violation_scale_is_exactly_below_the_preimage(self):
+        # c = 0.2 lies just above the exact constant 1/5 of i -> i // 5, so
+        # the pair (source 0, target 1) violates with D = 1 and rho = 5.  The
+        # float scale D / c rounds up to rho; the exact one stays below it.
+        m = self.collapse(5)
+        case = atd_violation(m, 0.2, 0.5)
+        assert (case["image_gap"], case["nearest_preimage"]) == (1, 5)
+        assert case["scale"] == 5.0
+        exact = case["scale_exact"]
+        assert isinstance(exact, Fraction)
+        assert exact == 1 / Fraction(0.2) < case["nearest_preimage"]
+        assert exact >= Fraction(0.5)
+        # Just above every collapse constant 1/k the same holds, whatever the
+        # float scale rounds to.
+        for k in range(2, 61):
+            case = atd_violation(self.collapse(k), math.nextafter(1 / k, 1),
+                                 0.5)
+            assert case["scale_exact"] < case["nearest_preimage"], k
+            assert case["scale"] == float(case["scale_exact"]), k
+
     def test_cross_validation_needs_both_orders(self, identity_path):
         bare = MetricMapTable(FiniteMetricSpace(identity_path.source.dist),
                               identity_path.target, identity_path.assign)
