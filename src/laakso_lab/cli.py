@@ -90,9 +90,8 @@ def cmd_verify_phi(args) -> int:
         rep = tl.replay_case(pm, json.loads(text))
         _emit_json(rep, args.out)
         return 0 if rep["pass"] else 1
-    exhaustive = True if args.exhaustive else None
     report = tl.verify_projection(
-        pm, seed=args.seed, samples=args.samples, exhaustive=exhaustive
+        pm, seed=args.seed, samples=args.samples, exhaustive=args.exhaustive
     )
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1

@@ -30,15 +30,15 @@ vertices are block positions there (a block distance), one is (the minimum
 over the other's two portals), or neither is (the minimum over the four
 portal pairs).  ``LaaksoGraph.distance_row`` applies the same rule to all
 vertices at once in numpy, giving one source's distances to every vertex.
-A graph with at most 2**18 pairs reads the formula through ``_dist``, an
-LRU memo of that many entries, which its all-pairs walks fill once and
-then reread; a larger graph answers point queries by the formula without
-the memo, since a row-major walk over more pairs than the memo holds
-evicts every entry before the next walk reaches it, and its all-pairs
-walks read ``distance_row``.  ``bfs_levels_from`` runs BFS over the
-explicit adjacency and is kept strictly independent so the two can be
-cross-checked pair by pair.  Whatever needs the metric on all pairs reads
-it row by row from ``LaaksoGraph.upper_rows``.
+Every point query reads the formula through ``_dist``, an LRU memo of 2**18
+entries.  A graph with at most that many pairs walks them through the memo,
+filling it once and then rereading it; a larger graph's all-pairs walks
+read ``distance_row``, since a row-major walk over more pairs than the memo
+holds evicts every entry before the next walk reaches it.
+``bfs_levels_from`` runs BFS over the explicit adjacency and is kept
+strictly independent so the two can be cross-checked pair by pair.
+Whatever needs the metric on all pairs reads it row by row from
+``LaaksoGraph.upper_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -244,12 +244,6 @@ class LaaksoGraph:
         self._keys: dict[VertexId, tuple] = {
             v: (v.word, v.pos, lvl) for lvl, v in ranked
         }
-        # A walk over more pairs than the memo holds evicts each entry before
-        # anything rereads it, so a graph with that many pairs calls the
-        # portal formula without the memo, and ``upper_rows`` reads its
-        # rows from ``distance_row``.
-        pairs = len(self.vertices) * (len(self.vertices) - 1) // 2
-        self._metric = _dist if pairs <= _MEMO_PAIRS else _portal_distance
         nbrs: list[set[int]] = [set() for _ in self.vertices]
         for u, v in edges:
             iu, iv = self._index[u], self._index[v]
@@ -268,9 +262,12 @@ class LaaksoGraph:
         self.edge_count = len(edges)
         self.root: VertexId = self.vertices[0]
         self.sink: VertexId = self.vertices[-1]
-        self._labels: dict[str, VertexId] = {
-            _vertex_label(v, b): v for v in self.vertices
-        }
+        # labels[i]: the printable id of vertex i.
+        self.labels: tuple[str, ...] = tuple(
+            _vertex_label(v, b) for v in self.vertices
+        )
+        self._labels: dict[str, VertexId] = dict(zip(self.labels,
+                                                     self.vertices))
 
     # -- basic queries ----------------------------------------------------
 
@@ -281,8 +278,7 @@ class LaaksoGraph:
             raise KeyError(f"vertex {v!r} is not in this graph") from None
 
     def label(self, v: VertexId) -> str:
-        self.index(v)
-        return _vertex_label(v, self.b)
+        return self.labels[self.index(v)]
 
     def by_label(self, label: str) -> VertexId:
         try:
@@ -304,8 +300,7 @@ class LaaksoGraph:
 
     def distance(self, u: VertexId, v: VertexId) -> int:
         """Exact metric, computed from each vertex's address and level by
-        one portal formula (see ``_portal_distance``), through the ``_dist``
-        memo when the graph's pairs fit it."""
+        one portal formula through the ``_dist`` memo."""
         keys = self._keys
         try:
             ku, kv = keys[u], keys[v]
@@ -314,7 +309,7 @@ class LaaksoGraph:
             self.index(u)
             self.index(v)
             raise
-        return self._metric(self.n, self.b, ku, kv)
+        return _dist(self.n, self.b, ku, kv)
 
     def bfs_levels_from(self, v: VertexId) -> list[int]:
         """BFS distance from v to every vertex, indexed like ``vertices``."""
@@ -378,8 +373,8 @@ class LaaksoGraph:
 
     def distance_row(self, u: VertexId) -> np.ndarray:
         """Exact int64 distance from u to every vertex, indexed like
-        ``vertices``: ``_portal_distance``'s rule applied to all vertices at
-        once.  It reads addresses and levels only, never the adjacency."""
+        ``vertices``: ``_dist``'s rule applied to all vertices at once.  It
+        reads addresses and levels only, never the adjacency."""
         i = self.index(u)
         word, own_pos = self.vertices[i]
         words, lengths, pos, levels, src, dst, block = self._row_arrays
@@ -420,7 +415,7 @@ class LaaksoGraph:
         through ``distance`` in row-major order; a larger one slices
         ``distance_row``, since its pairs would only overflow the memo."""
         verts = self.vertices
-        if self._metric is _portal_distance:
+        if len(verts) * (len(verts) - 1) // 2 > _MEMO_PAIRS:
             for i, u in enumerate(verts):
                 yield i, self.distance_row(u)[i + 1:].astype(np.int32)
             return
@@ -458,9 +453,9 @@ def branch_level_law(level: int, n: int) -> bool:
 @lru_cache(maxsize=None)
 def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                    tuple[tuple[int, ...], ...]]:
-    """Per-b lookup tables for ``_portal_distance``: each block edge's
-    source and destination position, and the block distance between every
-    two positions, filled from ``_edge_src``, ``_edge_dst`` and
+    """Per-b lookup tables for ``_dist``: each block edge's source and
+    destination position, and the block distance between every two
+    positions, filled from ``_edge_src``, ``_edge_dst`` and
     ``_block_distance``."""
     edges = range(2 * b + 1)
     positions = range(b + 3)
@@ -470,7 +465,13 @@ def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
                   for p in positions))
 
 
-def _portal_distance(n: int, b: int, u: tuple, v: tuple) -> int:
+# The memo's size: a graph with more pairs than this reads its all-pairs
+# walks from ``distance_row`` (see ``LaaksoGraph.upper_rows``).
+_MEMO_PAIRS = 1 << 18
+
+
+@lru_cache(maxsize=_MEMO_PAIRS)
+def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
     # Strip the k leading block edges both words share: they name the copies
     # that contain both vertices.  At the scale that remains every path
     # between distinct copies crosses their boundaries at glue vertices, so
@@ -509,11 +510,6 @@ def _portal_distance(n: int, b: int, u: tuple, v: tuple) -> int:
                inner + unit * from_src[q] + unit - inner_v,
                unit - inner + unit * from_dst[p] + inner_v,
                unit - inner + unit * from_dst[q] + unit - inner_v)
-
-
-# The memo of ``_portal_distance``, for graphs with at most _MEMO_PAIRS pairs.
-_MEMO_PAIRS = 1 << 18
-_dist = lru_cache(maxsize=_MEMO_PAIRS)(_portal_distance)
 
 
 # -- structure verification ---------------------------------------------------
@@ -557,18 +553,14 @@ def structure_report(g: LaaksoGraph) -> dict:
 
     down_degrees_ok = True
     law_ok = True
-    for v in g.vertices:
-        kids = g.children(v)
-        lvl = g.level(v)
+    for label, lvl, kids in zip(g.labels, g.levels, g.child_table):
         if lvl < top and len(kids) not in (1, g.b):
             down_degrees_ok = False
-            problems.append(
-                f"vertex {g.label(v)} has down-degree {len(kids)}"
-            )
+            problems.append(f"vertex {label} has down-degree {len(kids)}")
         if (len(kids) > 1) != branch_level_law(lvl, g.n):
             law_ok = False
             problems.append(
-                f"vertex {g.label(v)} at level {lvl}: branching={len(kids) > 1} "
+                f"vertex {label} at level {lvl}: branching={len(kids) > 1} "
                 f"violates the base-3 branch-level law"
             )
 
@@ -591,13 +583,13 @@ def structure_report(g: LaaksoGraph) -> dict:
 
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with per-source BFS on every pair."""
-    verts = g.vertices
+    verts, labels = g.vertices, g.labels
     mismatches = []
     for i, row in g.upper_rows():
         bfs = g.bfs_levels_from(verts[i])[i + 1:]
         for k in np.flatnonzero(row != bfs).tolist():
             mismatches.append(
-                {"u": g.label(verts[i]), "v": g.label(verts[i + 1 + k]),
+                {"u": labels[i], "v": labels[i + 1 + k],
                  "analytic": int(row[k]), "bfs": bfs[k]}
             )
     total = len(verts) * (len(verts) - 1) // 2
@@ -624,7 +616,7 @@ def find_forks(
     verts = g.vertices
     for r in range(r_min, 3**g.n + 1):
         for ci, center in enumerate(verts):
-            if not g.is_branching(center):
+            if len(g.child_table[ci]) < 2:
                 continue
             arms = []
             for j, cand in enumerate(verts):
@@ -649,15 +641,12 @@ def find_forks(
 def to_json_dict(g: LaaksoGraph) -> dict:
     """Deterministic JSON form: vertices sorted by (level, address), each
     edge listed once with endpoint ids in sorted order."""
+    labels = g.labels
     vertices = [
-        {"id": g.label(v), "level": g.level(v)} for v in g.vertices
+        {"id": label, "level": lvl} for label, lvl in zip(labels, g.levels)
     ]
-    edges = []
-    for i, v in enumerate(g.vertices):
-        li = g.label(v)
-        for j in g.neighbors[i]:
-            if j > i:
-                edges.append([li, g.label(g.vertices[j])])
+    edges = [[labels[i], labels[j]]
+             for i, nb in enumerate(g.neighbors) for j in nb if j > i]
     return {
         "schema": 1,
         "n": g.n,
@@ -669,12 +658,11 @@ def to_json_dict(g: LaaksoGraph) -> dict:
 
 def to_dot(g: LaaksoGraph) -> str:
     """Graphviz form with one node per vertex labeled "level:address"."""
+    labels = g.labels
     lines = [f"graph laakso_n{g.n}_b{g.b} {{"]
-    for v in g.vertices:
-        lines.append(f'  "{g.label(v)}" [label="{g.level(v)}:{g.label(v)}"];')
-    for i, v in enumerate(g.vertices):
-        for j in g.neighbors[i]:
-            if j > i:
-                lines.append(f'  "{g.label(v)}" -- "{g.label(g.vertices[j])}";')
+    lines += [f'  "{label}" [label="{lvl}:{label}"];'
+              for label, lvl in zip(labels, g.levels)]
+    lines += [f'  "{labels[i]}" -- "{labels[j]}";'
+              for i, nb in enumerate(g.neighbors) for j in nb if j > i]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -240,7 +240,6 @@ class MetricMapTable:
         for i, a in enumerate(self.assign):
             groups.setdefault(a, []).append(i)
         self._preimages = {a: tuple(pre) for a, pre in groups.items()}
-        self._atd_pairs: Optional[tuple] = None
 
     def preimages(self, t: int) -> tuple[int, ...]:
         return self._preimages.get(t, ())
@@ -285,6 +284,19 @@ class MetricMapTable:
         tdist = self.target.array[self._assign_array[i], self._assign_array[j]]
         ratio_tail = np.maximum.accumulate((tdist / sdist)[::-1])[::-1]
         return sdist, tdist, i * n + j, ratio_tail
+
+    @cached_property
+    def _atd_pairs(self) -> tuple[tuple[int, int, float, float], ...]:
+        """The rows that ``atd_pairs`` returns."""
+        out = []
+        sdist, tdist = self.source.dist, self.target.dist
+        below = [np.flatnonzero(row).tolist() for row in self.target.order]
+        for x in range(self.source.n):
+            fx = self.assign[x]
+            for y in below[fx]:
+                rho = min(sdist[x][p] for p in self.preimages(y))
+                out.append((x, y, tdist[fx][y], rho))
+        return tuple(out)
 
     @classmethod
     def from_dict(cls, d) -> "MetricMapTable":
@@ -380,16 +392,6 @@ def atd_pairs(m: MetricMapTable) -> tuple[tuple[int, int, float, float], ...]:
     the source point to the nearest preimage of the target point.  Scanned
     from the tables in pure Python once per map table."""
     _require_orders(m)
-    if m._atd_pairs is None:
-        out = []
-        sdist, tdist = m.source.dist, m.target.dist
-        below = [np.flatnonzero(row).tolist() for row in m.target.order]
-        for x in range(m.source.n):
-            fx = m.assign[x]
-            for y in below[fx]:
-                rho = min(sdist[x][p] for p in m.preimages(y))
-                out.append((x, y, tdist[fx][y], rho))
-        m._atd_pairs = tuple(out)
     return m._atd_pairs
 
 

@@ -25,6 +25,7 @@ from .quotient_analysis import FiniteMetricSpace, MetricMapTable
 from .tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 
 EXHAUSTIVE_NODE_LIMIT = 2**12
+DEFAULT_SAMPLES = 20_000
 PREIMAGE_SAMPLE = 256
 MAX_COUNTEREXAMPLES = 5
 SIBLING_DEPTHS = (1, 2)
@@ -145,15 +146,16 @@ def verify_projection(
     pm: TreeToGraphMap,
     seed: int = 0,
     samples: Optional[int] = None,
-    exhaustive: Optional[bool] = None,
+    exhaustive: bool = False,
 ) -> dict:
     """Full property report: level preservation, surjectivity, the
     1-Lipschitz bound over node pairs (exhaustive below 2**12 nodes, else
-    ``samples`` seeded pairs, at least one), and lift exactness over every
-    ancestor pair of graph vertices with every (or a seeded sample of)
-    preimages of the upper one.  Both spaces are graded, so the ancestor
-    rule d(u, v) == level(v) - level(u) reads the ancestor pairs off the
-    graph distances and tells comparable node pairs by their distance.
+    ``samples`` seeded pairs, at least one, by default ``DEFAULT_SAMPLES``),
+    and lift exactness over every ancestor pair of graph vertices with every
+    (or a seeded sample of) preimages of the upper one.  Both spaces are
+    graded, so the ancestor rule d(u, v) == level(v) - level(u) reads the
+    ancestor pairs off the graph distances and tells comparable node pairs
+    by their distance.
     Nodes are handled by rank, as arrays: levels from ``tree.levels`` and
     images from ``pm.rank_images``, counted once per vertex for both the
     coverage and the preimage pools.  The exhaustive sweep reads the tree
@@ -170,23 +172,23 @@ def verify_projection(
     which stays inside the preimage's subtree once a lift below the depth
     is refused, and each lift is judged on its own.  ``TreeNode``s are
     built only for counterexample records.
-    ``exhaustive`` forces the mode; left as None it is chosen by size.
+    ``exhaustive=True`` forces the exhaustive sweep; otherwise the mode is
+    chosen by size, and passing ``samples`` chooses sampling.
     Failures are report content, never exceptions."""
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     tree, graph = pm.tree, pm.graph
     levels = tree.levels
     size = len(levels)
-    if exhaustive is None:
-        exhaustive = size <= EXHAUSTIVE_NODE_LIMIT and samples is None
+    exhaustive = exhaustive or (size <= EXHAUSTIVE_NODE_LIMIT
+                                and samples is None)
     rng = random.Random(seed)
 
     gsel = pm.rank_images()
     level_bad = np.flatnonzero(np.take(graph.levels, gsel) != levels)
     counts = np.bincount(gsel, minlength=len(graph.vertices))
     covered = counts > 0
-    missing = [graph.label(v) for v, c in zip(graph.vertices, covered)
-               if not c]
+    missing = [label for label, c in zip(graph.labels, covered) if not c]
 
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
     # of the other, so their distance is the level gap) and incomparable
@@ -200,8 +202,7 @@ def verify_projection(
             for i, row in tree.distance_rows()
         )
     else:
-        i, j = _sample_pairs(rng, size,
-                             samples if samples is not None else 20_000)
+        i, j = _sample_pairs(rng, size, samples or DEFAULT_SAMPLES)
         blocks = [(i, j, tree.rank_distance(i, j))]
     garr = graph.distance_matrix()
     lip_bad: list[dict] = []

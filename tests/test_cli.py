@@ -61,6 +61,16 @@ class TestGenerate:
         assert out == ""
         assert json.loads(target.read_text())["n"] == 1
 
+    @pytest.mark.parametrize("argv,suffix", [([], "json"),
+                                             (["--format", "dot"], "dot")])
+    def test_laakso_export_is_golden(self, tmp_path, argv, suffix):
+        out = tmp_path / f"g.{suffix}"
+        assert cli.main(["generate", "laakso", "--n", "2", "--b", "3", *argv,
+                         "--out", str(out)]) == 0
+        name = f"generate_laakso_n2_b3.{suffix}"
+        golden = Path(__file__).parent / "data" / name
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestVerifyPhi:
     def test_clean_passes(self, capsys):

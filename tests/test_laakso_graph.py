@@ -150,8 +150,8 @@ def _graph(n, b):
 
 def _portal_case(u, v):
     """(u's word ends at k, v's word ends at k, k), where k is the length of
-    the prefix the two words share: the branch of ``_portal_distance`` the
-    pair takes."""
+    the prefix the two words share: the branch of ``_dist`` the pair
+    takes."""
     k = 0
     for eu, ev in zip(u.word, v.word):
         if eu != ev:
@@ -227,8 +227,8 @@ class TestDistanceOracle:
                                          (v.word, v.pos))
                                for v in g.vertices], u
 
-    # Both graphs have more pairs than the memo holds, so these pairs go
-    # through the portal formula directly, without the memo.
+    # Both graphs have more pairs than the memo holds; their point queries
+    # still read it.
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(3, 5), (4, 3)]), st.data())
     def test_random_pairs_equal_recursive_reference(self, nb, data):
@@ -342,14 +342,24 @@ class TestDistanceOracle:
         info = lg._dist.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
-    def test_graph_over_the_memo_capacity_skips_it(self):
-        # G(2,19) is the smallest G(2,b) whose pairs overflow the memo: its
-        # queries call the portal formula directly and leave the memo empty.
+    def test_graph_over_the_memo_capacity_reads_it_per_query_not_per_row(
+            self, monkeypatch):
+        # G(2,19) is the smallest G(2,b) whose pairs overflow the memo: each
+        # of its point queries reads the memo once, and its rows never do.
         g = _graph(2, 19)
         verts, levels = g.vertices, g.levels
         pairs = len(verts) * (len(verts) - 1) // 2
         assert (len(verts), pairs) == (802, 321_201)
         assert pairs > lg._MEMO_PAIRS
+        calls = 0
+        real = LaaksoGraph.distance
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return real(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "distance", counted)
         lg._dist.cache_clear()
         picks = list(range(0, len(verts), 37)) + [len(verts) - 1]
         ancestors = 0
@@ -364,7 +374,9 @@ class TestDistanceOracle:
                 assert g.is_ancestor(u, v) == below
                 ancestors += below
         assert ancestors > len(picks)
+        before = lg._dist.cache_info()
         i, row = next(itertools.islice(g.upper_rows(), 40, None))
+        assert lg._dist.cache_info() == before
         assert row.tolist() == g.bfs_levels_from(verts[i])[i + 1:]
         path = replay_descent(g, g.root, g.sink)
         from_root = g.bfs_levels_from(g.root)
@@ -374,7 +386,7 @@ class TestDistanceOracle:
         assert [from_sink[g.index(p)] for p in path] == list(range(top, -1,
                                                                    -1))
         info = lg._dist.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert info.hits + info.misses == calls > len(picks) ** 2
 
     def test_rows_past_the_memo_skip_the_point_formula(self, monkeypatch):
         # G(2,19)'s pairs overflow the memo, so its all-pairs walks slice

@@ -13,6 +13,7 @@ from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import LaaksoGraph, build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 from laakso_lab.tree_to_laakso import (
+    DEFAULT_SAMPLES,
     TreeToGraphMap,
     ancestor_pairs,
     as_map_table,
@@ -351,7 +352,7 @@ class TestVerifyProjection:
                 if J.level < 9 else clean.graph.index(clean.graph.sink))
             for J in clean.tree.nodes() if J.elements[:1] == (1,)
         })
-        rep = verify_projection(pm, seed=seed, exhaustive=False)
+        rep = verify_projection(pm, seed=seed, samples=DEFAULT_SAMPLES)
         assert rep["mode"] == "sampled"
         assert len(rep["checks"]["lipschitz"]["counterexamples"]) == 5
         assert rep == ref.verify_projection(pm, seed=seed, exhaustive=False)
@@ -589,8 +590,7 @@ class TestSampledSweepAtTheBoundary:
     def test_matches_pairwise_reference(self, request, name, nodes, fault,
                                         seed, samples):
         pm = request.getfixturevalue(name)
-        rep = verify_projection(pm, seed=seed, samples=samples,
-                                exhaustive=False)
+        rep = verify_projection(pm, seed=seed, samples=samples)
         assert rep["tree"]["nodes"] == nodes
         assert rep["mode"] == "sampled"
         assert rep["checks"]["lipschitz"]["pairs"] == samples
