@@ -28,17 +28,25 @@ per vertex, so every query looks its two keys up.  The formula has three
 explicit cases at the scale below the two words' shared prefix: both
 vertices are block positions there (a block distance), one is (the minimum
 over the other's two portals), or neither is (the minimum over the four
-portal pairs).  ``LaaksoGraph.distance_row`` applies the same rule to all
-vertices at once in numpy, giving one source's distances to every vertex.
-Every point query reads the formula through ``_dist``, an LRU memo of 2**18
-entries.  A graph with at most that many pairs walks them through the memo,
-filling it once and then rereading it; a larger graph's all-pairs walks
-read ``distance_row``, since a row-major walk over more pairs than the memo
-holds evicts every entry before the next walk reaches it.
-``bfs_levels_from`` runs BFS over the explicit adjacency and is kept
-strictly independent so the two can be cross-checked pair by pair.
-Whatever needs the metric on all pairs reads it row by row from
-``LaaksoGraph.upper_rows``.
+portal pairs).  ``LaaksoGraph.distance_rows`` applies the same rule in
+numpy to a block of sources at once, giving their distances to every
+vertex; ``distance_row`` is its one-row view.  Every point query reads the
+formula through ``_dist``, an LRU memo of 2**18 entries.  A graph with at
+most that many pairs walks them through the memo, filling it once and then
+rereading it; a larger graph's all-pairs walks read ``distance_rows``,
+since a row-major walk over more pairs than the memo holds evicts every
+entry before the next walk reaches it.
+
+``bfs_rows`` runs BFS over the explicit adjacency, from a block of sources
+at once, one bit per source, and is kept strictly independent of
+addresses and levels so the two can be cross-checked pair by pair;
+``bfs_levels_from`` is its one-row view.  Whatever needs the metric on all
+pairs reads it row by row from ``LaaksoGraph.upper_rows``, and the oracle
+report compares a block of those rows with a block of BFS rows at a time.
+A block holds the rows of consecutive sources to every vertex: at most
+``BLOCK_CELLS`` = 2**15 cells, or one row where a row alone is longer
+(``source_blocks``), so what an all-pairs walk holds at once does not grow
+with |V|**2.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -49,8 +57,8 @@ glue vertices that root b parallel copies (levels 3**k * (3m+1)).
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import cached_property, lru_cache
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -59,6 +67,9 @@ from .errors import CapacityError, RelationError
 
 DEFAULT_MAX_VERTICES = 50_000
 MAX_VERTICES_ENV = "LAAKSO_LAB_MAX_VERTICES"
+# The most (source, vertex) cells one block of BFS or analytic rows holds;
+# see ``LaaksoGraph.source_blocks``.
+BLOCK_CELLS = 1 << 15
 
 ROOT_POS = 0
 MID_POS = 1
@@ -312,18 +323,75 @@ class LaaksoGraph:
         return _dist(self.n, self.b, ku, kv)
 
     def bfs_levels_from(self, v: VertexId) -> list[int]:
-        """BFS distance from v to every vertex, indexed like ``vertices``."""
-        src = self.index(v)
-        dist = [-1] * len(self.vertices)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            for j in self.neighbors[i]:
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return dist
+        """BFS distance from v to every vertex, indexed like ``vertices``:
+        the one row of ``bfs_rows`` for v, as a list."""
+        return self.bfs_rows([self.index(v)])[0].tolist()
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # ``neighbors`` in CSR form: vertex i's neighbours are
+        # adjacent[starts[i]:starts[i + 1]].  A vertex with none lists the
+        # sentinel len(vertices), a frontier row that stays empty, so that
+        # every segment of the reduction is nonempty.
+        size = len(self.vertices)
+        lists = [nb or (size,) for nb in self.neighbors]
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=size)
+        starts = np.zeros(size, dtype=np.intp)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        adjacent = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                               count=int(lengths.sum()))
+        return starts, adjacent
+
+    def bfs_rows(self, sources) -> np.ndarray:
+        """BFS distance from each of ``sources`` (vertex indices) to every
+        vertex, an int32 array of shape (len(sources), len(vertices)), -1
+        where a vertex cannot be reached.  The sources advance together,
+        level by level: each owns one bit of a row of 64-bit words per
+        vertex, and a level is one ``bitwise_or.reduceat`` of the frontier
+        rows over each vertex's neighbours, in the CSR form of
+        ``neighbors``.  It reads only the adjacency, never addresses or
+        levels."""
+        starts, adjacent = self._csr
+        size = len(self.vertices)
+        sources = np.asarray(sources, dtype=np.intp)
+        count = len(sources)
+        slot = np.arange(count)
+        frontier = np.zeros((size + 1, -(-count // 64)), dtype=np.int64)
+        np.bitwise_or.at(frontier, (sources, slot // 64),
+                         np.left_shift(1, slot % 64))
+        new = frontier[:size]
+        seen = new.copy()
+        # step is the distance of the frontier plus one, and planes[k]
+        # holds the bits whose distance plus one has bit k set, so a vertex
+        # that is never reached reads -1.
+        planes = [seen.copy()]
+        step = 1
+        while True:
+            # The gathered rows are a copy, so the level's reduction can
+            # overwrite the frontier it read.
+            np.bitwise_or.reduceat(np.take(frontier, adjacent, axis=0),
+                                   starts, out=new)
+            new &= ~seen
+            if not np.count_nonzero(new):
+                break
+            step += 1
+            seen |= new
+            for k in range(step.bit_length()):
+                if step >> k & 1:
+                    if k == len(planes):
+                        planes.append(new.copy())
+                    else:
+                        planes[k] |= new
+        cells = np.zeros((size, count), dtype=np.min_scalar_type(step))
+        for k, plane in enumerate(planes):
+            # Bit j of word w is column 64*w + j, the source in that slot.
+            bits = np.unpackbits(
+                plane.astype("<i8", copy=False).view(np.uint8),
+                axis=1, count=count, bitorder="little")
+            cells |= bits.astype(cells.dtype, copy=False) << k
+        out = cells.T.astype(np.int32)
+        out -= 1
+        return out
 
     def is_ancestor(self, u: VertexId, v: VertexId) -> bool:
         """True iff some shortest root-to-v path passes through u, which for
@@ -356,68 +424,105 @@ class LaaksoGraph:
             cur = c
         return out
 
+    def source_blocks(self) -> Iterator[range]:
+        """Consecutive ranges of vertex indices, in order and covering
+        ``vertices``, of max(1, BLOCK_CELLS // len(vertices)) sources each
+        (the last may be shorter): a block of rows to every vertex holds at
+        most BLOCK_CELLS cells, or one row where a row alone is longer."""
+        size = len(self.vertices)
+        step = max(1, BLOCK_CELLS // size)
+        return (range(s, min(s + step, size)) for s in range(0, size, step))
+
     @cached_property
-    def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        # Words padded with -1 to width n (a word has at most n - 1 letters,
-        # so every row ends in a pad), word lengths, positions, levels, and
-        # the block tables of ``_block_tables`` as arrays.
-        words = np.full((len(self.vertices), self.n), -1, dtype=np.int64)
-        for i, v in enumerate(self.vertices):
-            words[i, :len(v.word)] = v.word
-        lengths = np.array([len(v.word) for v in self.vertices], dtype=np.int64)
-        pos = np.array([v.pos for v in self.vertices], dtype=np.int64)
-        levels = np.array(self.levels, dtype=np.int64)
-        src, dst, block = (np.array(t, dtype=np.int64)
+    def _row_arrays(self) -> tuple:
+        # The words letter by letter (letters[j, i] is letter j of vertex
+        # i's word, or -1 past its end), word lengths, and each vertex's two
+        # portals at every shared-prefix length k: the ends of the block
+        # edge its word names at k and its costs to them, or, where the word
+        # ends at k, its own position at cost 0 (entries past the word's end
+        # are never read).  Also units[k] = 3**(n - 1 - k) and the block
+        # distances of ``_block_tables``.  Every sum the rule forms is below
+        # 2 * 3**n, so costs and block distances take the narrowest unsigned
+        # dtype that holds that bound.
+        n, verts = self.n, self.vertices
+        dtype = np.min_scalar_type(2 * 3 ** n)
+        src, dst, block = (np.array(t, dtype=np.int32)
                            for t in _block_tables(self.b))
-        return words, lengths, pos, levels, src, dst, block
+        letters = np.full((n, len(verts)), -1, dtype=np.int32)
+        for i, v in enumerate(verts):
+            letters[:len(v.word), i] = v.word
+        lengths = np.array([len(v.word) for v in verts])
+        pos = np.array([v.pos for v in verts], dtype=np.int32)
+        units = [3 ** (n - 1 - k) for k in range(n)]
+        span = np.array(units)[:, None]
+        inner = np.array(self.levels) % span
+        ends = np.arange(n)[:, None] >= lengths
+        portals = np.stack([np.where(ends, pos, src[letters]),
+                            np.where(ends, pos, dst[letters])])
+        costs = np.stack([np.where(ends, 0, inner),
+                          np.where(ends, 0, span - inner)]).astype(dtype)
+        return letters, lengths, portals, costs, units, block.astype(dtype)
+
+    def distance_rows(self, sources) -> np.ndarray:
+        """Exact distance from each of ``sources`` (vertex indices) to every
+        vertex, an array of shape (len(sources), len(vertices)) in the
+        narrowest unsigned dtype that holds 2 * 3**n: ``_dist``'s portal
+        rule broadcast over a block of sources.  For the length k of the
+        prefix a source's word shares with a vertex's, the distance is the
+        least cost_u + 3**(n-1-k) * block[p, q] + cost_v over the two
+        portals p of the source and q of the vertex at k.  It reads
+        addresses and levels only, never the adjacency."""
+        letters, lengths, portals, costs, units, block = self._row_arrays
+        sources = np.asarray(sources, dtype=np.intp)
+        own = lengths[sources]
+        deepest = int(own.max(initial=0))
+        # k counts the leading letters each pair shares; -2 past a source's
+        # word matches no letter and no pad, so k <= the source's length.
+        k = np.zeros((len(sources), letters.shape[1]), dtype=np.int8)
+        shared = np.ones(k.shape, dtype=bool)
+        for j in range(deepest):
+            letter = np.where(j < own, letters[j, sources], -2)
+            shared &= letters[j] == letter[:, None]
+            k += shared
+        out = np.empty(k.shape, dtype=costs.dtype)
+        for kk in range(deepest + 1):
+            # ps: the block positions the sources' portals take at this
+            # scale; reach[r]: the cost from ps[r] to every vertex through
+            # that vertex's cheaper portal.
+            mine = portals[:, kk, sources]
+            present = np.zeros(len(block), dtype=bool)
+            present[mine] = True
+            ps = np.flatnonzero(present)
+            rank = np.cumsum(present) - 1
+            ahead = units[kk] * block[ps]
+            reach = np.minimum(*(ahead.take(portals[q, kk], axis=1)
+                                 + costs[q, kk] for q in (0, 1)))
+            best = None
+            for p in (0, 1):
+                cand = reach.take(rank[mine[p]], axis=0)
+                cand += costs[p, kk, sources, None]
+                best = cand if best is None else np.minimum(best, cand,
+                                                            out=best)
+            np.copyto(out, best, where=k == kk)
+        return out
 
     def distance_row(self, u: VertexId) -> np.ndarray:
         """Exact int64 distance from u to every vertex, indexed like
-        ``vertices``: ``_dist``'s rule applied to all vertices at once.  It
-        reads addresses and levels only, never the adjacency."""
-        i = self.index(u)
-        word, own_pos = self.vertices[i]
-        words, lengths, pos, levels, src, dst, block = self._row_arrays
-        own = len(word)
-        # k, the shared-prefix length, is the first column that differs; no
-        # column past u's word counts as shared, so k <= own.
-        same = words == words[i]
-        same[:, own:] = False
-        k = same.argmin(axis=1)
-        unit = 3 ** (self.n - 1 - k)
-        # u's two portals at each shared-prefix length k it can have with
-        # another vertex; at k = own u is its own portal at cost 0.
-        up = np.full((2, own + 1), own_pos, dtype=np.int64)
-        uc = np.zeros((2, own + 1), dtype=np.int64)
-        for kk, e in enumerate(word):
-            span = 3 ** (self.n - 1 - kk)
-            inner = self.levels[i] % span
-            up[:, kk] = src[e], dst[e]
-            uc[:, kk] = inner, span - inner
-        # The other vertices' portals; a word that ends at k reads the pad
-        # -1 there, and ``where`` drops what the tables return for it.
-        ends = lengths == k
-        f = words[np.arange(len(k)), k]
-        inner = levels % unit
-        vp = (np.where(ends, pos, src[f]), np.where(ends, pos, dst[f]))
-        vc = (np.where(ends, 0, inner), np.where(ends, 0, unit - inner))
-        best = None
-        for p, cp in zip(up[:, k], uc[:, k]):
-            for q, cq in zip(vp, vc):
-                cand = cp + unit * block[p, q] + cq
-                best = cand if best is None else np.minimum(best, cand)
-        return best
+        ``vertices``: the one row of ``distance_rows`` for u."""
+        return self.distance_rows([self.index(u)])[0].astype(np.int64)
 
     def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, row) in vertex order, where row[k] is the int32 distance from
-        vertex i to vertex i+1+k: each unordered pair once, one row held at a
-        time.  A graph whose pairs fit the ``_dist`` memo walks the pairs
-        through ``distance`` in row-major order; a larger one slices
-        ``distance_row``, since its pairs would only overflow the memo."""
+        vertex i to vertex i+1+k: each unordered pair once.  A graph whose
+        pairs fit the ``_dist`` memo walks the pairs through ``distance`` in
+        row-major order, one row at a time; a larger one slices the blocks
+        of ``distance_rows`` over ``source_blocks``, since its pairs would
+        only overflow the memo."""
         verts = self.vertices
         if len(verts) * (len(verts) - 1) // 2 > _MEMO_PAIRS:
-            for i, u in enumerate(verts):
-                yield i, self.distance_row(u)[i + 1:].astype(np.int32)
+            for sources in self.source_blocks():
+                for i, row in zip(sources, self.distance_rows(sources)):
+                    yield i, row[i + 1:].astype(np.int32)
             return
         for i, u in enumerate(verts):
             yield i, np.fromiter((self.distance(u, v) for v in verts[i + 1:]),
@@ -582,24 +687,39 @@ def structure_report(g: LaaksoGraph) -> dict:
 
 
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
-    """Compare the analytic metric with per-source BFS on every pair."""
-    verts, labels = g.vertices, g.labels
+    """Compare the analytic metric with BFS on every pair, one block of
+    ``source_blocks`` at a time: the block's rows of ``upper_rows`` against
+    ``bfs_rows`` of the same sources.  Mismatches are counted per block,
+    and the first 10 in row-major order are recorded."""
+    labels = g.labels
+    rows = g.upper_rows()
     mismatches = []
-    for i, row in g.upper_rows():
-        bfs = g.bfs_levels_from(verts[i])[i + 1:]
-        for k in np.flatnonzero(row != bfs).tolist():
-            mismatches.append(
-                {"u": labels[i], "v": labels[i + 1 + k],
-                 "analytic": int(row[k]), "bfs": bfs[k]}
-            )
-    total = len(verts) * (len(verts) - 1) // 2
+    count = 0
+    for sources in g.source_blocks():
+        bfs = g.bfs_rows(sources)
+        analytic = list(islice(rows, len(sources)))
+        # wrong[r, j]: the pair (i, j) of row r = (i, row) disagrees; cells
+        # on and left of the diagonal stay False.
+        wrong = np.zeros(bfs.shape, dtype=bool)
+        for r, (i, row) in enumerate(analytic):
+            np.not_equal(row, bfs[r, i + 1:], out=wrong[r, i + 1:])
+        found = int(np.count_nonzero(wrong))
+        if found and len(mismatches) < 10:
+            for r, j in np.argwhere(wrong)[:10 - len(mismatches)].tolist():
+                i, row = analytic[r]
+                mismatches.append(
+                    {"u": labels[i], "v": labels[j],
+                     "analytic": int(row[j - i - 1]), "bfs": int(bfs[r, j])}
+                )
+        count += found
+    total = len(labels) * (len(labels) - 1) // 2
     return {
         "n": g.n,
         "b": g.b,
         "pairs_checked": total,
-        "mismatches": mismatches[:10],
-        "mismatch_count": len(mismatches),
-        "pass": not mismatches,
+        "mismatches": mismatches,
+        "mismatch_count": count,
+        "pass": not count,
     }
 
 

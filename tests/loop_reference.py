@@ -48,9 +48,17 @@ The analytic metric of `laakso_graph`, as it was when `_dist` descended
 the address words by recursion, with three special cases and a `_portals`
 helper that recomputed each vertex's level from its address.  It takes
 vertices as (word, pos) and the scale n of the whole graph.
+
+The BFS oracle of `laakso_graph`, as it was before the sources of a block
+advanced together as bits over a CSR adjacency: `bfs_levels` walks a
+`deque` of vertex indices from one source over `neighbors`, -1 where a
+vertex is not reached.  `oracle_agreement_report` is the oracle report as
+it was when it ran that BFS once per row of `upper_rows` and appended a
+record for every mismatching pair before keeping the first 10.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
@@ -614,3 +622,39 @@ def _portals(scale: int, b: int, u: tuple) -> list[tuple[int, int]]:
         (_edge_src(e, b), inner_level),
         (_edge_dst(e, b), 3 ** (scale - 1) - inner_level),
     ]
+
+
+def bfs_levels(g, v) -> list[int]:
+    src = g.index(v)
+    dist = [-1] * len(g.vertices)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        i = queue.popleft()
+        for j in g.neighbors[i]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
+
+
+def oracle_agreement_report(g) -> dict:
+    verts, labels = g.vertices, g.labels
+    mismatches = []
+    for i, row in g.upper_rows():
+        bfs = bfs_levels(g, verts[i])[i + 1:]
+        for k, (analytic, level) in enumerate(zip(row.tolist(), bfs)):
+            if analytic != level:
+                mismatches.append(
+                    {"u": labels[i], "v": labels[i + 1 + k],
+                     "analytic": analytic, "bfs": level}
+                )
+    total = len(verts) * (len(verts) - 1) // 2
+    return {
+        "n": g.n,
+        "b": g.b,
+        "pairs_checked": total,
+        "mismatches": mismatches[:10],
+        "mismatch_count": len(mismatches),
+        "pass": not mismatches,
+    }

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,98 @@ class TestDistanceOracle:
         g = build_laakso(2, 3)
         dists = g.bfs_levels_from(g.root)
         assert dists == list(g.levels)
+
+
+# Every source of these graphs meets the reference BFS: one to three
+# scales, two to seven arms, the 81 levels of G(4,2), blocks of more than
+# one 64-bit word of sources (G(2,7), G(3,4), G(4,2)), and G(2,19), past
+# the memo.
+BFS_GRAPHS = ([(1, b) for b in range(2, 6)] + [(2, b) for b in range(2, 8)]
+              + [(3, b) for b in range(2, 5)] + [(4, 2), (2, 19)])
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("n,b", BFS_GRAPHS)
+    def test_block_bfs_equals_reference_bfs(self, n, b):
+        g = _graph(n, b)
+        verts = g.vertices
+        covered = []
+        for sources in g.source_blocks():
+            rows = g.bfs_rows(sources)
+            assert rows.dtype == np.int32
+            assert rows.tolist() == [ref.bfs_levels(g, verts[i])
+                                     for i in sources]
+            covered.extend(sources)
+        assert covered == list(range(len(verts)))
+
+    @pytest.mark.parametrize("n,b", [(2, 19), (1, 722), (3, 5)])
+    def test_distance_blocks_equal_bfs_blocks(self, n, b):
+        g = _graph(n, b)
+        for sources in g.source_blocks():
+            rows = g.distance_rows(sources)
+            assert rows.dtype == np.min_scalar_type(2 * 3**n)
+            assert (rows == g.bfs_rows(sources)).all()
+
+    def test_bfs_levels_from_is_a_list(self):
+        g = _graph(3, 2)
+        for v in (g.root, g.vertices[40], g.sink):
+            levels = g.bfs_levels_from(v)
+            assert type(levels) is list
+            assert {type(x) for x in levels} == {int}
+            assert levels == ref.bfs_levels(g, v)
+
+    def test_kernels_take_any_sources(self):
+        # Unsorted and repeated sources, more than one 64-bit word of them,
+        # and none.
+        g = _graph(3, 3)
+        sources = list(range(229, 100, -1)) + [5, 5, 229]
+        want = [ref.bfs_levels(g, g.vertices[i]) for i in sources]
+        assert g.bfs_rows(sources).tolist() == want
+        assert g.distance_rows(sources).tolist() == want
+        empty = (0, len(g.vertices))
+        assert g.bfs_rows([]).shape == g.distance_rows([]).shape == empty
+
+    def test_bfs_marks_unreached_vertices(self, monkeypatch):
+        # Cutting every edge of the root (the first vertex) and of the sink
+        # (the last) leaves both isolated: each reads the empty sentinel
+        # row, and the reduction's last segment is the sink's.
+        g = build_laakso(2, 3)
+        last = len(g.vertices) - 1
+        cut = {0, last}
+        monkeypatch.setattr(g, "neighbors", tuple(
+            () if i in cut else tuple(j for j in nb if j not in cut)
+            for i, nb in enumerate(g.neighbors)))
+        rows = g.bfs_rows(range(len(g.vertices)))
+        assert rows.tolist() == [ref.bfs_levels(g, v) for v in g.vertices]
+        assert rows[0].tolist() == [0] + [-1] * last
+        assert rows[-1].tolist() == [-1] * last + [0]
+        assert (rows[1:-1, 1:-1] >= 0).all()
+
+    def test_largest_block_at_g45(self):
+        # G(4,5) has 8,786 vertices: a block takes BLOCK_CELLS // 8,786 = 3
+        # sources, and neither kernel allocates near one byte per pair.
+        g = _graph(4, 5)
+        size = len(g.vertices)
+        assert size == 8_786
+        blocks = list(g.source_blocks())
+        assert [len(s) for s in blocks] == [3] * 2928 + [2]
+        assert [i for s in blocks for i in s] == list(range(size))
+        largest = blocks[0]
+        assert len(largest) * size == 26_358 <= lg.BLOCK_CELLS
+        # Build the per-graph arrays outside the traced calls.
+        g.bfs_rows([0])
+        g.distance_rows([0])
+        for kernel in (g.bfs_rows, g.distance_rows):
+            tracemalloc.start()
+            try:
+                rows = kernel(largest)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rows.shape == (3, size)
+            assert peak < size * size // 16
+            assert rows.tolist() == [ref.bfs_levels(g, g.vertices[i])
+                                     for i in largest]
 
 
 class TestNesting:
