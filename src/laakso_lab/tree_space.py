@@ -25,8 +25,12 @@ this span arithmetic, ``child_ranks`` is its child step on arrays of
 ranks, and ``rank_distance`` computes distances of rank pairs by it, an
 array of pairs at a time, with no node built.  The level of every rank is
 built once per space as an array, and whole rows of the metric come from
-it: the lcp depths of one node against all others are the levels of its
-ancestors written over their ranges, root first.
+it a block at a time (``distance_block``): in preorder the lcp depth of
+two ranks is bounded by the shallowest level between them, so a run of
+consecutive ranks takes its rows against every later rank from running
+minima of the levels.  ``rank_blocks`` cuts the ranks into runs whose
+blocks hold at most ``BLOCK_CELLS`` cells, the graph's block budget, or
+``MIN_BLOCK_ROWS`` rows where the rows are longer.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .laakso_graph import BLOCK_CELLS
 
 # Hard ceiling on how many nodes we are willing to materialize at once.
 MAX_ENUMERATED_NODES = 2**21
+# The fewest ranks one block of ``TreeSpace.rank_blocks`` takes.
+MIN_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -244,31 +251,64 @@ class TreeSpace:
             lcp += down_i & down_j & (ai == aj)
         return li + lj - 2 * lcp
 
-    def distance_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, row)`` for each rank i, where ``row[j]`` is the tree
-        distance from node i to node j.
+    @property
+    def distance_dtype(self) -> np.dtype:
+        """The narrowest signed integer dtype that holds -2 * depth - 1 and
+        2 * depth + 1, so every value ``distance_block`` forms, and one
+        past the diameter 2 * depth."""
+        return np.min_scalar_type(-2 * self.depth - 1)
 
-        The subtree of a node at level l is the range of the next
-        ``spans[l]`` ranks, so the lcp depth of node i against every node
-        is built by writing the level of each ancestor of i (i included)
-        over its range, root first, and the row is level(i) + level -
-        2 * lcp: exact integers, one slice write per ancestor, O(size)
-        memory per row.  The levels are ``levels``; no node is built."""
+    def rank_blocks(self) -> Iterator[tuple[int, int]]:
+        """Consecutive rank ranges ``(start, stop)``, in order and covering
+        the space, of max(MIN_BLOCK_ROWS, BLOCK_CELLS // size) ranks each
+        (the last may be shorter): a ``distance_block`` holds at most
+        BLOCK_CELLS cells, or MIN_BLOCK_ROWS rows where that many rows are
+        longer, since below that the per-block overhead dominates."""
+        size = self.size()
+        step = max(MIN_BLOCK_ROWS, BLOCK_CELLS // size)
+        return ((s, min(s + step, size)) for s in range(0, size, step))
+
+    def distance_block(self, start: int, stop: int) -> np.ndarray:
+        """Tree distances from each rank i in start..stop - 1 to each rank j
+        in start..size - 1, an array of shape (stop - start, size - start)
+        in ``distance_dtype``: a run of ranks against itself and every
+        later rank; the earlier ranks' columns are the rows of earlier runs,
+        by symmetry.
+
+        In preorder the lcp depth of ranks i < j is min(level[i],
+        min(level[i+1..j]) - 1): j lies in the subtree of i while every
+        rank between is deeper, and otherwise the shallowest rank in
+        (i, j] is a child of their deepest common ancestor.  So within the
+        run each row is one running minimum, and a later column j >= stop
+        takes min(lcp(i, stop - 1), min(level[stop..j]) - 1): one running
+        minimum of the levels past the run, shared by every row, against
+        one lcp per row.  The distance is level[i] + level[j] - 2 * lcp,
+        exact integers.  Only ``levels`` is read, no node is built, and
+        the enumeration cap applies."""
         levels = self.levels
-        span = self.spans
-        # (start, level) of the ancestors: in preorder, the latest node
-        # seen at each lower level is the current node's ancestor there.
-        chain: list[tuple[int, int]] = []
-        for i, lv in enumerate(levels.tolist()):
-            del chain[lv:]
-            chain.append((i, lv))
-            row = np.empty_like(levels)  # the lcp depths, then distances
-            for a, la in chain:
-                row[a:a + span[la]] = la
-            row *= -2
-            row += levels
-            row += lv
-            yield i, row
+        if not 0 <= start <= stop <= len(levels):
+            raise DomainError(f"ranks {start}..{stop} are not a run inside "
+                              f"0..{len(levels)}")
+        later = levels[start:].astype(self.distance_dtype)
+        count = stop - start
+        rows = later[:count]
+        out = np.empty((count, len(later)), dtype=later.dtype)
+        if not count:
+            return out
+        # lcp[i, j] for j > i, and the level of row i itself elsewhere, so
+        # the lesser of lcp and its transpose is the run's own lcp table.
+        lcp = np.where(np.arange(count) > np.arange(count)[:, None], rows,
+                       self.depth + 1)
+        np.minimum.accumulate(lcp, axis=1, out=lcp)
+        lcp -= 1
+        np.minimum(lcp, rows[:, None], out=lcp)
+        np.minimum(lcp, lcp.T, out=out[:, :count])
+        np.minimum(lcp[:, -1:], np.minimum.accumulate(later[count:]) - 1,
+                   out=out[:, count:])
+        out *= -2
+        out += later
+        out += rows[:, None]
+        return out
 
 
 def to_json_vertices(space: TreeSpace) -> list[dict]:

@@ -159,19 +159,22 @@ def verify_projection(
     Nodes are handled by rank, as arrays: levels from ``tree.levels`` and
     images from ``pm.rank_images``, counted once per vertex for both the
     coverage and the preimage pools.  The exhaustive sweep reads the tree
-    distances row by row from ``TreeSpace.distance_rows``, each row against
-    the later ranks, and records the first Lipschitz failures in row-major
-    order; the sampled sweep draws its seeded pairs with ``_sample_pairs``,
-    pair by pair the stream of ``random.Random(seed).sample(range(size),
-    2)``, read off the generator's own word stream for 21 < size < 2**32
-    and by the per-pair loop at other sizes, and computes them by
-    ``TreeSpace.rank_distance``.  Both feed one fold that counts the strata
-    and records the counterexamples.  The lifts of one ancestor pair share
-    its one ``graph.descent``: a lift's rank is its preimage's rank
-    advanced by ``TreeSpace.child_ranks`` along the descent's increments,
-    which stays inside the preimage's subtree once a lift below the depth
-    is refused, and each lift is judged on its own.  ``TreeNode``s are
-    built only for counterexample records.
+    distances a block at a time from ``TreeSpace.distance_block`` over
+    ``TreeSpace.rank_blocks``, a run of ranks against itself and every
+    later rank, compares them with the images' graph distances in the
+    blocks' narrow dtype, and records the first Lipschitz failures in
+    row-major order; the sampled sweep draws its seeded pairs with
+    ``_sample_pairs``, pair by pair the stream of
+    ``random.Random(seed).sample(range(size), 2)``, read off the
+    generator's own word stream for 21 < size < 2**32 and by the per-pair
+    loop at other sizes, and computes them by ``TreeSpace.rank_distance``.
+    Both feed ``_lipschitz_block``, which counts the comparable pairs and
+    records the counterexamples.  The lifts of one ancestor pair share its
+    one ``graph.descent``: a lift's rank is its preimage's rank advanced by
+    ``TreeSpace.child_ranks`` along the descent's increments, which stays
+    inside the preimage's subtree once a lift below the depth is refused,
+    and each lift is judged on its own.  ``TreeNode``s are built only for
+    counterexample records.
     ``exhaustive=True`` forces the exhaustive sweep; otherwise the mode is
     chosen by size, and passing ``samples`` chooses sampling.
     Failures are report content, never exceptions."""
@@ -193,28 +196,30 @@ def verify_projection(
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
     # of the other, so their distance is the level gap) and incomparable
     # pairs; both strata must be nonempty for the bound to have been
-    # exercised on both geodesic shapes.  A block is (i, j, tree distances)
-    # for rank pairs (i, j[k]): one row against the later ranks when
-    # exhaustive, else the whole sample with i one rank per pair.
-    if exhaustive:
-        blocks = (
-            (i, np.arange(i + 1, size), row[i + 1:])
-            for i, row in tree.distance_rows()
-        )
-    else:
-        i, j = _sample_pairs(rng, size, samples or DEFAULT_SAMPLES)
-        blocks = [(i, j, tree.rank_distance(i, j))]
+    # exercised on both geodesic shapes.  Exhaustive: each run of ranks of
+    # ``tree.rank_blocks`` against itself and every later rank, with only
+    # the pairs above the run's diagonal checked, so that the runs visit
+    # each pair once and in row-major order.  Sampled: the whole sample.
     garr = graph.distance_matrix()
     lip_bad: list[dict] = []
-    comparable = incomparable = 0
-    for i, j, dt in blocks:
-        same = int(np.count_nonzero(dt == np.abs(levels[i] - levels[j])))
-        comparable += same
-        incomparable += len(dt) - same
-        room = MAX_COUNTEREXAMPLES - len(lip_bad)
-        for k in np.flatnonzero(garr[gsel[i], gsel[j]] > dt)[:room]:
-            J = tree.node_at(np.broadcast_to(i, dt.shape)[k])
-            lip_bad.append(_lipschitz_record(pm, J, tree.node_at(j[k])))
+    if exhaustive:
+        pairs = size * (size - 1) // 2
+        comparable = 0
+        # The graph distances saturated one past the tree's diameter, which
+        # keeps every comparison with a tree distance, in the blocks' dtype.
+        near = np.clip(garr, 0, 2 * tree.depth + 1).astype(
+            tree.distance_dtype)
+        for start, stop in tree.rank_blocks():
+            i, j = np.arange(start, stop)[:, None], np.arange(start, size)
+            comparable += _lipschitz_block(
+                pm, i, j, tree.distance_block(start, stop),
+                np.take(near[gsel[start:stop]], gsel[start:], axis=1),
+                j > i, lip_bad)
+    else:
+        i, j = _sample_pairs(rng, size, samples or DEFAULT_SAMPLES)
+        pairs = len(i)
+        comparable = _lipschitz_block(pm, i, j, tree.rank_distance(i, j),
+                                      garr[gsel[i], gsel[j]], True, lip_bad)
 
     # Lift exactness on every ancestor pair of the graph, over preimages of
     # the upper vertex, ascending by rank.  Every preimage J of u has image
@@ -266,9 +271,9 @@ def verify_projection(
         },
         "lipschitz": {
             "pass": not lip_bad,
-            "pairs": comparable + incomparable,
+            "pairs": pairs,
             "comparable_pairs": comparable,
-            "incomparable_pairs": incomparable,
+            "incomparable_pairs": pairs - comparable,
             "counterexamples": lip_bad,
         },
         "lift_exact": {
@@ -289,6 +294,26 @@ def verify_projection(
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
     }
+
+
+def _lipschitz_block(pm: TreeToGraphMap, i, j, dt: np.ndarray,
+                     dg: np.ndarray, checked, records: list[dict]) -> int:
+    """One block of the Lipschitz sweep: the rank pairs (i, j) broadcast,
+    their tree distances ``dt`` and the graph distances ``dg`` of their
+    images, of which only the pairs marked ``checked`` count.  Appends the
+    pairs whose images lie farther apart than they do, in row-major order,
+    to ``records`` until it holds MAX_COUNTEREXAMPLES, and returns how many
+    checked pairs are comparable: at the distance of their level gap."""
+    levels = pm.tree.levels
+    checked = np.broadcast_to(checked, dt.shape)
+    gap = levels[i] - levels[j]
+    same = np.count_nonzero(checked & (dt == np.abs(gap, out=gap)))
+    room = MAX_COUNTEREXAMPLES - len(records)
+    for k in np.flatnonzero(checked & (dg > dt))[:room]:
+        J = pm.tree.node_at(np.broadcast_to(i, dt.shape).flat[k])
+        K = pm.tree.node_at(np.broadcast_to(j, dt.shape).flat[k])
+        records.append(_lipschitz_record(pm, J, K))
+    return int(same)
 
 
 def _sample_pairs(rng: random.Random, size: int,
@@ -472,17 +497,21 @@ def ancestor_pairs(dist, levels) -> list[list[int]]:
 
 def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     """The projection as a map table, built from arrays: the tree matrix is
-    the stack of ``TreeSpace.distance_rows``, the graph matrix is
-    ``LaaksoGraph.distance_matrix``, both int32, and both strict ancestor
-    relations are read off them by the rule of ``ancestor_pairs``, with
-    the tree levels from ``TreeSpace.levels``; the assignment is
+    written from the blocks of ``TreeSpace.distance_block`` over
+    ``TreeSpace.rank_blocks``, each block and its transpose, the graph
+    matrix is ``LaaksoGraph.distance_matrix``, both int32, and both strict
+    ancestor relations are read off them by the rule of ``ancestor_pairs``,
+    with the tree levels from ``TreeSpace.levels``; the assignment is
     ``pm.rank_images``.  Every input check of ``FiniteMetricSpace`` and
     ``MetricMapTable`` runs.  Only feasible at desk scale; the tree levels
     enforce the enumeration cap."""
-    levels = pm.tree.levels
+    tree = pm.tree
+    levels = tree.levels
     sdist = np.empty((len(levels), len(levels)), dtype=np.int32)
-    for i, row in pm.tree.distance_rows():
-        sdist[i] = row
+    for start, stop in tree.rank_blocks():
+        block = tree.distance_block(start, stop)
+        sdist[start:stop, start:] = block
+        sdist[start:, start:stop] = block.T
     tdist = pm.graph.distance_matrix()
     source = FiniteMetricSpace(sdist, order=ancestor_pairs(sdist, levels))
     target = FiniteMetricSpace(

@@ -55,6 +55,12 @@ advanced together as bits over a CSR adjacency: `bfs_levels` walks a
 vertex is not reached.  `oracle_agreement_report` is the oracle report as
 it was when it ran that BFS once per row of `upper_rows` and appended a
 record for every mismatching pair before keeping the first 10.
+
+The tree metric rows of `tree_space`, as they were before a run of ranks
+came from one block of running minima over the levels: `distance_rows`
+yields one row per rank, the lcp depths written as the level of each
+ancestor over its subtree's rank range, root first, one slice write per
+ancestor.
 """
 
 import random
@@ -62,7 +68,9 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from laakso_lab import staircase
 from laakso_lab.errors import DomainError, RelationError
@@ -658,3 +666,24 @@ def oracle_agreement_report(g) -> dict:
         "mismatch_count": len(mismatches),
         "pass": not mismatches,
     }
+
+
+def distance_rows(space) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, row)`` for each rank i of ``space``, where ``row[j]``
+    is the int32 tree distance from node i to node j, from ``levels`` and
+    ``spans`` alone."""
+    levels = space.levels
+    span = space.spans
+    # (start, level) of the ancestors: in preorder, the latest node seen at
+    # each lower level is the current node's ancestor there.
+    chain: list[tuple[int, int]] = []
+    for i, lv in enumerate(levels.tolist()):
+        del chain[lv:]
+        chain.append((i, lv))
+        row = np.empty_like(levels)  # the lcp depths, then distances
+        for a, la in chain:
+            row[a:a + span[la]] = la
+        row *= -2
+        row += levels
+        row += lv
+        yield i, row

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 import loop_reference as ref
 from laakso_lab.errors import CapacityError, DomainError
+from laakso_lab.laakso_graph import BLOCK_CELLS
 from laakso_lab.tree_space import (
     MAX_ENUMERATED_NODES,
+    MIN_BLOCK_ROWS,
     ROOT,
     TreeNode,
     TreeSpace,
@@ -166,7 +168,7 @@ class TestTreeSpace:
         with pytest.raises(CapacityError):
             TreeSpace(2, 40).nodes()
         with pytest.raises(CapacityError):
-            next(TreeSpace(2, 40).distance_rows())
+            TreeSpace(2, 40).distance_block(0, 1)
 
     def test_json_vertices(self):
         out = to_json_vertices(TreeSpace(2, 1))
@@ -177,33 +179,54 @@ class TestTreeSpace:
         ]
 
 
-class TestDistanceRows:
-    """The preorder-range rows against two independent routes: the
-    closed-form point distance and shortest paths over the parent edges."""
+def block_matrix(space, blocks):
+    """The full distance matrix written from ``distance_block`` over the
+    runs ``blocks``, each block and its transpose."""
+    size = space.size()
+    out = np.full((size, size), -1, dtype=np.int64)
+    for start, stop in blocks:
+        block = space.distance_block(start, stop)
+        assert np.issubdtype(block.dtype, np.integer)
+        assert block.shape == (stop - start, size - start)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
+    return out
+
+
+def reference_matrix(space):
+    return np.array([row for _, row in ref.distance_rows(space)])
+
+
+class TestDistanceBlocks:
+    """The blocks of running minima against three independent routes: the
+    closed-form point distance, shortest paths over the parent edges, and
+    the slice-write rows of ``loop_reference``."""
 
     @pytest.mark.parametrize("b,d", [(3, 0), (1, 5), (2, 4), (3, 3), (2, 9)])
-    def test_rows_are_the_point_distances_in_node_order(self, b, d):
+    def test_blocks_are_the_point_distances_in_node_order(self, b, d):
         space = TreeSpace(b, d)
         nodes = space.nodes()
-        rows = list(space.distance_rows())
-        assert [i for i, _ in rows] == list(range(len(nodes)))
-        for (_, row), J in zip(rows, nodes):
-            assert np.issubdtype(row.dtype, np.integer)
+        blocks = list(space.rank_blocks())
+        assert [r for s, e in blocks for r in range(s, e)] == list(
+            range(len(nodes)))
+        dist = block_matrix(space, blocks)
+        for J, row in zip(nodes, dist):
             assert row.tolist() == [tree_distance(J, K) for K in nodes]
 
-    def test_rows_build_no_nodes(self, monkeypatch):
+    def test_blocks_build_no_nodes(self, monkeypatch):
         space = TreeSpace(3, 3)
         nodes = space.nodes()
 
         def refuse(self):
-            raise AssertionError("distance_rows enumerated the nodes")
+            raise AssertionError("distance_block enumerated the nodes")
 
         monkeypatch.setattr(TreeSpace, "nodes", refuse)
-        for i, row in space.distance_rows():
-            assert row.tolist() == [tree_distance(nodes[i], K) for K in nodes]
+        dist = block_matrix(space, space.rank_blocks())
+        for J, row in zip(nodes, dist):
+            assert row.tolist() == [tree_distance(J, K) for K in nodes]
 
     @pytest.mark.parametrize("b,d", [(2, 4), (3, 3)])
-    def test_rows_are_networkx_path_lengths(self, b, d):
+    def test_blocks_are_networkx_path_lengths(self, b, d):
         nx = pytest.importorskip("networkx")
         space = TreeSpace(b, d)
         nodes = space.nodes()
@@ -211,8 +234,60 @@ class TestDistanceRows:
         tree.add_nodes_from(nodes)
         tree.add_edges_from((tree_parent(J), J) for J in nodes[1:])
         lengths = dict(nx.all_pairs_shortest_path_length(tree))
-        for i, row in space.distance_rows():
-            assert row.tolist() == [lengths[nodes[i]][K] for K in nodes]
+        dist = block_matrix(space, space.rank_blocks())
+        for J, row in zip(nodes, dist):
+            assert row.tolist() == [lengths[J][K] for K in nodes]
+
+    @pytest.mark.parametrize("b,d", [(1, 5), (2, 4), (3, 3), (2, 9), (4, 3),
+                                     (3, 0)])
+    @pytest.mark.parametrize("width", [1, 3, 32, None])
+    def test_every_block_width_gives_the_reference_matrix(self, b, d, width):
+        # None is one block of the whole space; 3 leaves a short last
+        # block on T(2,4), T(3,3) and T(4,3), and 32 on T(3,3), T(2,9) and
+        # T(4,3).
+        space = TreeSpace(b, d)
+        size = space.size()
+        width = width or size
+        blocks = [(s, min(s + width, size)) for s in range(0, size, width)]
+        assert block_matrix(space, blocks).tolist() == (
+            reference_matrix(space).tolist())
+
+    @pytest.mark.parametrize("b,d", [(3, 0), (2, 4)])
+    def test_an_empty_run_is_an_empty_block(self, b, d):
+        space = TreeSpace(b, d)
+        size = space.size()
+        for start in (0, size // 2, size):
+            assert space.distance_block(start, start).shape == (
+                0, size - start)
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 32),
+                                            (31, 32)])
+    def test_a_run_outside_the_space_is_refused(self, start, stop):
+        with pytest.raises(DomainError, match="not a run inside 0..31"):
+            TreeSpace(2, 4).distance_block(start, stop)
+
+    @pytest.mark.parametrize("d,dtype", [(63, np.int8), (64, np.int16)])
+    def test_the_dtype_holds_the_deepest_values(self, d, dtype):
+        # A path of depth d holds the distance d; -2 * depth is formed on
+        # the way, and int8 holds -2 * 63 - 1 but not -2 * 64 - 1.
+        space = TreeSpace(1, d)
+        assert space.distance_dtype == dtype
+        assert block_matrix(space, space.rank_blocks()).tolist() == (
+            reference_matrix(space).tolist())
+
+    @pytest.mark.parametrize("b,d,step", [(2, 4, 1057), (2, 9, 32),
+                                          (3, 9, MIN_BLOCK_ROWS)])
+    def test_rank_blocks_hold_the_cell_budget_or_the_row_floor(self, b, d,
+                                                               step):
+        space = TreeSpace(b, d)
+        size = space.size()
+        blocks = list(space.rank_blocks())
+        assert blocks[0] == (0, min(step, size))
+        assert [r for s, e in blocks for r in range(s, e)] == list(range(size))
+        for start, stop in blocks:
+            cells = (stop - start) * (size - start)
+            assert cells <= BLOCK_CELLS or stop - start <= MIN_BLOCK_ROWS
+            assert cells < size * size or size * size <= BLOCK_CELLS
 
 
 class TestRanks:

@@ -14,6 +14,7 @@ from laakso_lab.laakso_graph import LaaksoGraph, build_laakso, find_forks
 from laakso_lab.tree_space import ROOT, TreeNode, TreeSpace, tree_distance
 from laakso_lab.tree_to_laakso import (
     DEFAULT_SAMPLES,
+    MAX_COUNTEREXAMPLES,
     TreeToGraphMap,
     ancestor_pairs,
     as_map_table,
@@ -370,6 +371,53 @@ class TestVerifyProjection:
             (pushed[:k], pushed, 5 - k, 6 - k) for k in range(5)
         ]
 
+    def test_first_lipschitz_failures_across_blocks(self, pm_mid):
+        # phi(2,2) with the images of {1,...,8} (rank 8) and
+        # {1,2,3,5,6,7,8,9} (rank 71), both on level 8, swapped: the first
+        # four failures lie in the first block of 32 ranks, the fifth in
+        # the block of ranks 64..95, and that block fails again after it,
+        # so the cut lands inside a block.
+        tree, graph = pm_mid.tree, pm_mid.graph
+        a, b = tree.node_at(8), tree.node_at(71)
+        pm = Planted(tree, graph, {
+            a.elements: pm_mid.image_index(b.elements),
+            b.elements: pm_mid.image_index(a.elements)})
+        rep = verify_projection(pm)
+        want = ref.verify_projection(pm)
+        assert rep == want
+        lip, lip_want = rep["checks"]["lipschitz"], want["checks"]["lipschitz"]
+        assert (lip["comparable_pairs"], lip["incomparable_pairs"]) == (
+            lip_want["comparable_pairs"], lip_want["incomparable_pairs"])
+        assert lip["counterexamples"] == lip_want["counterexamples"]
+        records = [(tree.rank_of(TreeNode(tuple(c["node"]))),
+                    tree.rank_of(TreeNode(tuple(c["other"]))))
+                   for c in lip["counterexamples"]]
+        assert len(records) == MAX_COUNTEREXAMPLES
+        blocks = list(tree.rank_blocks())
+        assert blocks[:3] == [(0, 32), (32, 64), (64, 96)]
+        assert [i // 32 for i, _ in records] == [0, 0, 0, 0, 2]
+        # The failing pairs of the fifth record's block, from the tables.
+        m = map_table(pm)
+        sdist, tdist = np.array(m.source.dist), np.array(m.target.dist)
+        assign = np.array(m.assign)
+        failing = [(i, j) for i in range(64, 96)
+                   for j in range(i + 1, tree.size())
+                   if tdist[assign[i], assign[j]] > sdist[i, j]]
+        assert failing[0] == records[-1] and len(failing) > 1
+
+    def test_graph_distances_past_the_block_dtype_saturate(self, monkeypatch):
+        # The sweep compares in the tree blocks' narrow dtype; graph
+        # distances above it must still read as farther, not wrap around.
+        pm = TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2))
+        assert pm.tree.distance_dtype == np.int8
+        far = pm.graph.distance_matrix() + 250
+        np.fill_diagonal(far, 0)
+        monkeypatch.setattr(pm.graph, "distance_matrix", lambda: far)
+        lip = verify_projection(pm)["checks"]["lipschitz"]
+        assert not lip["pass"]
+        assert [(c["node"], c["other"]) for c in lip["counterexamples"]] == [
+            ([], list(K.elements)) for K in pm.tree.nodes()[1:6]]
+
     def test_fault_is_caught_and_replayable(self):
         pm_bad = TreeToGraphMap(
             TreeSpace(2, 9), build_laakso(2, 2), _flip_node=TreeNode((1, 2))
@@ -620,7 +668,7 @@ class TestAncestorPairs:
         space = TreeSpace(b, d)
         nodes = space.nodes()
         levels = [J.level for J in nodes]
-        rows = [row for _, row in space.distance_rows()]
+        rows = [row for _, row in ref.distance_rows(space)]
         prefix = [
             [i, j]
             for i, J in enumerate(nodes)
@@ -636,7 +684,7 @@ class TestAncestorPairs:
         # and on arrays; depth 0 is the one-node space.
         space = TreeSpace(b, d)
         levels = [J.level for J in space.nodes()]
-        rows = [row.tolist() for _, row in space.distance_rows()]
+        rows = [row.tolist() for _, row in ref.distance_rows(space)]
         for dist, lv in [(rows, levels), (np.array(rows), np.array(levels))]:
             assert ancestor_pairs(dist, lv) == ref.ancestor_pairs(dist, lv)
 
