@@ -19,23 +19,26 @@ and every vertex has a compact printable id such as ``r``, ``v``, ``m2.w1``,
 ``t.v``.
 
 Level (distance from the root) is computed analytically from addresses, and
-the full metric from addresses and levels by one portal formula: below the
-copies two vertices share, each vertex reaches the block at its cost to the
-root or sink of its copy.  The formula reads the block rule from tables
-built once per b (each block edge's ends, the distance between every two
-block positions), and each graph builds one ``(word, pos, level)`` memo key
-per vertex, so every query looks its two keys up.  The formula has three
-explicit cases at the scale below the two words' shared prefix: both
-vertices are block positions there (a block distance), one is (the minimum
-over the other's two portals), or neither is (the minimum over the four
-portal pairs).  ``LaaksoGraph.distance_rows`` applies the same rule in
-numpy to a block of sources at once, giving their distances to every
-vertex; ``distance_row`` is its one-row view.  Every point query reads the
-formula through ``_dist``, an LRU memo of 2**18 entries.  A graph with at
-most that many pairs walks them through the memo, filling it once and then
-rereading it; a larger graph's all-pairs walks read ``distance_rows``,
-since a row-major walk over more pairs than the memo holds evicts every
-entry before the next walk reaches it.
+the full metric from addresses and levels by one place rule.  Two vertices
+whose words share a prefix of length k lie in one copy of span 3 * unit,
+unit = 3**(n-k-1), whose block edges each carry a copy of span unit, and
+each takes a place there (``_place``): its height below the copy's root,
+level % span (span for the copy's sink), and its arm, the block arm that
+its next edge or its block position lies on (0 for the trunk edge, the
+root, the mid vertex and the sink).  Every vertex of a copy lies on a
+shortest path from its root to its sink, and a path between distinct edge
+copies crosses at glue vertices, so the distance is the difference of the
+heights, except between distinct arms, which meet at the mid vertex or the
+sink, whichever is nearer: 2 * unit - |hu + hv - 4 * unit|
+(``_copy_distance``).  ``LaaksoGraph.distance_rows`` applies the same two
+helpers in numpy to a block of sources at once, giving their distances to
+every vertex; ``distance_row`` is its one-row view.  Every point query
+reads the rule through ``_dist``, an LRU memo of 2**18 entries keyed by
+one ``(word, pos, level)`` tuple per vertex, built with the graph.  A
+graph with at most that many pairs walks them through the memo, filling it
+once and then rereading it; a larger graph's all-pairs walks read
+``distance_rows``, since a row-major walk over more pairs than the memo
+holds evicts every entry before the next walk reaches it.
 
 ``bfs_rows`` runs BFS over the explicit adjacency, from a block of sources
 at once, one bit per source, and is kept strictly independent of
@@ -130,14 +133,6 @@ def _edge_label(e: int, b: int) -> str:
     if e <= b:
         return f"m{e}"
     return f"b{e - b}"
-
-
-def _block_distance(p: int, q: int, b: int) -> int:
-    if p == q:
-        return 0
-    if _is_arm(p, b) and _is_arm(q, b):
-        return 2
-    return abs(_pos_level(p, b) - _pos_level(q, b))
 
 
 class VertexId(NamedTuple):
@@ -311,7 +306,7 @@ class LaaksoGraph:
 
     def distance(self, u: VertexId, v: VertexId) -> int:
         """Exact metric, computed from each vertex's address and level by
-        one portal formula through the ``_dist`` memo."""
+        the place rule through the ``_dist`` memo."""
         keys = self._keys
         try:
             ku, kv = keys[u], keys[v]
@@ -436,43 +431,33 @@ class LaaksoGraph:
     @cached_property
     def _row_arrays(self) -> tuple:
         # The words letter by letter (letters[j, i] is letter j of vertex
-        # i's word, or -1 past its end), word lengths, and each vertex's two
-        # portals at every shared-prefix length k: the ends of the block
-        # edge its word names at k and its costs to them, or, where the word
-        # ends at k, its own position at cost 0 (entries past the word's end
-        # are never read).  Also units[k] = 3**(n - 1 - k) and the block
-        # distances of ``_block_tables``.  Every sum the rule forms is below
-        # 2 * 3**n, so costs and block distances take the narrowest unsigned
-        # dtype that holds that bound.
-        n, verts = self.n, self.vertices
-        dtype = np.min_scalar_type(2 * 3 ** n)
-        src, dst, block = (np.array(t, dtype=np.int32)
-                           for t in _block_tables(self.b))
+        # i's word, or -1 past its end), word lengths, and each vertex's
+        # place at every shared-prefix length k: heights[k, i] and
+        # arms[k, i] from ``_place`` (an entry past the end of the word
+        # enters no row).  Also units[k] = 3**(n - 1 - k).  Every sum and
+        # difference ``_copy_distance`` forms lies within 2 * 3**n of 0, so
+        # heights take the narrowest signed dtype that holds that bound.
+        n, b, verts = self.n, self.b, self.vertices
         letters = np.full((n, len(verts)), -1, dtype=np.int32)
         for i, v in enumerate(verts):
             letters[:len(v.word), i] = v.word
         lengths = np.array([len(v.word) for v in verts])
-        pos = np.array([v.pos for v in verts], dtype=np.int32)
         units = [3 ** (n - 1 - k) for k in range(n)]
-        span = np.array(units)[:, None]
-        inner = np.array(self.levels) % span
-        ends = np.arange(n)[:, None] >= lengths
-        portals = np.stack([np.where(ends, pos, src[letters]),
-                            np.where(ends, pos, dst[letters])])
-        costs = np.stack([np.where(ends, 0, inner),
-                          np.where(ends, 0, span - inner)]).astype(dtype)
-        return letters, lengths, portals, costs, units, block.astype(dtype)
+        places = np.array([[_place(v.word, v.pos, lvl, k, unit, b)
+                            for v, lvl in zip(verts, self.levels)]
+                           for k, unit in enumerate(units)])
+        heights = places[..., 0].astype(np.min_scalar_type(-2 * 3 ** n))
+        return letters, lengths, heights, places[..., 1], units
 
     def distance_rows(self, sources) -> np.ndarray:
         """Exact distance from each of ``sources`` (vertex indices) to every
         vertex, an array of shape (len(sources), len(vertices)) in the
-        narrowest unsigned dtype that holds 2 * 3**n: ``_dist``'s portal
-        rule broadcast over a block of sources.  For the length k of the
-        prefix a source's word shares with a vertex's, the distance is the
-        least cost_u + 3**(n-1-k) * block[p, q] + cost_v over the two
-        portals p of the source and q of the vertex at k.  It reads
-        addresses and levels only, never the adjacency."""
-        letters, lengths, portals, costs, units, block = self._row_arrays
+        narrowest signed dtype that holds 2 * 3**n: ``_dist``'s place rule
+        broadcast over a block of sources, one shared-prefix length k at a
+        time.  Each pair's distance is ``_copy_distance`` of the two
+        vertices' places at the length k of the prefix their words share.
+        It reads addresses and levels only, never the adjacency."""
+        letters, lengths, heights, arms, units = self._row_arrays
         sources = np.asarray(sources, dtype=np.intp)
         own = lengths[sources]
         deepest = int(own.max(initial=0))
@@ -484,26 +469,12 @@ class LaaksoGraph:
             letter = np.where(j < own, letters[j, sources], -2)
             shared &= letters[j] == letter[:, None]
             k += shared
-        out = np.empty(k.shape, dtype=costs.dtype)
+        out = np.empty(k.shape, dtype=heights.dtype)
         for kk in range(deepest + 1):
-            # ps: the block positions the sources' portals take at this
-            # scale; reach[r]: the cost from ps[r] to every vertex through
-            # that vertex's cheaper portal.
-            mine = portals[:, kk, sources]
-            present = np.zeros(len(block), dtype=bool)
-            present[mine] = True
-            ps = np.flatnonzero(present)
-            rank = np.cumsum(present) - 1
-            ahead = units[kk] * block[ps]
-            reach = np.minimum(*(ahead.take(portals[q, kk], axis=1)
-                                 + costs[q, kk] for q in (0, 1)))
-            best = None
-            for p in (0, 1):
-                cand = reach.take(rank[mine[p]], axis=0)
-                cand += costs[p, kk, sources, None]
-                best = cand if best is None else np.minimum(best, cand,
-                                                            out=best)
-            np.copyto(out, best, where=k == kk)
+            h, a = heights[kk], arms[kk]
+            np.copyto(out, _copy_distance(h[sources, None], a[sources, None],
+                                          h, a, units[kk]),
+                      where=k == kk)
         return out
 
     def distance_row(self, u: VertexId) -> np.ndarray:
@@ -513,11 +484,12 @@ class LaaksoGraph:
 
     def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, row) in vertex order, where row[k] is the int32 distance from
-        vertex i to vertex i+1+k: each unordered pair once.  A graph whose
-        pairs fit the ``_dist`` memo walks the pairs through ``distance`` in
-        row-major order, one row at a time; a larger one slices the blocks
-        of ``distance_rows`` over ``source_blocks``, since its pairs would
-        only overflow the memo."""
+        vertex i to vertex i+1+k: each unordered pair once, by the place
+        rule.  A graph whose pairs fit the ``_dist`` memo walks the pairs
+        through ``distance`` in row-major order, one row at a time; a
+        larger one slices the blocks of ``distance_rows`` over
+        ``source_blocks``, since its pairs would only overflow the memo.
+        Both routes read ``_place`` and ``_copy_distance``."""
         verts = self.vertices
         if len(verts) * (len(verts) - 1) // 2 > _MEMO_PAIRS:
             for sources in self.source_blocks():
@@ -555,33 +527,48 @@ def branch_level_law(level: int, n: int) -> bool:
     return lowest_nonzero_base3_digit(level) == 1
 
 
-@lru_cache(maxsize=None)
-def _block_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...],
-                                   tuple[tuple[int, ...], ...]]:
-    """Per-b lookup tables for ``_dist``: each block edge's source and
-    destination position, and the block distance between every two
-    positions, filled from ``_edge_src``, ``_edge_dst`` and
-    ``_block_distance``."""
-    edges = range(2 * b + 1)
-    positions = range(b + 3)
-    return (tuple(_edge_src(e, b) for e in edges),
-            tuple(_edge_dst(e, b) for e in edges),
-            tuple(tuple(_block_distance(p, q, b) for q in positions)
-                  for p in positions))
+def _place(word: tuple[int, ...], pos: int, level: int, k: int, unit: int,
+           b: int) -> tuple[int, int]:
+    """(height, arm) of vertex ``(word, pos)`` at ``level`` in the copy of
+    span 3 * unit that the first k letters of its word name.  The height
+    is its distance below the copy's root: every copy's root level is a
+    multiple of its span, so it is level % span, or span for the copy's
+    sink.  The arm is the block arm its next edge ``word[k]`` lies on, or
+    its block position where the word ends at k: arm e for edges e and
+    b + e and for position e + 1, 0 on the trunk edge 0 and at the root,
+    the mid vertex and the sink."""
+    span = 3 * unit
+    if len(word) > k:
+        e = word[k]
+        return level % span, e - b if e > b else e
+    if pos == _sink_pos(b):
+        return span, 0
+    return level % span, pos - 1 if _is_arm(pos, b) else 0
+
+
+def _copy_distance(hu, au, hv, av, unit):
+    """Distance between two places in one copy of span 3 * unit: the
+    difference of the heights, except between distinct arms, which meet at
+    the mid vertex (height unit) or the sink (height 3 * unit), whichever
+    is nearer, 2 * unit - |hu + hv - 4 * unit|.  Only operators, so it takes
+    ints and numpy arrays alike."""
+    straight = abs(hu - hv)
+    apart = (au != av) & (au != 0) & (av != 0)
+    return straight + apart * (2 * unit - abs(hu + hv - 4 * unit) - straight)
 
 
 # The memo's size: a graph with more pairs than this reads its all-pairs
-# walks from ``distance_row`` (see ``LaaksoGraph.upper_rows``).
+# walks from ``distance_rows`` (see ``LaaksoGraph.upper_rows``).
 _MEMO_PAIRS = 1 << 18
 
 
 @lru_cache(maxsize=_MEMO_PAIRS)
 def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
-    # Strip the k leading block edges both words share: they name the copies
-    # that contain both vertices.  At the scale that remains every path
-    # between distinct copies crosses their boundaries at glue vertices, so
-    # route through the portals of each vertex's next edge.
-    src, dst, block = _block_tables(b)
+    """Distance between the vertices of memo keys ``(word, pos, level)``
+    u and v in the level-n graph: the k leading block edges both words
+    share name the copy of span 3 * unit, unit = 3**(n-k-1), that holds
+    both, and ``_copy_distance`` of their two ``_place``s there is the
+    distance."""
     wu, pu, lu = u
     wv, pv, lv = v
     k = 0
@@ -590,31 +577,9 @@ def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
             break
         k += 1
     unit = 3 ** (n - k - 1)
-    # Every copy's root level is a multiple of its span, so a vertex strictly
-    # inside a copy of span ``unit`` sits level % unit below that copy's
-    # root and reaches the two ends of its next edge at costs inner and
-    # unit - inner; a vertex whose word ends at k is its own portal at cost 0.
-    if len(wu) == k:
-        if len(wv) == k:
-            return unit * block[pu][pv]
-        e = wv[k]
-        inner = lv % unit
-        row = block[pu]
-        return min(unit * row[src[e]] + inner,
-                   unit * row[dst[e]] + unit - inner)
-    e = wu[k]
-    inner = lu % unit
-    if len(wv) == k:
-        return min(inner + unit * block[src[e]][pv],
-                   unit - inner + unit * block[dst[e]][pv])
-    f = wv[k]
-    inner_v = lv % unit
-    from_src, from_dst = block[src[e]], block[dst[e]]
-    p, q = src[f], dst[f]
-    return min(inner + unit * from_src[p] + inner_v,
-               inner + unit * from_src[q] + unit - inner_v,
-               unit - inner + unit * from_dst[p] + inner_v,
-               unit - inner + unit * from_dst[q] + unit - inner_v)
+    hu, au = _place(wu, pu, lu, k, unit, b)
+    hv, av = _place(wv, pv, lv, k, unit, b)
+    return _copy_distance(hu, au, hv, av, unit)
 
 
 # -- structure verification ---------------------------------------------------

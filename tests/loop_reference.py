@@ -46,8 +46,10 @@ kept a child table.
 
 The analytic metric of `laakso_graph`, as it was when `_dist` descended
 the address words by recursion, with three special cases and a `_portals`
-helper that recomputed each vertex's level from its address.  It takes
-vertices as (word, pos) and the scale n of the whole graph.
+helper that recomputed each vertex's level from its address, and read the
+distance between two block positions from `_block_distance`.  It takes
+vertices as (word, pos) and the scale n of the whole graph.  It shares no
+metric rule with the package, whose place rule needs no block distance.
 
 The BFS oracle of `laakso_graph`, as it was before the sources of a block
 advanced together as bits over a CSR adjacency: `bfs_levels` walks a
@@ -76,10 +78,11 @@ from laakso_lab import staircase
 from laakso_lab.errors import DomainError, RelationError
 from laakso_lab.laakso_graph import (
     ROOT_POS,
-    _block_distance,
     _edge_dst,
     _edge_src,
+    _is_arm,
     _level_of,
+    _pos_level,
     _sink_pos,
 )
 from laakso_lab.tree_space import TreeNode, tree_distance
@@ -585,6 +588,14 @@ def lift(pm, node, target):
 
 def child_indices(g, i):
     return tuple(j for j in g.neighbors[i] if g.levels[j] == g.levels[i] + 1)
+
+
+def _block_distance(p: int, q: int, b: int) -> int:
+    if p == q:
+        return 0
+    if _is_arm(p, b) and _is_arm(q, b):
+        return 2
+    return abs(_pos_level(p, b) - _pos_level(q, b))
 
 
 @lru_cache(maxsize=1 << 18)

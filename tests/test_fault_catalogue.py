@@ -6,7 +6,9 @@ row first runs its check unfaulted, as a control, on a graph built the same
 way.  The graph rows run on G(2,3), whose pairs fit the ``_dist`` memo so
 its analytic rows walk the pairs through ``distance``, and on G(2,19),
 whose analytic rows come from ``distance_rows``; a faulted report must also
-equal the reference loop's report, record for record.
+equal the reference loop's report, record for record.  The two rows that
+plant a fault in the place rule plant it once, so a row that failed on only
+one of the two graphs would show a second copy of the rule.
 """
 
 import pytest
@@ -16,16 +18,29 @@ from laakso_lab import laakso_graph as lg
 
 
 def arm_arm_distance_one(monkeypatch, g):
-    """The block rule gives two distinct arms distance 1 instead of 2, so
-    ``_block_tables`` hands both analytic routes a wrong block."""
-    real = lg._block_distance
+    """Two distinct arms meet one unit early: the place rule gives them a
+    distance one unit short, in ``_copy_distance``, which both analytic
+    routes read."""
+    real = lg._copy_distance
 
-    def faulty(p, q, b):
-        if p != q and lg._is_arm(p, b) and lg._is_arm(q, b):
-            return 1
-        return real(p, q, b)
+    def faulty(hu, au, hv, av, unit):
+        apart = (au != av) & (au != 0) & (av != 0)
+        return real(hu, au, hv, av, unit) - apart * unit
 
-    monkeypatch.setattr(lg, "_block_distance", faulty)
+    monkeypatch.setattr(lg, "_copy_distance", faulty)
+
+
+def inner_height_off_by_one(monkeypatch, g):
+    """A vertex strictly inside an edge copy sits one level too low in the
+    copy it shares with the other vertex: its height in ``_place``, which
+    both analytic routes read, is off by one."""
+    real = lg._place
+
+    def faulty(word, pos, level, k, unit, b):
+        height, arm = real(word, pos, level, k, unit, b)
+        return height + (len(word) > k), arm
+
+    monkeypatch.setattr(lg, "_place", faulty)
 
 
 def one_edge_dropped(monkeypatch, g):
@@ -40,19 +55,17 @@ def one_edge_dropped(monkeypatch, g):
 
 @pytest.fixture
 def clear_memos():
-    """Empties the ``_dist`` memo and the ``_block_tables`` cache before and
-    after the test; the test calls the returned function to empty them
-    again between its control and its faulted run."""
-    def clear():
-        lg._dist.cache_clear()
-        lg._block_tables.cache_clear()
-
+    """Empties the ``_dist`` memo before and after the test; the test calls
+    the returned function to empty it again between its control and its
+    faulted run."""
+    clear = lg._dist.cache_clear
     clear()
     yield clear
     clear()
 
 
-@pytest.mark.parametrize("fault", [arm_arm_distance_one, one_edge_dropped])
+@pytest.mark.parametrize("fault", [arm_arm_distance_one,
+                                   inner_height_off_by_one, one_edge_dropped])
 @pytest.mark.parametrize("n,b,walks", [(2, 3, True), (2, 19, False)])
 def test_oracle_agreement_catches(fault, n, b, walks, monkeypatch,
                                   clear_memos):

@@ -151,8 +151,8 @@ def _graph(n, b):
 
 def _portal_case(u, v):
     """(u's word ends at k, v's word ends at k, k), where k is the length of
-    the prefix the two words share: the branch of ``_dist`` the pair
-    takes."""
+    the prefix the two words share: whether each vertex is a block position
+    of the copy the two share, or inside one of its edge copies."""
     k = 0
     for eu, ev in zip(u.word, v.word):
         if eu != ev:
@@ -177,7 +177,7 @@ class TestDistanceOracle:
     @pytest.mark.parametrize("n,b", [(2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
     def test_portal_formula_equals_recursive_reference(self, n, b):
         # (4, 2) reaches a three-letter word, and (2, 7) a block of ten
-        # positions in the per-b tables.
+        # positions, seven of them arms.
         g = build_laakso(n, b)
         got = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
         want = [
@@ -191,17 +191,49 @@ class TestDistanceOracle:
         rows = [g.distance_row(u) for u in g.vertices]
         assert {row.dtype for row in rows} == {np.dtype(np.int64)}
         assert [row.tolist() for row in rows] == got
-        # Each return of the kernel and of the rows is among the pairs just
+        # Every kind of pair the place rule meets is among the pairs just
         # checked, at every shared-prefix length k it can take.  Below
-        # k = n - 1 both words can end at k (block), either one alone (two
-        # portals) or neither (four portals); at k = n - 1 both words have
-        # length n - 1, so only the block case is possible.
+        # k = n - 1 both vertices can be block positions of the copy they
+        # share, either one alone, or neither (both inside edge copies);
+        # at k = n - 1 both words have length n - 1, so both are block
+        # positions.
         cases = {_portal_case(u, v) for u in g.vertices for v in g.vertices}
         assert cases == (
             {(True, True, k) for k in range(n)}
             | {(eu, ev, k) for eu, ev in [(True, False), (False, True),
                                           (False, False)]
                for k in range(n - 1)})
+
+    @pytest.mark.parametrize("b", range(2, 7))
+    @pytest.mark.parametrize("unit", [1, 3, 9])
+    def test_copy_distance_is_the_portal_minimum(self, b, unit):
+        # Every pair of places in one copy of span 3 * unit that the copy's
+        # block rule decides, at two root levels: each block position is
+        # its own portal at cost 0, and a vertex inside edge e at cost c
+        # below the edge's upper end has the two ends as portals, at costs
+        # c and unit - c.  The place rule must give the least cost_u +
+        # unit * block distance + cost_v over the portal pairs, the block
+        # distance from the reference.  Two vertices inside one edge share
+        # a longer prefix, so a smaller copy decides them.
+        span = 3 * unit
+        for top in (0, span):
+            places = [((), p, top + lg._pos_level(p, b) * unit, [(p, 0)])
+                      for p in range(b + 3)]
+            places += [
+                ((e,), lg.MID_POS,
+                 top + lg._pos_level(lg._edge_src(e, b), b) * unit + c,
+                 [(lg._edge_src(e, b), c), (lg._edge_dst(e, b), unit - c)])
+                for e in range(2 * b + 1) for c in range(1, unit)]
+            for wu, pu, lu, portals_u in places:
+                hu, au = lg._place(wu, pu, lu, 0, unit, b)
+                for wv, pv, lv, portals_v in places:
+                    if wu and wu == wv:
+                        continue
+                    hv, av = lg._place(wv, pv, lv, 0, unit, b)
+                    want = min(cu + unit * ref._block_distance(p, q, b) + cv
+                               for p, cu in portals_u
+                               for q, cv in portals_v)
+                    assert lg._copy_distance(hu, au, hv, av, unit) == want
 
     @pytest.mark.parametrize("n,b", [(2, 19), (1, 722), (3, 5)])
     def test_distance_row_is_bfs_past_the_memo(self, n, b):
@@ -450,7 +482,7 @@ class TestBlockKernels:
         g = _graph(n, b)
         for sources in g.source_blocks():
             rows = g.distance_rows(sources)
-            assert rows.dtype == np.min_scalar_type(2 * 3**n)
+            assert rows.dtype == np.min_scalar_type(-2 * 3**n)
             assert (rows == g.bfs_rows(sources)).all()
 
     def test_bfs_levels_from_is_a_list(self):
@@ -513,6 +545,21 @@ class TestBlockKernels:
             assert peak < size * size // 16
             assert rows.tolist() == [ref.bfs_levels(g, g.vertices[i])
                                      for i in largest]
+
+    def test_first_block_at_g1_3000(self):
+        # G(1,3000) has 3,003 block positions, and rows read each vertex's
+        # place, so the first call, which also builds the per-graph
+        # arrays, holds no table over pairs of positions.
+        g = build_laakso(1, 3000)
+        first = next(g.source_blocks())
+        tracemalloc.start()
+        try:
+            rows = g.distance_rows(first)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert (rows == g.bfs_rows(first)).all()
 
 
 class TestNesting:
