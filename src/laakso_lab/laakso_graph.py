@@ -34,22 +34,23 @@ sink, whichever is nearer: 2 * unit - |hu + hv - 4 * unit|
 helpers in numpy to a block of sources at once, giving their distances to
 every vertex; ``distance_row`` is its one-row view.  Every point query
 reads the rule through ``_dist``, an LRU memo of 2**18 entries keyed by
-one ``(word, pos, level)`` tuple per vertex, built with the graph.  A
-graph with at most that many pairs walks them through the memo, filling it
-once and then rereading it; a larger graph's all-pairs walks read
-``distance_rows``, since a row-major walk over more pairs than the memo
-holds evicts every entry before the next walk reaches it.
+one ``(word, pos, level)`` tuple per vertex, built with the graph.
 
-``bfs_rows`` runs BFS over the explicit adjacency, from a block of sources
-at once, one bit per source, and is kept strictly independent of
-addresses and levels so the two can be cross-checked pair by pair;
-``bfs_levels_from`` is its one-row view.  Whatever needs the metric on all
-pairs reads it row by row from ``LaaksoGraph.upper_rows``, and the oracle
-report compares a block of those rows with a block of BFS rows at a time.
-A block holds the rows of consecutive sources to every vertex: at most
-``BLOCK_CELLS`` = 2**15 cells, or one row where a row alone is longer
-(``source_blocks``), so what an all-pairs walk holds at once does not grow
-with |V|**2.
+``bfs_rows`` runs BFS over the explicit adjacency and is kept strictly
+independent of addresses and levels so the two can be cross-checked pair
+by pair; ``bfs_levels_from`` is its one-row view.  Its search advances a
+whole number of 64-bit words of sources per pass, one bit per source, and
+its decode turns the pass's bit planes into int32 rows a block at a time
+(``bfs_blocks``).  Whatever needs the metric on all pairs reads it row by
+row from ``LaaksoGraph.upper_rows``, and the oracle report compares a
+block of those rows with a block of BFS rows at a time.  A block holds the
+rows of consecutive sources to every vertex: at most ``BLOCK_CELLS`` =
+2**15 cells, or one row where a row alone is longer (``source_blocks``),
+so what an all-pairs walk holds at once does not grow with |V|**2.  A
+graph of one block (|V|**2 <= BLOCK_CELLS, so |V| <= 181) walks its pairs
+through ``distance`` and the memo, filling it once and then rereading it;
+a graph of more than one block reads its rows from ``distance_rows``
+blocks, at the full width of each block.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -340,15 +341,66 @@ class LaaksoGraph:
     def bfs_rows(self, sources) -> np.ndarray:
         """BFS distance from each of ``sources`` (vertex indices) to every
         vertex, an int32 array of shape (len(sources), len(vertices)), -1
-        where a vertex cannot be reached.  The sources advance together,
-        level by level: each owns one bit of a row of 64-bit words per
-        vertex, and a level is one ``bitwise_or.reduceat`` of the frontier
-        rows over each vertex's neighbours, in the CSR form of
-        ``neighbors``.  It reads only the adjacency, never addresses or
-        levels."""
+        where a vertex cannot be reached: ``bfs_blocks`` over runs of the
+        sources as long as a block of ``source_blocks``."""
+        sources = np.asarray(sources, dtype=np.intp)
+        step = self._block_rows
+        out = np.empty((len(sources), len(self.vertices)), dtype=np.int32)
+        starts = range(0, len(sources), step)
+        runs = [sources[s:s + step] for s in starts]
+        for s, rows in zip(starts, self.bfs_blocks(runs)):
+            out[s:s + len(rows)] = rows
+        return out
+
+    def bfs_blocks(self, blocks) -> Iterator[np.ndarray]:
+        """The ``bfs_rows`` of each of ``blocks`` (sequences of vertex
+        indices) in turn.  The search runs over the blocks' sources in
+        order, in passes of ``_bfs_width`` sources, and decodes each
+        block's rows from the bit planes of every pass it spans: one or
+        two for a block of ``source_blocks``."""
+        width = self._bfs_width
+        blocks = [np.asarray(s, dtype=np.intp) for s in blocks]
+        sources = np.concatenate([np.empty(0, dtype=np.intp), *blocks])
+        base, planes = -width, []
+        at = 0
+        for block in blocks:
+            rows = np.empty((len(block), len(self.vertices)), dtype=np.int32)
+            first = at
+            while at < first + len(block):
+                if at >= base + width:
+                    base = at - at % width
+                    planes = self._bfs_planes(sources[base:base + width])
+                end = min(first + len(block), base + width)
+                _bfs_decode(planes, at - base, end - base,
+                            rows[at - first:end - first])
+                at = end
+            yield rows
+
+    @cached_property
+    def _block_rows(self) -> int:
+        # The sources of one block of ``source_blocks``.
+        return max(1, BLOCK_CELLS // len(self.vertices))
+
+    @cached_property
+    def _bfs_width(self) -> int:
+        # Sources per BFS pass: the fewest whole 64-bit words that hold a
+        # block, so a block spans at most two passes, and a graph of one
+        # block is one pass.
+        return 64 * -(-self._block_rows // 64)
+
+    def _bfs_planes(self, sources: np.ndarray) -> list[np.ndarray]:
+        """Bit planes of a BFS from all of ``sources`` at once, one bit per
+        source: bit s % 8 of planes[k][s // 8, v] is bit k of one plus the
+        distance from sources[s] to vertex v, so a vertex that is never
+        reached reads 0 in every plane.  The search holds a row of 64-bit
+        words per vertex: the sources advance together, level by level,
+        and a level is one ``bitwise_or.reduceat`` of the frontier rows
+        over each vertex's neighbours, in the CSR form of ``neighbors``.
+        Each plane is then turned into rows of little-endian bytes, one
+        per eight sources.  It reads only the adjacency, never addresses
+        or levels."""
         starts, adjacent = self._csr
         size = len(self.vertices)
-        sources = np.asarray(sources, dtype=np.intp)
         count = len(sources)
         slot = np.arange(count)
         frontier = np.zeros((size + 1, -(-count // 64)), dtype=np.int64)
@@ -356,9 +408,7 @@ class LaaksoGraph:
                          np.left_shift(1, slot % 64))
         new = frontier[:size]
         seen = new.copy()
-        # step is the distance of the frontier plus one, and planes[k]
-        # holds the bits whose distance plus one has bit k set, so a vertex
-        # that is never reached reads -1.
+        # step is the distance of the frontier plus one.
         planes = [seen.copy()]
         step = 1
         while True:
@@ -368,7 +418,9 @@ class LaaksoGraph:
                                    starts, out=new)
             new &= ~seen
             if not np.count_nonzero(new):
-                break
+                return [np.ascontiguousarray(
+                            p.astype("<i8", copy=False).view(np.uint8).T)
+                        for p in planes]
             step += 1
             seen |= new
             for k in range(step.bit_length()):
@@ -377,16 +429,6 @@ class LaaksoGraph:
                         planes.append(new.copy())
                     else:
                         planes[k] |= new
-        cells = np.zeros((size, count), dtype=np.min_scalar_type(step))
-        for k, plane in enumerate(planes):
-            # Bit j of word w is column 64*w + j, the source in that slot.
-            bits = np.unpackbits(
-                plane.astype("<i8", copy=False).view(np.uint8),
-                axis=1, count=count, bitorder="little")
-            cells |= bits.astype(cells.dtype, copy=False) << k
-        out = cells.T.astype(np.int32)
-        out -= 1
-        return out
 
     def is_ancestor(self, u: VertexId, v: VertexId) -> bool:
         """True iff some shortest root-to-v path passes through u, which for
@@ -424,8 +466,7 @@ class LaaksoGraph:
         ``vertices``, of max(1, BLOCK_CELLS // len(vertices)) sources each
         (the last may be shorter): a block of rows to every vertex holds at
         most BLOCK_CELLS cells, or one row where a row alone is longer."""
-        size = len(self.vertices)
-        step = max(1, BLOCK_CELLS // size)
+        size, step = len(self.vertices), self._block_rows
         return (range(s, min(s + step, size)) for s in range(0, size, step))
 
     @cached_property
@@ -485,13 +526,15 @@ class LaaksoGraph:
     def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
         """(i, row) in vertex order, where row[k] is the int32 distance from
         vertex i to vertex i+1+k: each unordered pair once, by the place
-        rule.  A graph whose pairs fit the ``_dist`` memo walks the pairs
-        through ``distance`` in row-major order, one row at a time; a
-        larger one slices the blocks of ``distance_rows`` over
-        ``source_blocks``, since its pairs would only overflow the memo.
-        Both routes read ``_place`` and ``_copy_distance``."""
+        rule.  A graph of one block of ``source_blocks`` (|V|**2 <=
+        BLOCK_CELLS, so |V| <= 181) walks the pairs through ``distance``
+        and its ``_dist`` memo in row-major order, one row at a time; a
+        graph of more than one block slices the blocks of
+        ``distance_rows``, which give the same rows a block at a time
+        without a call per pair.  Both routes read ``_place`` and
+        ``_copy_distance``."""
         verts = self.vertices
-        if len(verts) * (len(verts) - 1) // 2 > _MEMO_PAIRS:
+        if len(verts) > self._block_rows:
             for sources in self.source_blocks():
                 for i, row in zip(sources, self.distance_rows(sources)):
                     yield i, row[i + 1:].astype(np.int32)
@@ -557,8 +600,30 @@ def _copy_distance(hu, au, hv, av, unit):
     return straight + apart * (2 * unit - abs(hu + hv - 4 * unit) - straight)
 
 
-# The memo's size: a graph with more pairs than this reads its all-pairs
-# walks from ``distance_rows`` (see ``LaaksoGraph.upper_rows``).
+def _bfs_decode(planes: list[np.ndarray], start: int, stop: int,
+                out: np.ndarray) -> None:
+    """Writes to the int32 rows ``out`` the BFS rows of the sources in
+    slots start..stop - 1 of a pass's bit ``planes``
+    (``LaaksoGraph._bfs_planes``), -1 where a vertex cannot be reached.
+    Slot s is bit s % 8 of byte row s // 8, so each plane gives the
+    block's bits as one gather of rows, a shift and a mask, already in
+    (source, vertex) order."""
+    slots = np.arange(start, stop)
+    rows, shift = slots // 8, (slots % 8).astype(np.uint8)[:, None]
+    cells = np.zeros((len(slots), planes[0].shape[1]),
+                     dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for k, plane in enumerate(planes):
+        bits = plane[rows].astype(cells.dtype, copy=False)
+        bits >>= shift
+        bits &= 1
+        bits <<= k
+        cells |= bits
+    np.subtract(cells, 1, out=out, dtype=np.int32)
+
+
+# The memo's size.  Only point queries and the all-pairs walks of graphs
+# of one source block read the memo; a graph of more than one block reads
+# its walks from ``distance_rows`` (see ``LaaksoGraph.upper_rows``).
 _MEMO_PAIRS = 1 << 18
 
 
@@ -654,14 +719,15 @@ def structure_report(g: LaaksoGraph) -> dict:
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with BFS on every pair, one block of
     ``source_blocks`` at a time: the block's rows of ``upper_rows`` against
-    ``bfs_rows`` of the same sources.  Mismatches are counted per block,
-    and the first 10 in row-major order are recorded."""
+    its rows of ``bfs_blocks``, whose search runs in passes at least as
+    wide as a block.  Mismatches are counted per block, and the first 10 in
+    row-major order are recorded."""
     labels = g.labels
     rows = g.upper_rows()
+    blocks = list(g.source_blocks())
     mismatches = []
     count = 0
-    for sources in g.source_blocks():
-        bfs = g.bfs_rows(sources)
+    for sources, bfs in zip(blocks, g.bfs_blocks(blocks)):
         analytic = list(islice(rows, len(sources)))
         # wrong[r, j]: the pair (i, j) of row r = (i, row) disagrees; cells
         # on and left of the diagonal stay False.

@@ -186,8 +186,9 @@ class TestDistanceOracle:
             for u in g.vertices
         ]
         assert got == want
-        # The row formula gives the same matrix.  These graphs fit the memo,
-        # so their all-pairs walks never read the rows.
+        # The row formula gives the same matrix.  The all-pairs walks of
+        # G(2,5), G(2,7) and G(3,2), one source block each, never read the
+        # rows; those of G(3,3) and G(4,2) read nothing else.
         rows = [g.distance_row(u) for u in g.vertices]
         assert {row.dtype for row in rows} == {np.dtype(np.int64)}
         assert [row.tolist() for row in rows] == got
@@ -449,6 +450,49 @@ class TestDistanceOracle:
         info = lg._dist.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
+    def test_largest_one_block_graph_fills_then_rereads_the_memo(self):
+        # G(2,8) has 164 vertices, the largest G(2,b) whose rows are one
+        # source block: its reports walk the pairs through the memo.
+        g = build_laakso(2, 8)
+        size = len(g.vertices)
+        pairs = size * (size - 1) // 2
+        assert size == 164 and size ** 2 <= lg.BLOCK_CELLS
+        assert [len(s) for s in g.source_blocks()] == [size]
+        lg._dist.cache_clear()
+        assert structure_report(g)["pass"]
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses) == (0, pairs)
+        assert oracle_agreement_report(g)["pass"]
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses) == (pairs, pairs)
+
+    @pytest.mark.parametrize("n,b,size,blocks", [(2, 9, 202, [162, 40]),
+                                                 (4, 2, 470, [69] * 6 + [56])])
+    def test_graphs_of_two_blocks_or_more_read_rows_not_pairs(
+            self, monkeypatch, n, b, size, blocks):
+        # G(2,9) is two source blocks, though its 20,301 pairs fit the memo,
+        # and G(4,2) is seven: both reports read ``distance_rows`` blocks,
+        # with no ``distance`` call and no memo traffic.
+        g = build_laakso(n, b)
+        assert len(g.vertices) == size
+        assert size * (size - 1) // 2 <= lg._MEMO_PAIRS
+        assert [len(s) for s in g.source_blocks()] == blocks
+        calls = 0
+        real = LaaksoGraph.distance
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return real(self, u, v)
+
+        monkeypatch.setattr(LaaksoGraph, "distance", counted)
+        lg._dist.cache_clear()
+        assert structure_report(g)["pass"]
+        assert oracle_agreement_report(g)["pass"]
+        assert calls == 0
+        info = lg._dist.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
     def test_bfs_matches_levels_from_root(self):
         g = build_laakso(2, 3)
         dists = g.bfs_levels_from(g.root)
@@ -484,6 +528,38 @@ class TestBlockKernels:
             rows = g.distance_rows(sources)
             assert rows.dtype == np.min_scalar_type(-2 * 3**n)
             assert (rows == g.bfs_rows(sources)).all()
+
+    @pytest.mark.parametrize("n,b,block,width", [(4, 2, 69, 128),
+                                                 (3, 5, 40, 64)])
+    def test_wide_search_decodes_every_block(self, monkeypatch, n, b, block,
+                                             width):
+        # A pass searches the fewest whole 64-bit words of sources that hold
+        # a block: at G(4,2) one pass of 128 covers a 69-source block, and at
+        # G(3,5) 40-source blocks straddle 64-source passes.  Each pass is
+        # searched once, over consecutive sources, and every block, whole
+        # or straddling, decodes to the reference BFS rows; so do unsorted
+        # and repeated sources that straddle passes.
+        g = _graph(n, b)
+        size = len(g.vertices)
+        blocks = list(g.source_blocks())
+        assert len(blocks[0]) == block and g._bfs_width == width
+        assert any(s[0] // width != s[-1] // width for s in blocks)
+        passes = []
+        real = LaaksoGraph._bfs_planes
+
+        def counted(self, sources):
+            passes.append(sources.tolist())
+            return real(self, sources)
+
+        monkeypatch.setattr(LaaksoGraph, "_bfs_planes", counted)
+        want = [ref.bfs_levels(g, v) for v in g.vertices]
+        for sources, rows in zip(blocks, g.bfs_blocks(blocks)):
+            assert rows.dtype == np.int32
+            assert rows.tolist() == [want[i] for i in sources]
+        assert passes == [list(range(s, min(s + width, size)))
+                          for s in range(0, size, width)]
+        sources = list(range(size - 1, size - 200, -1)) + [5, 5, size - 1]
+        assert g.bfs_rows(sources).tolist() == [want[i] for i in sources]
 
     def test_bfs_levels_from_is_a_list(self):
         g = _graph(3, 2)
