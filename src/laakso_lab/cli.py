@@ -167,23 +167,22 @@ def _suite_atd() -> dict:
             table, c_grid, deltas
         )
 
-    floor = tables["floor_by_3"]
-    prof = qa.coarse_profile(floor, [0.5, 1, 2, 3])
+    c_atd, _ = qa.restricted_profile(tables["floor_by_3"], [0.5, 1, 2, 3])
     out["floor_c_atd_small_delta"] = {
-        "value": prof.c_atd[0.5],
+        "value": c_atd[0.5],
         "expected": 1 / 3,
-        "pass": prof.c_atd[0.5] == 1 / 3,
+        "pass": c_atd[0.5] == 1 / 3,
     }
 
     big = tl.map_table(_phi_map(2, 2, False))
     deltas = [float(d) for d in range(1, 9)]
-    prof_big = qa.coarse_profile(big, deltas)
-    vals = sorted(set(prof_big.c_atd.values()))
+    c_atd, c_atd_inf = qa.restricted_profile(big, deltas)
+    vals = sorted(set(c_atd.values()))
     out["phi_c_atd_all_one"] = {
         "deltas": deltas,
         "values": vals,
-        "c_atd_inf": prof_big.c_atd_inf,
-        "pass": vals == [1.0] and prof_big.c_atd_inf == 1.0,
+        "c_atd_inf": c_atd_inf,
+        "pass": vals == [1.0] and c_atd_inf == 1.0,
     }
     out["pass"] = _all_pass(out)
     return out

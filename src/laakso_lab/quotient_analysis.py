@@ -11,10 +11,13 @@ independent routes compute the relation-restricted constant, and they
 share only the input table:
 
 - the profile route (`lipschitz_constant`, `coarse_profile`,
-  `c_atd_infinity`, `quotient_moduli`) reads numpy arrays that each
-  `MetricMapTable` builds once, on first use: the nearest-preimage matrix
-  rho, the image-to-target distances D, and the source pairs sorted by
-  distance.  Every constant is a masked minimum or maximum over them;
+  `restricted_profile`, `c_atd_infinity`, `quotient_moduli`) reads numpy
+  arrays that each `MetricMapTable` builds once, on first use: the
+  nearest-preimage matrix rho, the image-to-target distances D, and the
+  source pairs sorted by distance.  Every constant is a masked minimum or
+  maximum over them.  `restricted_profile` is the restricted half of
+  `coarse_profile`, which calls it; it reads rho and D only, so a caller
+  that needs no more than c_atd never sorts the source pairs;
 - the predicate route (`atd_violation` over `atd_pairs`) is a pure-Python
   scan of the distance tables and the preimages.  `atd_pairs` is built once
   per table.
@@ -160,8 +163,8 @@ class FiniteMetricSpace:
             raise ValueError("nonzero diagonal in distance table")
         if not np.array_equal(arr, arr.T):
             raise ValueError("distance table is not symmetric")
-        off = arr[~np.eye(n, dtype=bool)] if n else arr
-        if off.size and off.min() <= 0:
+        # The diagonal is zero, so any entry <= 0 past its n lies off it.
+        if np.count_nonzero(arr <= 0) > n:
             raise ValueError("non-positive distance between distinct points")
         self._validate_triangle(arr)
         arr.flags.writeable = False
@@ -434,10 +437,9 @@ class CoarseProfile:
 
 
 def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProfile:
-    """Large-distance Lipschitz profile L, co-Lipschitz profile c, and the
-    relation-restricted profile when both orders are present.  c_atd_inf is
-    the largest finite tabulated value (the profile is non-decreasing, so
-    this is its supremum over the grid)."""
+    """Large-distance Lipschitz profile L, co-Lipschitz profile c, and,
+    when both orders are present, c_atd and c_atd_inf as
+    ``restricted_profile`` gives them."""
     if not m.surjective:
         raise DomainError("coarse profile requires a surjective assignment")
     deltas = _delta_grid(delta_grid)
@@ -456,10 +458,23 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     c_atd = None
     c_atd_inf = None
     if m.source.order is not None and m.target.order is not None:
-        c_atd = {d: float(v) for d, v in _restricted_minima(m, deltas).items()}
-        finite = [v for v in c_atd.values() if v < inf]
-        c_atd_inf = max(finite) if finite else inf
+        c_atd, c_atd_inf = restricted_profile(m, deltas)
     return CoarseProfile(lip=lip, L=L, c=c, c_atd=c_atd, c_atd_inf=c_atd_inf)
+
+
+def restricted_profile(
+    m: MetricMapTable, delta_grid: Sequence[float]
+) -> tuple[dict, float]:
+    """The relation-restricted half of ``coarse_profile``: c_atd(delta) for
+    each delta of the grid, as floats, and c_atd_inf, the largest finite
+    one (the profile is non-decreasing, so this is its supremum over the
+    grid; inf if none is finite).  It reads rho, D and the related cells
+    only, never the sorted source pairs."""
+    _require_orders(m)
+    deltas = _delta_grid(delta_grid)
+    c_atd = {d: float(v) for d, v in _restricted_minima(m, deltas).items()}
+    finite = [v for v in c_atd.values() if v < inf]
+    return c_atd, max(finite) if finite else inf
 
 
 def c_atd_infinity(m: MetricMapTable) -> float:

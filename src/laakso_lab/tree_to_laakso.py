@@ -196,10 +196,12 @@ def verify_projection(
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
     # of the other, so their distance is the level gap) and incomparable
     # pairs; both strata must be nonempty for the bound to have been
-    # exercised on both geodesic shapes.  Exhaustive: each run of ranks of
-    # ``tree.rank_blocks`` against itself and every later rank, with only
-    # the pairs above the run's diagonal checked, so that the runs visit
-    # each pair once and in row-major order.  Sampled: the whole sample.
+    # exercised on both geodesic shapes, and the exhaustive verdict
+    # requires both.  Exhaustive: each run of ranks of ``tree.rank_blocks``
+    # against itself and every later rank, with only the pairs above the
+    # run's diagonal checked, so that the runs visit each pair once and in
+    # row-major order.  Sampled: the whole sample, whose verdict reads the
+    # counterexamples alone.
     garr = graph.distance_matrix()
     lip_bad: list[dict] = []
     if exhaustive:
@@ -270,7 +272,8 @@ def verify_projection(
             "counterexamples": missing[:MAX_COUNTEREXAMPLES],
         },
         "lipschitz": {
-            "pass": not lip_bad,
+            "pass": not lip_bad and (not exhaustive
+                                     or 0 < comparable < pairs),
             "pairs": pairs,
             "comparable_pairs": comparable,
             "incomparable_pairs": pairs - comparable,
@@ -487,9 +490,10 @@ def ancestor_pairs(dist, levels) -> list[list[int]]:
     """The strict ancestor pairs [i, j] of a graded space, in row-major
     order: i is an ancestor of j iff dist[i][j] == levels[j] - levels[i].
     `dist` is a square table (nested lists, a list of rows or one array)
-    and `levels` a sequence of the same length."""
-    lv = np.asarray(levels)
-    d = np.asarray(dist).reshape(len(lv), len(lv))
+    and `levels` a sequence of the same length.  The level gaps are formed
+    in the table's dtype."""
+    d = np.asarray(dist).reshape(len(levels), len(levels))
+    lv = np.asarray(levels, dtype=d.dtype)
     below = d == lv[None, :] - lv[:, None]
     np.fill_diagonal(below, False)
     return np.argwhere(below).tolist()

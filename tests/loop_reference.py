@@ -451,7 +451,8 @@ def verify_projection(
     # 1-Lipschitz over pairs, stratified into comparable (one node a prefix
     # of the other, so their distance is the level gap) and incomparable
     # pairs; both strata must be nonempty for the bound to have been
-    # exercised on both geodesic shapes.
+    # exercised on both geodesic shapes, and the exhaustive verdict
+    # requires both.
     gdist = [
         [graph.distance(u, v) for v in graph.vertices] for u in graph.vertices
     ]
@@ -512,7 +513,8 @@ def verify_projection(
             "counterexamples": missing[:MAX_COUNTEREXAMPLES],
         },
         "lipschitz": {
-            "pass": not lip_bad,
+            "pass": not lip_bad and (not exhaustive or (
+                comparable > 0 and incomparable > 0)),
             "pairs": pairs_checked,
             "comparable_pairs": comparable,
             "incomparable_pairs": incomparable,

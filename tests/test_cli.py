@@ -252,6 +252,24 @@ class TestVerifyAll:
         monkeypatch.setattr(cli.tl, "as_map_table", refuse)
         assert cli.verify_all(seed=0)["pass"]
 
+    def test_never_sorts_the_source_pairs(self, monkeypatch, floor_by_3):
+        # The atd suite reads only the restricted profile, so no map table
+        # of verify all builds its sorted source pairs.
+        built = []
+        real = cli.qa.MetricMapTable._source_pairs.func
+
+        def counting(table):
+            built.append(table.source.n)
+            return real(table)
+
+        monkeypatch.setattr(cli.qa.MetricMapTable, "_source_pairs",
+                            property(counting))
+        cli.qa.coarse_profile(floor_by_3, [1.0])
+        assert set(built) == {10}  # the wrapper counts
+        built.clear()
+        assert cli.verify_all(seed=0)["pass"]
+        assert built == []
+
     def test_timings_flag(self, capsys, monkeypatch):
         for name in ("graphs", "projection", "atd", "fork", "moduli"):
             monkeypatch.setattr(cli, f"_suite_{name}",

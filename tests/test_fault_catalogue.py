@@ -20,13 +20,18 @@ reads, and checks the blocks against the closed form ``tree_distance``.
 Planted one level too deep, the minima make lcp depths one too deep and
 tree distances two too short, so ``verify_projection`` at T(2,9) -> G(2,2)
 fails its Lipschitz check, and the first counterexample replays as
-passing, since the replay measures the pair by the closed form.  Known
-gap: planted one level too shallow, the minima make tree distances two too
-long, and every image pair still lies within its (now longer) tree
-distance, so the Lipschitz check and ``verify_projection`` pass; only the
-comparison with ``tree_distance`` catches that direction.  The report does
-count 0 comparable pairs there, against 8,194 unfaulted, but its verdict
-does not read that count.
+passing, since the replay measures the pair by the closed form.  Planted
+one level too shallow, the minima make tree distances two too long, so
+every image pair still lies within its tree distance, but no pair reads as
+comparable: the exhaustive Lipschitz check fails on its empty comparable
+stratum (0 pairs, against 8,194 unfaulted).
+
+The restricted row plants a rho column shifted by one in
+``MetricMapTable._nearest_preimage``, which the profile route
+(``restricted_profile``) reads and the predicate route (``atd_pairs``)
+does not.  ``cross_validate_atd`` must then disagree on the phi tables of
+the atd suite of ``verify all``, and that suite's check of c_atd on
+phi(2,2) must fail.
 """
 
 import types
@@ -35,7 +40,9 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
+from laakso_lab import cli
 from laakso_lab import laakso_graph as lg
+from laakso_lab import quotient_analysis as qa
 from laakso_lab import tree_space as ts
 from laakso_lab import tree_to_laakso as tl
 
@@ -156,16 +163,60 @@ def test_tree_blocks_catch_running_minimum_off_by_one(shift, monkeypatch):
     running_minimum_off_by_one(monkeypatch, shift)
     pm = _phi(2, 2)
     assert not _blocks_match_closed_form(pm.tree)
-    if shift < 0:
-        # The known gap of the module docstring: no assertion on
-        # verify_projection.
-        return
     rep = tl.verify_projection(pm)
     assert rep["mode"] == "exhaustive"
     assert not rep["pass"]
     failed = [name for name, check in rep["checks"].items()
               if not check["pass"]]
     assert failed == ["lipschitz"]
-    first = rep["checks"]["lipschitz"]["counterexamples"][0]
+    lip = rep["checks"]["lipschitz"]
+    if shift < 0:
+        # Every pair is within its lengthened tree distance, and none reads
+        # as comparable: the verdict fails on the empty stratum.
+        assert lip["counterexamples"] == []
+        assert lip["comparable_pairs"] == 0
+        assert lip["incomparable_pairs"] == lip["pairs"] == 522_753
+        return
+    first = lip["counterexamples"][0]
     assert first["graph_dist"] <= first["tree_dist"]
     assert tl.replay_case(pm, first) == {**first, "pass": True}
+
+
+def rho_column_shifted(monkeypatch):
+    """Each column of the nearest-preimage matrix rho holds the distances
+    to the preimages of the previous target point, in
+    ``MetricMapTable._nearest_preimage`` only."""
+    real = qa.MetricMapTable._nearest_preimage.func
+
+    def faulty(self):
+        return np.roll(real(self), 1, axis=1)
+
+    monkeypatch.setattr(qa.MetricMapTable, "_nearest_preimage",
+                        property(faulty))
+
+
+ATD_C_GRID = [0.05, 0.15, 0.25, 1 / 3, 0.45, 0.55, 0.7, 0.85, 1.0, 1.25]
+ATD_DELTAS = [float(d) for d in range(1, 9)]
+
+
+@pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2)])
+def test_cross_validation_catches_shifted_rho_column(n, b, monkeypatch):
+    control = tl.map_table(_phi(n, b))
+    assert qa.cross_validate_atd(control, ATD_C_GRID, ATD_DELTAS)["pass"]
+    rho_column_shifted(monkeypatch)
+    rep = qa.cross_validate_atd(tl.map_table(_phi(n, b)), ATD_C_GRID,
+                                ATD_DELTAS)
+    assert not rep["pass"]
+    assert rep["checked"] == len(ATD_C_GRID) * len(ATD_DELTAS)
+    assert len(rep["disagreements"]) == 5
+
+
+def test_atd_suite_catches_shifted_rho_column(monkeypatch):
+    # The record's c_atd_inf is restricted_profile's, on phi(2,2).
+    control = cli._suite_atd()["phi_c_atd_all_one"]
+    assert control["pass"] and control["c_atd_inf"] == 1.0
+    rho_column_shifted(monkeypatch)
+    suite = cli._suite_atd()
+    assert not suite["phi_c_atd_all_one"]["pass"]
+    assert suite["phi_c_atd_all_one"]["c_atd_inf"] == 0.1
+    assert not suite["pass"]

@@ -1,5 +1,6 @@
 """The array-backed profile route against the pure-Python loop reference in
-`loop_reference`, exactly, and the `analyze map` / `fork` reports of the
+`loop_reference`, exactly, with `restricted_profile` equal to the
+restricted half of `coarse_profile` on every table, and the `analyze map` / `fork` reports of the
 phi table T(2,9) -> G(2,2) against committed golden files."""
 
 import json
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import loop_reference as ref
 from laakso_lab import cli
 from laakso_lab import quotient_analysis as qa
+from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import build_laakso
 from laakso_lab.tree_space import TreeSpace
 from laakso_lab.tree_to_laakso import TreeToGraphMap, as_map_table
@@ -49,6 +51,12 @@ def assert_matches_reference(m: qa.MetricMapTable, deltas, radii) -> None:
         assert qa.lipschitz_constant(m) == ref.lipschitz_constant(m)
     if m.source.order is not None and m.target.order is not None:
         assert qa.c_atd_infinity(m) == ref.c_atd_infinity(m)
+        restricted = qa.restricted_profile(m, deltas)
+        assert restricted == (prof.c_atd, prof.c_atd_inf)
+        assert restricted == ref.coarse_profile(m, deltas)[3:]
+    else:
+        with pytest.raises(DomainError, match="needs both orders"):
+            qa.restricted_profile(m, deltas)
     for r in radii:
         got = qa.quotient_moduli(m, r)
         want = ref.quotient_moduli(m, r)

@@ -155,6 +155,12 @@ BAD_TABLES = [
     ([[1]], "nonzero diagonal"),
     ([[0, 1], [2, 0]], "not symmetric"),
     ([[0, 0], [0, 0]], "non-positive distance"),
+    ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], "non-positive distance between "
+                                        "distinct points"),
+    ([[0, 1, 2], [1, 0, -1], [2, -1, 0]], "non-positive distance between "
+                                          "distinct points"),
+    ([[0, -0.5], [-0.5, 0]], "non-positive distance between distinct points"),
+    ([[0, -1, 2], [-1, 1, 1], [2, 1, 0]], "nonzero diagonal"),
     ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "triangle inequality fails via 1"),
 ]
 
@@ -383,6 +389,30 @@ class TestCoarseProfile:
         prof = coarse_profile(m, [1.0])
         assert prof.c_atd is None
         assert prof.c[1.0] > 0  # plain co-Lipschitz still computed
+
+
+class TestRestrictedProfile:
+    @pytest.mark.parametrize("orders", [(False, False), (True, False),
+                                        (False, True)])
+    def test_needs_both_orders(self, floor_by_3, orders):
+        spaces = [
+            space if keep else FiniteMetricSpace(space.dist)
+            for space, keep in zip((floor_by_3.source, floor_by_3.target),
+                                   orders)
+        ]
+        m = MetricMapTable(*spaces, floor_by_3.assign)
+        with pytest.raises(DomainError, match="needs both orders"):
+            qa.restricted_profile(m, [1.0])
+
+    def test_needs_surjectivity(self):
+        m = MetricMapTable(path_space(3), path_space(2), [0, 0, 0])
+        with pytest.raises(DomainError, match="needs surjectivity"):
+            qa.restricted_profile(m, [1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_delta(self, floor_by_3, bad):
+        with pytest.raises(DomainError, match="positive"):
+            qa.restricted_profile(floor_by_3, [1.0, bad])
 
 
 class TestAtdPredicate:
