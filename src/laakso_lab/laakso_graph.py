@@ -41,16 +41,18 @@ independent of addresses and levels so the two can be cross-checked pair
 by pair; ``bfs_levels_from`` is its one-row view.  Its search advances a
 whole number of 64-bit words of sources per pass, one bit per source, and
 its decode turns the pass's bit planes into int32 rows a block at a time
-(``bfs_blocks``).  Whatever needs the metric on all pairs reads it row by
-row from ``LaaksoGraph.upper_rows``, and the oracle report compares a
-block of those rows with a block of BFS rows at a time.  A block holds the
-rows of consecutive sources to every vertex: at most ``BLOCK_CELLS`` =
-2**15 cells, or one row where a row alone is longer (``source_blocks``),
-so what an all-pairs walk holds at once does not grow with |V|**2.  A
-graph of one block (|V|**2 <= BLOCK_CELLS, so |V| <= 181) walks its pairs
-through ``distance`` and the memo, filling it once and then rereading it;
-a graph of more than one block reads its rows from ``distance_rows``
-blocks, at the full width of each block.
+(``bfs_blocks``).  A block holds the rows of consecutive sources to every
+vertex: at most ``BLOCK_CELLS`` = 2**15 cells, or one row where a row
+alone is longer (``source_blocks``), so what an all-pairs walk holds at
+once does not grow with |V|**2.  Each route gives rows for any sources
+(``distance_rows``, ``bfs_rows``) and the rows of every block in turn
+(``distance_blocks``, ``bfs_blocks``).  Whatever needs the metric on all
+pairs reads it a block at a time from ``LaaksoGraph.distance_blocks``:
+the structure report over each block's cells past the diagonal, and the
+oracle report against the same block of ``bfs_blocks``.  A graph of one
+block (|V|**2 <= BLOCK_CELLS, so |V| <= 181) walks its pairs through
+``distance`` and the memo, filling it once and then rereading it; a
+graph of more than one block reads its blocks from ``distance_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -341,16 +343,9 @@ class LaaksoGraph:
     def bfs_rows(self, sources) -> np.ndarray:
         """BFS distance from each of ``sources`` (vertex indices) to every
         vertex, an int32 array of shape (len(sources), len(vertices)), -1
-        where a vertex cannot be reached: ``bfs_blocks`` over runs of the
-        sources as long as a block of ``source_blocks``."""
-        sources = np.asarray(sources, dtype=np.intp)
-        step = self._block_rows
-        out = np.empty((len(sources), len(self.vertices)), dtype=np.int32)
-        starts = range(0, len(sources), step)
-        runs = [sources[s:s + step] for s in starts]
-        for s, rows in zip(starts, self.bfs_blocks(runs)):
-            out[s:s + len(rows)] = rows
-        return out
+        where a vertex cannot be reached: ``bfs_blocks`` of the one block
+        ``sources``."""
+        return next(self.bfs_blocks([sources]))
 
     def bfs_blocks(self, blocks) -> Iterator[np.ndarray]:
         """The ``bfs_rows`` of each of ``blocks`` (sequences of vertex
@@ -523,34 +518,35 @@ class LaaksoGraph:
         ``vertices``: the one row of ``distance_rows`` for u."""
         return self.distance_rows([self.index(u)])[0].astype(np.int64)
 
-    def upper_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(i, row) in vertex order, where row[k] is the int32 distance from
-        vertex i to vertex i+1+k: each unordered pair once, by the place
-        rule.  A graph of one block of ``source_blocks`` (|V|**2 <=
-        BLOCK_CELLS, so |V| <= 181) walks the pairs through ``distance``
-        and its ``_dist`` memo in row-major order, one row at a time; a
-        graph of more than one block slices the blocks of
-        ``distance_rows``, which give the same rows a block at a time
-        without a call per pair.  Both routes read ``_place`` and
-        ``_copy_distance``."""
+    def distance_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
+        """(sources, rows) for each block of ``source_blocks``, where
+        rows[r, j] is the exact distance from vertex sources[r] to vertex j
+        in ``distance_rows``' dtype: the analytic twin of
+        ``bfs_blocks(source_blocks())``.  A graph of one block (|V|**2 <=
+        BLOCK_CELLS, so |V| <= 181) walks each unordered pair once, in
+        row-major order, through ``distance`` and its ``_dist`` memo, and
+        mirrors the result; a graph of more than one block yields the
+        ``distance_rows`` of each block, with no call per pair.  Both
+        routes read ``_place`` and ``_copy_distance``."""
         verts = self.vertices
         if len(verts) > self._block_rows:
             for sources in self.source_blocks():
-                for i, row in zip(sources, self.distance_rows(sources)):
-                    yield i, row[i + 1:].astype(np.int32)
+                yield sources, self.distance_rows(sources)
             return
+        rows = np.zeros((len(verts), len(verts)),
+                        dtype=np.min_scalar_type(-2 * 3 ** self.n))
         for i, u in enumerate(verts):
-            yield i, np.fromiter((self.distance(u, v) for v in verts[i + 1:]),
-                                 dtype=np.int32, count=len(verts) - 1 - i)
+            rows[i, i + 1:] = [self.distance(u, v) for v in verts[i + 1:]]
+        yield range(len(verts)), rows + rows.T
 
     def distance_matrix(self) -> np.ndarray:
-        """The full symmetric int32 distance matrix, stacked from
-        ``upper_rows``."""
-        n = len(self.vertices)
-        out = np.zeros((n, n), dtype=np.int32)
-        for i, row in self.upper_rows():
-            out[i, i + 1:] = row
-        return out + out.T
+        """The full symmetric int32 distance matrix, filled from
+        ``distance_blocks``."""
+        size = len(self.vertices)
+        out = np.empty((size, size), dtype=np.int32)
+        for sources, rows in self.distance_blocks():
+            out[sources.start:sources.stop] = rows
+        return out
 
 
 def build_laakso(n: int, b: int) -> LaaksoGraph:
@@ -623,7 +619,7 @@ def _bfs_decode(planes: list[np.ndarray], start: int, stop: int,
 
 # The memo's size.  Only point queries and the all-pairs walks of graphs
 # of one source block read the memo; a graph of more than one block reads
-# its walks from ``distance_rows`` (see ``LaaksoGraph.upper_rows``).
+# its walks from ``distance_rows`` (see ``LaaksoGraph.distance_blocks``).
 _MEMO_PAIRS = 1 << 18
 
 
@@ -652,7 +648,10 @@ def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
 
 def structure_report(g: LaaksoGraph) -> dict:
     """Counts, diameter, level grading, and the branch-level law, all checked
-    against first principles (recurrence, BFS, down-degrees)."""
+    against first principles (recurrence, BFS, down-degrees).  The diameter
+    and the count of pairs that attain it are read from each block of
+    ``distance_blocks`` over its cells later[r, j], j > sources[r], so
+    every unordered pair once."""
     problems: list[str] = []
     vcount = len(g.vertices)
     expected_v = expected_vertex_count(g.n, g.b)
@@ -675,12 +674,14 @@ def structure_report(g: LaaksoGraph) -> dict:
     # Diameter over all pairs, and uniqueness of the extremal pair.
     diameter = 0
     extremal = 0
-    for _, row in g.upper_rows():
-        top_row = int(row.max(initial=0))
-        if top_row > diameter:
-            diameter, extremal = top_row, 0
-        if top_row == diameter:
-            extremal += int(np.count_nonzero(row == diameter))
+    targets = np.arange(vcount)
+    for sources, rows in g.distance_blocks():
+        later = targets > np.array(sources)[:, None]
+        top_block = int(rows.max(initial=0, where=later))
+        if top_block > diameter:
+            diameter, extremal = top_block, 0
+        if top_block == diameter:
+            extremal += int(np.count_nonzero((rows == diameter) & later))
     if diameter != top:
         problems.append(f"diameter {diameter} != 3^n = {top}")
     elif extremal != 1:
@@ -718,29 +719,24 @@ def structure_report(g: LaaksoGraph) -> dict:
 
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with BFS on every pair, one block of
-    ``source_blocks`` at a time: the block's rows of ``upper_rows`` against
-    its rows of ``bfs_blocks``, whose search runs in passes at least as
-    wide as a block.  Mismatches are counted per block, and the first 10 in
-    row-major order are recorded."""
+    ``source_blocks`` at a time: each block of ``distance_blocks`` against
+    its block of ``bfs_blocks``, over the cells later[r, j], j >
+    sources[r], so every unordered pair once.  Mismatches are counted per
+    block, and the first 10 in row-major order are recorded."""
     labels = g.labels
-    rows = g.upper_rows()
-    blocks = list(g.source_blocks())
+    targets = np.arange(len(labels))
     mismatches = []
     count = 0
-    for sources, bfs in zip(blocks, g.bfs_blocks(blocks)):
-        analytic = list(islice(rows, len(sources)))
-        # wrong[r, j]: the pair (i, j) of row r = (i, row) disagrees; cells
-        # on and left of the diagonal stay False.
-        wrong = np.zeros(bfs.shape, dtype=bool)
-        for r, (i, row) in enumerate(analytic):
-            np.not_equal(row, bfs[r, i + 1:], out=wrong[r, i + 1:])
+    for (sources, analytic), bfs in zip(g.distance_blocks(),
+                                        g.bfs_blocks(g.source_blocks())):
+        later = targets > np.array(sources)[:, None]
+        wrong = (analytic != bfs) & later
         found = int(np.count_nonzero(wrong))
         if found and len(mismatches) < 10:
             for r, j in np.argwhere(wrong)[:10 - len(mismatches)].tolist():
-                i, row = analytic[r]
                 mismatches.append(
-                    {"u": labels[i], "v": labels[j],
-                     "analytic": int(row[j - i - 1]), "bfs": int(bfs[r, j])}
+                    {"u": labels[sources[r]], "v": labels[j],
+                     "analytic": int(analytic[r, j]), "bfs": int(bfs[r, j])}
                 )
         count += found
     total = len(labels) * (len(labels) - 1) // 2

@@ -276,9 +276,9 @@ class MetricMapTable:
     @cached_property
     def _source_pairs(self) -> tuple[np.ndarray, ...]:
         """The pairs i < j of source points, sorted by source distance:
-        their source distances, image distances, flat indices i * n + j,
-        and the suffix maxima of image over source distance (so the first
-        entry is the Lipschitz constant)."""
+        their source distances, image distances, and the suffix maxima of
+        image over source distance (so the first entry is the Lipschitz
+        constant)."""
         n = self.source.n
         i, j = np.triu_indices(n, 1)
         sdist = self.source.array[i, j]
@@ -286,7 +286,7 @@ class MetricMapTable:
         i, j, sdist = i[order], j[order], sdist[order]
         tdist = self.target.array[self._assign_array[i], self._assign_array[j]]
         ratio_tail = np.maximum.accumulate((tdist / sdist)[::-1])[::-1]
-        return sdist, tdist, i * n + j, ratio_tail
+        return sdist, tdist, ratio_tail
 
     @cached_property
     def _atd_pairs(self) -> tuple[tuple[int, int, float, float], ...]:
@@ -351,7 +351,7 @@ class MetricMapTable:
 def lipschitz_constant(m: MetricMapTable) -> float:
     if m.source.n < 2:
         raise DomainError("need at least two source points")
-    return float(m._source_pairs[3][0])
+    return float(m._source_pairs[2][0])
 
 
 def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
@@ -359,23 +359,22 @@ def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
     source pairs within r; omega is the largest realized target radius s so
     that every target point within s of any image has a preimage within r.
     Both are step functions of r, reported at realized distances only, as
-    the tables' own entries (0.0 when no pair within r moves apart)."""
+    the tables' own entries: the first target entry of each value in
+    row-major order (Omega is 0.0 when no pair within r moves apart)."""
     if not m.surjective:
         raise DomainError("moduli require a surjective assignment")
     if not r >= 0:
         raise DomainError("radius must be non-negative")
-    sdist, tdist, flat, _ = m._source_pairs
+    sdist, tdist, _ = m._source_pairs
     near = tdist[: np.searchsorted(sdist, r, side="right")]
     top = near.max() if near.size else 0.0
+    tarr = m.target.array
     omega_big = 0.0
     if top > 0:
-        # the first such pair in row-major order, as a scan finds it
-        first = flat[: near.size][near == top].min()
-        i, j = divmod(int(first), m.source.n)
-        omega_big = m.target.dist[m.assign[i]][m.assign[j]]
+        i, j = divmod(int(np.flatnonzero(tarr == top)[0]), m.target.n)
+        omega_big = m.target.dist[i][j]
     far = m._nearest_preimage > r
     threshold = m._image_gap[far].min() if far.any() else inf
-    tarr = m.target.array
     below = tarr[tarr < threshold].max()
     i, j = divmod(int(np.flatnonzero(tarr == below)[0]), m.target.n)
     omega_small = m.target.dist[i][j]
@@ -446,7 +445,7 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
 
     # L(d): the largest ratio over source pairs at distance >= d.
-    sdist, _, _, ratio_tail = m._source_pairs
+    sdist, _, ratio_tail = m._source_pairs
     first_far = np.searchsorted(sdist, deltas, side="left")
     L = {d: float(ratio_tail[k]) if k < len(sdist) else 0.0
          for d, k in zip(deltas, first_far)}

@@ -3,10 +3,13 @@
 The profile route of `quotient_analysis`: the nested loops over the
 distance tables that the array-backed profiles replaced, kept verbatim in
 behaviour: same iteration order, same strict comparisons, and the tables'
-own entries as results.  `atd_pairs` tests the target order on a set of
-the pairs that `to_dict` writes, not on the library's relation matrix.
-The tests require the library to agree with them exactly (`==`, and
-equal Python types for the moduli pair).
+own entries as results.  Where equal entries differ in type, both moduli
+report the first target entry, in row-major order, of their value: omega
+through the set of realized distances, Omega by a scan for its maximum.
+`atd_pairs` tests the target order on a set of the pairs that `to_dict`
+writes, not on the library's relation matrix.  The tests require the
+library to agree with them exactly (`==`, and equal Python types for the
+moduli pair).
 
 The two staircase bound verifiers, as they were before they shared one
 pair sweep with integer comparisons: each filters all |sets|**2 pairs for
@@ -55,8 +58,10 @@ The BFS oracle of `laakso_graph`, as it was before the sources of a block
 advanced together as bits over a CSR adjacency: `bfs_levels` walks a
 `deque` of vertex indices from one source over `neighbors`, -1 where a
 vertex is not reached.  `oracle_agreement_report` is the oracle report as
-it was when it ran that BFS once per row of `upper_rows` and appended a
-record for every mismatching pair before keeping the first 10.
+it was before it compared whole blocks: it runs that BFS once per row of
+the package's `distance_blocks`, so a fault planted in the analytic rows
+shows in both reports, compares the row's later vertices one by one, and
+appends a record for every mismatching pair before keeping the first 10.
 
 The tree metric rows of `tree_space`, as they were before a run of ranks
 came from one block of running minima over the levels: `distance_rows`
@@ -122,6 +127,10 @@ def quotient_moduli(m, r):
                 d = tdist[assign[i]][assign[j]]
                 if d > omega_big:
                     omega_big = d
+    if omega_big > 0:
+        # the stored entry: the first target cell, in row-major order,
+        # that equals it, as for omega
+        omega_big = next(d for row in tdist for d in row if d == omega_big)
     threshold = inf
     for x in range(m.source.n):
         fx = assign[x]
@@ -662,14 +671,15 @@ def bfs_levels(g, v) -> list[int]:
 def oracle_agreement_report(g) -> dict:
     verts, labels = g.vertices, g.labels
     mismatches = []
-    for i, row in g.upper_rows():
-        bfs = bfs_levels(g, verts[i])[i + 1:]
-        for k, (analytic, level) in enumerate(zip(row.tolist(), bfs)):
-            if analytic != level:
-                mismatches.append(
-                    {"u": labels[i], "v": labels[i + 1 + k],
-                     "analytic": analytic, "bfs": level}
-                )
+    for sources, rows in g.distance_blocks():
+        for i, row in zip(sources, rows.tolist()):
+            bfs = bfs_levels(g, verts[i])
+            for j in range(i + 1, len(verts)):
+                if row[j] != bfs[j]:
+                    mismatches.append(
+                        {"u": labels[i], "v": labels[j],
+                         "analytic": row[j], "bfs": bfs[j]}
+                    )
     total = len(verts) * (len(verts) - 1) // 2
     return {
         "n": g.n,

@@ -14,6 +14,13 @@ loop's report, record for record.  The two rows that plant a fault in the
 place rule plant it once, so a row that failed on only some of the graphs
 would show a second copy of the rule.
 
+The structure rows plant a fault in ``_copy_distance`` at the top copy
+only, the copy of span 3**n that the whole graph is, on G(2,3), whose
+report walks the pairs, and on G(2,9), whose report reads blocks.
+Lengthening the root-sink pair by one makes the diameter 3**n + 1;
+raising every pair at distance 3**n - 1 to 3**n leaves the diameter but
+not the one pair that attains it, which BFS counts.
+
 The tree row plants a running minimum off by one in
 ``TreeSpace.distance_block``, whose blocks the exhaustive projection sweep
 reads, and checks the blocks against the closed form ``tree_distance``.
@@ -110,6 +117,52 @@ def test_oracle_agreement_catches(fault, n, b, walks, monkeypatch,
     assert not rep["pass"]
     assert rep["mismatch_count"] > 0
     assert rep == ref.oracle_agreement_report(g)
+
+
+def root_sink_lengthened(monkeypatch, g):
+    """The root and the sink, heights 0 and 3**n of the top copy, lie one
+    step further apart in ``_copy_distance``, which both analytic routes
+    read."""
+    real, top = lg._copy_distance, 3 ** (g.n - 1)
+
+    def faulty(hu, au, hv, av, unit):
+        d = real(hu, au, hv, av, unit)
+        return d + (abs(hu - hv) == 3 * unit) if unit == top else d
+
+    monkeypatch.setattr(lg, "_copy_distance", faulty)
+
+
+def near_diameter_raised(monkeypatch, g):
+    """Every pair at distance 3**n - 1 in the top copy reads 3**n in
+    ``_copy_distance``."""
+    real, top = lg._copy_distance, 3 ** (g.n - 1)
+
+    def faulty(hu, au, hv, av, unit):
+        d = real(hu, au, hv, av, unit)
+        return d + (d == 3 * unit - 1) if unit == top else d
+
+    monkeypatch.setattr(lg, "_copy_distance", faulty)
+
+
+@pytest.mark.parametrize("fault,problem", [
+    (root_sink_lengthened, "diameter {over} != 3^n = {top}"),
+    (near_diameter_raised, "diameter attained by {raised} pairs, expected 1"),
+])
+@pytest.mark.parametrize("n,b,walks,raised", [(2, 3, True, 11),
+                                              (2, 9, False, 83)])
+def test_structure_report_catches(fault, problem, n, b, walks, raised,
+                                  monkeypatch, clear_memos):
+    control = lg.build_laakso(n, b)
+    assert (len(list(control.source_blocks())) == 1) == walks
+    assert lg.structure_report(control)["pass"]
+    # raised: the root-sink pair and every pair BFS puts at 3**n - 1.
+    bfs = control.bfs_rows(range(len(control.vertices)))
+    assert raised == 1 + np.count_nonzero(np.triu(bfs == 3**n - 1, 1))
+    clear_memos()
+    g = lg.build_laakso(n, b)
+    fault(monkeypatch, g)
+    assert lg.structure_report(g)["problems"] == [
+        problem.format(over=3**n + 1, top=3**n, raised=raised)]
 
 
 class _ShiftedMinimum:

@@ -306,7 +306,9 @@ class TestDistanceOracle:
         assert mat.dtype == np.int32
         assert mat.tolist() == [g.bfs_levels_from(u) for u in g.vertices]
 
-    def test_upper_rows_compute_each_pair_once(self, monkeypatch):
+    def test_distance_blocks_compute_each_pair_once(self, monkeypatch):
+        # G(2,3) is one source block: its one block walks each unordered
+        # pair once, in row-major order, and mirrors the result.
         g = build_laakso(2, 3)
         calls = []
         real = LaaksoGraph.distance
@@ -316,15 +318,15 @@ class TestDistanceOracle:
             return real(self, u, v)
 
         monkeypatch.setattr(LaaksoGraph, "distance", counted)
-        rows = list(g.upper_rows())
+        blocks = list(g.distance_blocks())
         n = len(g.vertices)
         assert calls == [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert [i for i, _ in rows] == list(range(n))
-        for i, row in rows:
-            assert row.dtype == np.int32
-            assert row.tolist() == g.bfs_levels_from(g.vertices[i])[i + 1:]
+        assert [sources for sources, _ in blocks] == [range(n)]
+        (_, rows), = blocks
+        assert rows.dtype == g.distance_rows([]).dtype
+        assert rows.tolist() == [g.bfs_levels_from(v) for v in g.vertices]
 
-    def test_reports_walk_the_rows_once(self, monkeypatch):
+    def test_reports_walk_the_blocks_once(self, monkeypatch):
         # Each report reads every pair once, in row-major order, so the
         # oracle pass finds in the memo every pair the structure pass put
         # there.
@@ -332,18 +334,18 @@ class TestDistanceOracle:
         pairs = len(g.vertices) * (len(g.vertices) - 1) // 2
         walks = []
         calls = 0
-        rows, dist = LaaksoGraph.upper_rows, LaaksoGraph.distance
+        blocks, dist = LaaksoGraph.distance_blocks, LaaksoGraph.distance
 
-        def counted_rows(self):
+        def counted_blocks(self):
             walks.append(self)
-            return rows(self)
+            return blocks(self)
 
         def counted_dist(self, u, v):
             nonlocal calls
             calls += 1
             return dist(self, u, v)
 
-        monkeypatch.setattr(LaaksoGraph, "upper_rows", counted_rows)
+        monkeypatch.setattr(LaaksoGraph, "distance_blocks", counted_blocks)
         monkeypatch.setattr(LaaksoGraph, "distance", counted_dist)
         assert structure_report(g)["pass"]
         hits = lg._dist.cache_info().hits
@@ -376,10 +378,11 @@ class TestDistanceOracle:
         info = lg._dist.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
-    def test_graph_over_the_memo_capacity_reads_it_per_query_not_per_row(
+    def test_graph_over_the_memo_capacity_reads_it_per_query_not_per_block(
             self, monkeypatch):
         # G(2,19) is the smallest G(2,b) whose pairs overflow the memo: each
-        # of its point queries reads the memo once, and its rows never do.
+        # of its point queries reads the memo once, and its blocks never
+        # do.
         g = _graph(2, 19)
         verts, levels = g.vertices, g.levels
         pairs = len(verts) * (len(verts) - 1) // 2
@@ -409,9 +412,12 @@ class TestDistanceOracle:
                 ancestors += below
         assert ancestors > len(picks)
         before = lg._dist.cache_info()
-        i, row = next(itertools.islice(g.upper_rows(), 40, None))
+        blocks = g.distance_blocks()
+        next(blocks)
+        sources, rows = next(blocks)
         assert lg._dist.cache_info() == before
-        assert row.tolist() == g.bfs_levels_from(verts[i])[i + 1:]
+        assert sources == range(40, 80)
+        assert rows.tolist() == g.bfs_rows(sources).tolist()
         path = replay_descent(g, g.root, g.sink)
         from_root = g.bfs_levels_from(g.root)
         from_sink = g.bfs_levels_from(g.sink)
@@ -422,9 +428,10 @@ class TestDistanceOracle:
         info = lg._dist.cache_info()
         assert info.hits + info.misses == calls > len(picks) ** 2
 
-    def test_rows_past_the_memo_skip_the_point_formula(self, monkeypatch):
-        # G(2,19)'s pairs overflow the memo, so its all-pairs walks slice
-        # ``distance_row``: no ``distance`` call and no memo traffic.
+    def test_blocks_past_the_memo_skip_the_point_formula(self, monkeypatch):
+        # G(2,19)'s pairs overflow the memo, so its all-pairs walks read
+        # ``distance_rows`` blocks: no ``distance`` call and no memo
+        # traffic.
         g = _graph(2, 19)
         calls = 0
         real = LaaksoGraph.distance
@@ -437,13 +444,14 @@ class TestDistanceOracle:
         monkeypatch.setattr(LaaksoGraph, "distance", counted)
         lg._dist.cache_clear()
         size = len(g.vertices)
-        rows = 0
-        for i, row in g.upper_rows():
-            assert i == rows
-            assert row.dtype == np.int32
-            assert len(row) == size - 1 - i
-            rows += 1
-        assert rows == size
+        covered = 0
+        for sources, rows in g.distance_blocks():
+            assert sources.start == covered
+            assert rows.dtype == np.min_scalar_type(-2 * 3**g.n)
+            assert rows.shape == (len(sources), size)
+            assert (rows == g.bfs_rows(sources)).all()
+            covered = sources.stop
+        assert covered == size
         assert structure_report(g)["pass"]
         assert oracle_agreement_report(g)["pass"]
         assert calls == 0
@@ -528,6 +536,21 @@ class TestBlockKernels:
             rows = g.distance_rows(sources)
             assert rows.dtype == np.min_scalar_type(-2 * 3**n)
             assert (rows == g.bfs_rows(sources)).all()
+
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                     (3, 4), (2, 9), (4, 2), (3, 5)])
+    def test_distance_blocks_are_the_bfs_blocks(self, n, b):
+        # every graph that verify all builds, and G(2,9), G(4,2) and G(3,5):
+        # the analytic blocks are the BFS blocks, with the same sources.
+        g = _graph(n, b)
+        blocks = list(g.source_blocks())
+        analytic = list(g.distance_blocks())
+        assert [sources for sources, _ in analytic] == blocks
+        for (_, rows), bfs in zip(analytic, g.bfs_blocks(blocks),
+                                  strict=True):
+            assert rows.dtype == np.min_scalar_type(-2 * 3**n)
+            assert rows.shape == bfs.shape
+            assert (rows == bfs).all()
 
     @pytest.mark.parametrize("n,b,block,width", [(4, 2, 69, 128),
                                                  (3, 5, 40, 64)])

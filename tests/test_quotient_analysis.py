@@ -339,6 +339,15 @@ class TestQuotientModuli:
         omega, Omega = quotient_moduli(identity_path, 1)
         assert omega == 1 and Omega == 1
 
+    def test_reports_the_first_stored_entry_of_each_value(self):
+        # Distance 2 is stored as the float at (0, 2) and the int at (2, 0).
+        # Both moduli report the first entry of their value in row-major
+        # order, though the one pair that moves 2 apart maps onto (2, 0).
+        target = FiniteMetricSpace([[0, 1, 2.0], [1, 0, 1], [2, 1, 0]])
+        m = MetricMapTable(path_space(3), target, [2, 1, 0])
+        got = quotient_moduli(m, 2)
+        assert [(v, type(v)) for v in got] == [(2.0, float), (2.0, float)]
+
     def test_needs_surjective(self):
         three, two = path_space(3), path_space(2)
         m = MetricMapTable(three, two, [0, 0, 0])
