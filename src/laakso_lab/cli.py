@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_tree = gen_sub.add_parser("tree", help="enumerate a truncated tree")
     g_tree.add_argument("--b", type=int, required=True, help="branching")
     g_tree.add_argument("--d", type=int, required=True, help="depth")
-    g_tree.add_argument("--format", choices=["json"], default="json")
     g_tree.add_argument("--out")
     g_tree.set_defaults(func=cmd_generate_tree)
     g_lk = gen_sub.add_parser("laakso", help="build a recursive block graph")

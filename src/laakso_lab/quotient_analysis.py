@@ -14,10 +14,12 @@ share only the input table:
   `restricted_profile`, `c_atd_infinity`, `quotient_moduli`) reads numpy
   arrays that each `MetricMapTable` builds once, on first use: the
   nearest-preimage matrix rho, the image-to-target distances D, and the
-  source pairs sorted by distance.  Every constant is a masked minimum or
-  maximum over them.  `restricted_profile` is the restricted half of
+  source pairs i < j with their source and image distances.  Every
+  constant is a masked minimum or maximum over them: the pair half
+  (Lipschitz, L, Omega) over the pairs, the cell half (c, c_atd, omega)
+  over rho and D.  `restricted_profile` is the restricted half of
   `coarse_profile`, which calls it; it reads rho and D only, so a caller
-  that needs no more than c_atd never sorts the source pairs;
+  that needs no more than c_atd builds no pair arrays;
 - the predicate route (`atd_violation` over `atd_pairs`) is a pure-Python
   scan of the distance tables and the preimages.  `atd_pairs` is built once
   per table.
@@ -274,19 +276,14 @@ class MetricMapTable:
         return self.target.order[self._assign_array]
 
     @cached_property
-    def _source_pairs(self) -> tuple[np.ndarray, ...]:
-        """The pairs i < j of source points, sorted by source distance:
-        their source distances, image distances, and the suffix maxima of
-        image over source distance (so the first entry is the Lipschitz
-        constant)."""
-        n = self.source.n
-        i, j = np.triu_indices(n, 1)
+    def _pairs(self) -> tuple[np.ndarray, ...]:
+        """The pairs i < j of source points, in row-major order: their
+        source distances, image distances, and image over source
+        distance."""
+        i, j = np.triu_indices(self.source.n, 1)
         sdist = self.source.array[i, j]
-        order = np.argsort(sdist)
-        i, j, sdist = i[order], j[order], sdist[order]
         tdist = self.target.array[self._assign_array[i], self._assign_array[j]]
-        ratio_tail = np.maximum.accumulate((tdist / sdist)[::-1])[::-1]
-        return sdist, tdist, ratio_tail
+        return sdist, tdist, tdist / sdist
 
     @cached_property
     def _atd_pairs(self) -> tuple[tuple[int, int, float, float], ...]:
@@ -351,7 +348,7 @@ class MetricMapTable:
 def lipschitz_constant(m: MetricMapTable) -> float:
     if m.source.n < 2:
         raise DomainError("need at least two source points")
-    return float(m._source_pairs[2][0])
+    return float(m._pairs[2].max())
 
 
 def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
@@ -365,20 +362,20 @@ def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
         raise DomainError("moduli require a surjective assignment")
     if not r >= 0:
         raise DomainError("radius must be non-negative")
-    sdist, tdist, _ = m._source_pairs
-    near = tdist[: np.searchsorted(sdist, r, side="right")]
-    top = near.max() if near.size else 0.0
-    tarr = m.target.array
-    omega_big = 0.0
-    if top > 0:
-        i, j = divmod(int(np.flatnonzero(tarr == top)[0]), m.target.n)
-        omega_big = m.target.dist[i][j]
+    sdist, tdist, _ = m._pairs
+    top = tdist.max(where=sdist <= r, initial=0.0)
+    omega_big = _stored_entry(m.target, top) if top > 0 else 0.0
     far = m._nearest_preimage > r
     threshold = m._image_gap[far].min() if far.any() else inf
-    below = tarr[tarr < threshold].max()
-    i, j = divmod(int(np.flatnonzero(tarr == below)[0]), m.target.n)
-    omega_small = m.target.dist[i][j]
-    return omega_small, omega_big
+    tarr = m.target.array
+    return _stored_entry(m.target, tarr[tarr < threshold].max()), omega_big
+
+
+def _stored_entry(space: FiniteMetricSpace, value: float):
+    """The first entry of the space's table equal to value in row-major
+    order, as stored."""
+    i, j = divmod(int(np.flatnonzero(space.array == value)[0]), space.n)
+    return space.dist[i][j]
 
 
 def _require_orders(m: MetricMapTable) -> None:
@@ -445,10 +442,8 @@ def coarse_profile(m: MetricMapTable, delta_grid: Sequence[float]) -> CoarseProf
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
 
     # L(d): the largest ratio over source pairs at distance >= d.
-    sdist, _, ratio_tail = m._source_pairs
-    first_far = np.searchsorted(sdist, deltas, side="left")
-    L = {d: float(ratio_tail[k]) if k < len(sdist) else 0.0
-         for d, k in zip(deltas, first_far)}
+    sdist, _, ratio = m._pairs
+    L = {d: float(ratio.max(where=sdist >= d, initial=0.0)) for d in deltas}
 
     # c(d): the smallest D/rho over cells whose nearest preimage is past d.
     rho = m._nearest_preimage
@@ -468,7 +463,7 @@ def restricted_profile(
     each delta of the grid, as floats, and c_atd_inf, the largest finite
     one (the profile is non-decreasing, so this is its supremum over the
     grid; inf if none is finite).  It reads rho, D and the related cells
-    only, never the sorted source pairs."""
+    only, never the pair arrays."""
     _require_orders(m)
     deltas = _delta_grid(delta_grid)
     c_atd = {d: float(v) for d, v in _restricted_minima(m, deltas).items()}

@@ -36,6 +36,14 @@ class TestGenerate:
         assert len(rows) == 7
         assert rows[0] == {"elements": [], "level": 0}
 
+    def test_tree_has_no_format_option(self, capsys):
+        # The tree is emitted as JSON only, so it takes no --format.
+        code, out, err = run(capsys, "generate", "tree", "--b", "2", "--d",
+                             "2", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
     def test_laakso_json(self, capsys):
         code, out, _ = run(capsys, "generate", "laakso", "--n", "1", "--b", "3")
         assert code == 0
@@ -252,17 +260,17 @@ class TestVerifyAll:
         monkeypatch.setattr(cli.tl, "as_map_table", refuse)
         assert cli.verify_all(seed=0)["pass"]
 
-    def test_never_sorts_the_source_pairs(self, monkeypatch, floor_by_3):
+    def test_builds_no_pair_arrays(self, monkeypatch, floor_by_3):
         # The atd suite reads only the restricted profile, so no map table
-        # of verify all builds its sorted source pairs.
+        # of verify all builds the pair arrays of the pair half.
         built = []
-        real = cli.qa.MetricMapTable._source_pairs.func
+        real = cli.qa.MetricMapTable._pairs.func
 
         def counting(table):
             built.append(table.source.n)
             return real(table)
 
-        monkeypatch.setattr(cli.qa.MetricMapTable, "_source_pairs",
+        monkeypatch.setattr(cli.qa.MetricMapTable, "_pairs",
                             property(counting))
         cli.qa.coarse_profile(floor_by_3, [1.0])
         assert set(built) == {10}  # the wrapper counts

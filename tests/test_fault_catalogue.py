@@ -39,6 +39,20 @@ The restricted row plants a rho column shifted by one in
 does not.  ``cross_validate_atd`` must then disagree on the phi tables of
 the atd suite of ``verify all``, and that suite's check of c_atd on
 phi(2,2) must fail.
+
+Known gaps, not rows:
+
+- The pair half of the profile route (the Lipschitz constant, L(delta)
+  and Omega, masked maxima over ``MetricMapTable._pairs``) has no second
+  route in the package: the predicate route decides c_atd only.  A fault
+  planted there is caught by the loops of ``tests/loop_reference.py``, the
+  ``analyze map`` golden of phi(2,2) and the values the unit tests state,
+  never by a check of the program itself.
+- A span off by one in ``TreeSpace.child_ranks`` fails no check.  At
+  T(2,9) -> G(2,2), span - 1, span + 1 and the next level's span each
+  make ``verify_projection`` raise ``IndexError``, at an index that
+  changes from run to run: ``rank_images`` fills an ``np.empty`` array,
+  and the misplaced ranks leave some of its entries unwritten.
 """
 
 import types

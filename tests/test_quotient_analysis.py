@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -324,6 +325,29 @@ class TestMetricMapTable:
         pairs = qa.atd_pairs(floor_by_3)
         assert isinstance(pairs, tuple)
         assert qa.atd_pairs(floor_by_3) is pairs
+
+    def test_pair_arrays_built_once(self, monkeypatch, floor_by_3,
+                                    identity_path):
+        # The pair half (Lipschitz, L over a grid, Omega at each radius)
+        # reads one set of pair arrays per table.
+        built = []
+        real = MetricMapTable._pairs.func
+
+        def counting(table):
+            built.append(table)
+            return real(table)
+
+        cached = cached_property(counting)
+        cached.__set_name__(MetricMapTable, "_pairs")
+        monkeypatch.setattr(MetricMapTable, "_pairs", cached)
+        grid = [1, 2, 3, 4, 5]
+        for m in (floor_by_3, identity_path):
+            lipschitz_constant(m)
+            coarse_profile(m, grid)
+            for r in grid:
+                quotient_moduli(m, r)
+            lipschitz_constant(m)
+        assert built == [floor_by_3, identity_path]
 
 
 class TestQuotientModuli:
