@@ -60,33 +60,21 @@ def _is_index(value) -> bool:
 def _strict_order(order, n: int) -> np.ndarray:
     """The boolean relation matrix R of ``order``, read-only, once every
     pair is a two-element list of integer indices and the relation is a
-    strict partial order on 0..n-1.  Past the pair shapes and entry types,
-    each check is an array step over the pairs and R: range,
-    irreflexivity, antisymmetry as "R[j, i] is false", and transitivity as
-    "row j of R lies inside row i", a chunk of pairs at a time.  A failure
+    strict partial order on 0..n-1.  ``order`` is a sequence of pairs, or
+    an (m, 2) array of a signed integer dtype, whose entries are integers
+    by type; any other array is read as a sequence of its rows.  Past the
+    pair shapes and entry types, each check is an array step over the
+    pairs and R: range, irreflexivity, antisymmetry as "R[j, i] is false",
+    and transitivity as "row j of R lies inside row i", on R's rows packed
+    eight cells to a byte, a chunk of pairs at a time; only the first
+    failing pair's row is unpacked, to name its third point.  A failure
     names the first offending pair in the given order."""
-    given = list(order)
-    # Plain pairs of Python ints skip the check pair by pair.
-    if (set(map(type, given)) - {list, tuple}
-            or set(map(len, given)) - {2}
-            or set(map(type, chain.from_iterable(given))) - {int}):
-        for pair in given:
-            if not (isinstance(pair, (list, tuple, np.ndarray))
-                    and len(pair) == 2):
-                raise ValueError(f"order pair {pair!r} is not a "
-                                 f"two-element list")
-            i, j = pair
-            for v in (i, j):
-                if not _is_index(v):
-                    raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
-                                     f"not an integer index")
-    try:
-        pairs = np.fromiter(chain.from_iterable(given), dtype=np.int64,
-                            count=2 * len(given)).reshape(-1, 2)
-    except OverflowError:  # past int64, so out of range
-        i, j = next(p for p in given
-                    if not all(-2**63 <= v < 2**63 for v in p))
-        raise ValueError(f"order pair ({i},{j}) out of range") from None
+    if (isinstance(order, np.ndarray) and order.ndim == 2
+            and order.shape[1] == 2
+            and np.issubdtype(order.dtype, np.signedinteger)):
+        pairs = order.astype(np.int64, copy=False)
+    else:
+        pairs = _pair_array(list(order))
     first, second = pairs[:, 0], pairs[:, 1]
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
@@ -102,16 +90,46 @@ def _strict_order(order, n: int) -> np.ndarray:
     if back.any():
         i, j = pairs[np.argmax(back)].tolist()
         raise ValueError(f"order is not antisymmetric on ({i},{j})")
+    packed = np.packbits(rel, axis=1)
     step = max(1, ORDER_CHUNK_CELLS // max(n, 1))
     for s in range(0, len(pairs), step):
         i, j = first[s:s + step], second[s:s + step]
-        gap = rel[j] & ~rel[i]
-        if gap.any():
-            p, k = np.argwhere(gap)[0].tolist()
+        gap = packed[j] & ~packed[i]
+        rows = gap.any(axis=1)
+        if rows.any():
+            p = int(np.argmax(rows))
+            k = int(np.argmax(np.unpackbits(gap[p], count=n)))
             raise ValueError(f"order is not transitive: "
                              f"({i[p]},{j[p]}),({j[p]},{k})")
     rel.flags.writeable = False
     return rel
+
+
+def _pair_array(given: list) -> np.ndarray:
+    """The pairs of ``given`` as an (m, 2) int64 array, once each is a
+    two-element list of integer indices; a pair past int64 is out of
+    range."""
+    # Plain pairs of Python ints skip the check pair by pair.
+    if (set(map(type, given)) - {list, tuple}
+            or set(map(len, given)) - {2}
+            or set(map(type, chain.from_iterable(given))) - {int}):
+        for pair in given:
+            if not (isinstance(pair, (list, tuple, np.ndarray))
+                    and len(pair) == 2):
+                raise ValueError(f"order pair {pair!r} is not a "
+                                 f"two-element list")
+            i, j = pair
+            for v in (i, j):
+                if not _is_index(v):
+                    raise ValueError(f"order pair {[i, j]!r} holds {v!r}, "
+                                     f"not an integer index")
+    try:
+        return np.fromiter(chain.from_iterable(given), dtype=np.int64,
+                           count=2 * len(given)).reshape(-1, 2)
+    except OverflowError:  # past int64, so out of range
+        i, j = next(p for p in given
+                    if not all(-2**63 <= v < 2**63 for v in p))
+        raise ValueError(f"order pair ({i},{j}) out of range") from None
 
 
 class FiniteMetricSpace:
@@ -121,7 +139,11 @@ class FiniteMetricSpace:
     invariants are validated at construction: finiteness, symmetry, zero
     diagonal, positivity off the diagonal, the triangle inequality, and
     strictness of the order, whose pairs must be two-element lists of
-    integer indices.  The triangle inequality is checked exhaustively up
+    integer indices or the rows of an (m, 2) array of a signed integer
+    dtype.  An integer array is checked for its zero diagonal, symmetry
+    and positivity on its own integers, exactly, and is finite by type;
+    every other table, and the triangle inequality, is checked on the
+    float64 `array`.  The triangle inequality is checked exhaustively up
     to 256 points; above that, on 20000 triples (i, j, k) compared in one
     vector step, and the first failing triple in sample order is reported.
     The triples are 60000 little-endian 32-bit words of
@@ -136,7 +158,7 @@ class FiniteMetricSpace:
     def __init__(
         self,
         dist: Sequence[Sequence[float]] | np.ndarray,
-        order: Optional[Sequence[tuple[int, int]]] = None,
+        order: Optional[Sequence[tuple[int, int]] | np.ndarray] = None,
     ):
         if isinstance(dist, np.ndarray):
             if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -145,6 +167,8 @@ class FiniteMetricSpace:
             given.flags.writeable = False
             self._given, self._dist = given, None
             arr = dist.astype(float)
+            # An integer table is checked on its own integers, exactly.
+            exact = given if np.issubdtype(given.dtype, np.integer) else arr
         else:
             try:
                 rows = tuple(map(tuple, dist))
@@ -154,19 +178,21 @@ class FiniteMetricSpace:
                 raise ValueError("distance table is not square")
             self._given, self._dist = rows, rows
             arr = np.asarray(rows, dtype=float).reshape(len(rows), len(rows))
+            exact = arr
         n = self.n = len(arr)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise ValueError(
-                f"non-finite distance {self.dist[i][j]!r} at ({i},{j})"
-            )
-        if n and (np.diag(arr) != 0).any():
+        if exact is arr:  # an integer table is finite by type
+            finite = np.isfinite(arr)
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                raise ValueError(
+                    f"non-finite distance {self.dist[i][j]!r} at ({i},{j})"
+                )
+        if n and (np.diag(exact) != 0).any():
             raise ValueError("nonzero diagonal in distance table")
-        if not np.array_equal(arr, arr.T):
+        if not np.array_equal(exact, exact.T):
             raise ValueError("distance table is not symmetric")
         # The diagonal is zero, so any entry <= 0 past its n lies off it.
-        if np.count_nonzero(arr <= 0) > n:
+        if np.count_nonzero(exact <= 0) > n:
             raise ValueError("non-positive distance between distinct points")
         self._validate_triangle(arr)
         arr.flags.writeable = False

@@ -163,7 +163,8 @@ class CountMatrix:
         first = np.array([K[0] if K else 0 for K in self.sets])
         last = np.array([J[-1] if J else 0 for J in self.sets])
         parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp),) * 3]
-        for k in np.unique(first[first > 0]).tolist():
+        # A set, not np.unique: numpy's unique imports numpy.ma on first use.
+        for k in sorted(set(first[first > 0].tolist())):
             Ks = np.flatnonzero(first == k)
             Js = np.flatnonzero(last < k)
             below = C[Js][None, :, :]

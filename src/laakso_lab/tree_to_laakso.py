@@ -105,7 +105,12 @@ class TreeToGraphMap:
         take its image's step through the |V| x b table of ``_child_image``;
         then the flip node, if it is a tree node, takes its ``image_index``,
         the mis-wired step, and its descendants step from that.  The
-        enumeration cap applies."""
+        enumeration cap applies.
+        The rank layout is checked as it is read: every child rank must lie
+        in 0..size - 1 before it is written, and the walk must write every
+        rank exactly once; otherwise ``AssertionError`` names the first bad
+        rank, since a layout that misses ranks is a program fault, not bad
+        input."""
         tree, graph, b = self.tree, self.graph, self.tree.branching
         step = np.array([
             [self._child_image(v, k) if kids else -1 for k in range(1, b + 1)]
@@ -114,16 +119,30 @@ class TreeToGraphMap:
         flip = self._flip_node
         if flip is not None and flip not in tree:
             flip = None
-        out = np.empty(len(tree.levels), dtype=np.intp)
+        size = len(tree.levels)
+        out = np.full(size, -1, dtype=np.intp)
         out[0] = graph.index(graph.root)
         at = np.zeros(1, dtype=np.intp)
+        written = [at]
         for lv in range(tree.depth):
             below = [tree.child_ranks(at, lv, k) for k in range(1, b + 1)]
-            for col, ranks in enumerate(below):
-                out[ranks] = step[out[at], col]
+            ranks = np.concatenate(below)
+            if ranks.min() < 0 or ranks.max() >= size:
+                bad = ranks[(ranks < 0) | (ranks >= size)][0]
+                raise AssertionError(f"child rank {bad} at level {lv + 1} "
+                                     f"is outside 0..{size - 1}")
+            above = out[at]
+            for col, kth in enumerate(below):
+                out[kth] = step[above, col]
             if flip is not None and lv + 1 == flip.level:
                 out[tree.rank_of(flip)] = self.image_index(flip.elements)
-            at = np.concatenate(below)
+            at = ranks
+            written.append(at)
+        times = np.bincount(np.concatenate(written), minlength=size)
+        if (times != 1).any():
+            r = int(np.argmax(times != 1))
+            raise AssertionError(f"rank {r} is written {times[r]} times, "
+                                 f"not once")
         return out
 
     def lift(self, node: TreeNode, target: VertexId) -> TreeNode:
@@ -492,34 +511,40 @@ def ancestor_pairs(dist, levels) -> list[list[int]]:
     `dist` is a square table (nested lists, a list of rows or one array)
     and `levels` a sequence of the same length.  The level gaps are formed
     in the table's dtype."""
+    return _ancestor_array(dist, levels).tolist()
+
+
+def _ancestor_array(dist, levels) -> np.ndarray:
+    """``ancestor_pairs`` as the (m, 2) int64 array of ``np.argwhere``."""
     d = np.asarray(dist).reshape(len(levels), len(levels))
     lv = np.asarray(levels, dtype=d.dtype)
     below = d == lv[None, :] - lv[:, None]
     np.fill_diagonal(below, False)
-    return np.argwhere(below).tolist()
+    return np.argwhere(below)
 
 
 def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     """The projection as a map table, built from arrays: the tree matrix is
     written from the blocks of ``TreeSpace.distance_block`` over
-    ``TreeSpace.rank_blocks``, each block and its transpose, the graph
-    matrix is ``LaaksoGraph.distance_matrix``, both int32, and both strict
-    ancestor relations are read off them by the rule of ``ancestor_pairs``,
-    with the tree levels from ``TreeSpace.levels``; the assignment is
-    ``pm.rank_images``.  Every input check of ``FiniteMetricSpace`` and
-    ``MetricMapTable`` runs.  Only feasible at desk scale; the tree levels
-    enforce the enumeration cap."""
+    ``TreeSpace.rank_blocks``, each block and its transpose, in the blocks'
+    ``TreeSpace.distance_dtype``; the graph matrix is
+    ``LaaksoGraph.distance_matrix``, int32.  Both strict ancestor relations
+    are read off them by the rule of ``ancestor_pairs``, with the tree
+    levels from ``TreeSpace.levels``, and given as (m, 2) arrays; the
+    assignment is ``pm.rank_images``.  Every input check of
+    ``FiniteMetricSpace`` and ``MetricMapTable`` runs.  Only feasible at
+    desk scale; the tree levels enforce the enumeration cap."""
     tree = pm.tree
     levels = tree.levels
-    sdist = np.empty((len(levels), len(levels)), dtype=np.int32)
+    sdist = np.empty((len(levels), len(levels)), dtype=tree.distance_dtype)
     for start, stop in tree.rank_blocks():
         block = tree.distance_block(start, stop)
         sdist[start:stop, start:] = block
         sdist[start:, start:stop] = block.T
     tdist = pm.graph.distance_matrix()
-    source = FiniteMetricSpace(sdist, order=ancestor_pairs(sdist, levels))
+    source = FiniteMetricSpace(sdist, order=_ancestor_array(sdist, levels))
     target = FiniteMetricSpace(
-        tdist, order=ancestor_pairs(tdist, pm.graph.levels)
+        tdist, order=_ancestor_array(tdist, pm.graph.levels)
     )
     return MetricMapTable(source, target, pm.rank_images().tolist())
 

@@ -539,8 +539,10 @@ START_PATH = """
 import json, sys
 import laakso_lab, laakso_lab.cli
 def heavy_modules():
+    # numpy.ma and its submodules, but not numpy.matrixlib.
     return sorted(m for m in sys.modules
-                  if m.startswith(("scipy", "numpy.random")))
+                  if m.startswith(("scipy", "numpy.random", "numpy.ma."))
+                  or m == "numpy.ma")
 loaded = heavy_modules()
 code = laakso_lab.cli.main(["verify", "all", "--seed", "0", "--out", sys.argv[1]])
 print(json.dumps({"import": loaded, "verify_all": heavy_modules(), "rc": code}))
@@ -549,9 +551,10 @@ print(json.dumps({"import": loaded, "verify_all": heavy_modules(), "rc": code}))
 
 def test_no_scipy_on_the_start_path(tmp_path):
     """A fresh interpreter imports the package and the CLI and runs
-    `verify all` without loading scipy or `numpy.random`: neither the
-    start, the moduli oracles nor the sampled triangle check of the
-    1023-point projection table may pay for their import."""
+    `verify all` without loading scipy, `numpy.random` or `numpy.ma`:
+    neither the start, the moduli oracles, the sampled triangle check of
+    the 1023-point projection table nor the staircase sweeps (numpy's
+    `unique` imports `numpy.ma`) may pay for their import."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

@@ -33,6 +33,14 @@ every image pair still lies within its tree distance, but no pair reads as
 comparable: the exhaustive Lipschitz check fails on its empty comparable
 stratum (0 pairs, against 8,194 unfaulted).
 
+The child-ranks row plants a wrong subtree span in
+``TreeSpace.child_ranks``, which ``rank_images`` reads to place every
+node's image: span - 1, span + 1 or the next level's span.  Each layout
+misses ranks, so under ``verify_projection`` at T(2,9) -> G(2,2)
+``rank_images`` refuses it with an ``AssertionError`` naming the first
+bad rank, the same on every run, and no unwritten rank reaches an index
+(an ``IndexError`` would fail the row).
+
 The restricted row plants a rho column shifted by one in
 ``MetricMapTable._nearest_preimage``, which the profile route
 (``restricted_profile``) reads and the predicate route (``atd_pairs``)
@@ -48,11 +56,9 @@ Known gaps, not rows:
   planted there is caught by the loops of ``tests/loop_reference.py``, the
   ``analyze map`` golden of phi(2,2) and the values the unit tests state,
   never by a check of the program itself.
-- A span off by one in ``TreeSpace.child_ranks`` fails no check.  At
-  T(2,9) -> G(2,2), span - 1, span + 1 and the next level's span each
-  make ``verify_projection`` raise ``IndexError``, at an index that
-  changes from run to run: ``rank_images`` fills an ``np.empty`` array,
-  and the misplaced ranks leave some of its entries unwritten.
+- A wrong span in ``TreeSpace.child_ranks`` is refused, but fails no
+  report check: ``verify_projection`` raises ``AssertionError`` from
+  ``rank_images`` before any check runs (the child-ranks row above).
 """
 
 import types
@@ -247,6 +253,43 @@ def test_tree_blocks_catch_running_minimum_off_by_one(shift, monkeypatch):
     first = lip["counterexamples"][0]
     assert first["graph_dist"] <= first["tree_dist"]
     assert tl.replay_case(pm, first) == {**first, "pass": True}
+
+
+WRONG_SPANS = {
+    "span - 1": lambda spans, lv: spans[lv + 1] - 1,
+    "span + 1": lambda spans, lv: spans[lv + 1] + 1,
+    "next level's span": lambda spans, lv: spans[lv + 2],
+}
+
+
+def child_ranks_misplaced(monkeypatch, wrong):
+    """``TreeSpace.child_ranks`` skips k - 1 subtrees of the span that
+    ``WRONG_SPANS[wrong]`` gives, instead of the children's own span; a
+    subtree below the depth spans 0 nodes."""
+    span = WRONG_SPANS[wrong]
+
+    def faulty(self, ranks, levels, k):
+        spans = np.asarray(self.spans + (0,))
+        return ranks + (1 + (k - 1) * span(spans, np.asarray(levels)))
+
+    monkeypatch.setattr(ts.TreeSpace, "child_ranks", faulty)
+
+
+@pytest.mark.parametrize("wrong,message", [
+    ("span - 1", "rank 9 is written 2 times, not once"),
+    ("span + 1", "child rank 1023 at level 7 is outside 0..1022"),
+    ("next level's span", "rank 9 is written 3 times, not once"),
+])
+def test_rank_images_refuse_a_misplaced_child_rank(wrong, message,
+                                                   monkeypatch):
+    assert tl.verify_projection(_phi(2, 2))["pass"]
+    child_ranks_misplaced(monkeypatch, wrong)
+    seen = []
+    for _ in range(2):
+        with pytest.raises(AssertionError) as err:
+            tl.verify_projection(_phi(2, 2))
+        seen.append(str(err.value))
+    assert seen == [message, message]
 
 
 def rho_column_shifted(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from laakso_lab.errors import DomainError
 from laakso_lab.laakso_graph import build_laakso
 from laakso_lab.tree_space import TreeSpace
+from laakso_lab import tree_to_laakso as tl
 from laakso_lab.tree_to_laakso import TreeToGraphMap, as_map_table
 from laakso_lab import quotient_analysis as qa
 from laakso_lab.quotient_analysis import (
@@ -39,6 +40,16 @@ def order_pairs(space: FiniteMetricSpace) -> list:
     """The pairs of the space's order as `to_dict` writes them."""
     m = MetricMapTable(space, space, range(space.n))
     return m.to_dict()["source_order"]
+
+
+ORDER_REJECTIONS = [
+    ([(0, 1), (2, 3)], r"order pair \(2,3\) out of range"),
+    ([(0, 1), (-1, 2)], r"order pair \(-1,2\) out of range"),
+    ([(0, 10**30)], r"order pair \(0,10{30}\) out of range"),
+    ([(0, 1), (2, 2)], "order is not irreflexive at 2"),
+    ([(1, 2), (2, 1)], r"order is not antisymmetric on \(1,2\)"),
+    ([(1, 2), (0, 1)], r"order is not transitive: \(0,1\),\(1,2\)"),
+]
 
 
 class TestFiniteMetricSpace:
@@ -77,14 +88,7 @@ class TestFiniteMetricSpace:
         ok = FiniteMetricSpace(d3, order=[(0, 1), (1, 2), (0, 2)])
         assert ok.order[0, 2] and not ok.order[2, 0]
 
-    @pytest.mark.parametrize("order,message", [
-        ([(0, 1), (2, 3)], r"order pair \(2,3\) out of range"),
-        ([(0, 1), (-1, 2)], r"order pair \(-1,2\) out of range"),
-        ([(0, 10**30)], r"order pair \(0,10{30}\) out of range"),
-        ([(0, 1), (2, 2)], "order is not irreflexive at 2"),
-        ([(1, 2), (2, 1)], r"order is not antisymmetric on \(1,2\)"),
-        ([(1, 2), (0, 1)], r"order is not transitive: \(0,1\),\(1,2\)"),
-    ])
+    @pytest.mark.parametrize("order,message", ORDER_REJECTIONS)
     def test_each_order_rejection_names_its_first_failure(self, order,
                                                           message):
         d3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -103,6 +107,18 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError, match=r"not transitive: "
                                              rf"\(0,{n - 1}\),\({n - 1},1\)"):
             FiniteMetricSpace(dist, order=star + [(n - 1, 1)])
+
+    def test_star_as_an_array_fails_at_the_same_pair(self):
+        n = 1100
+        dist = np.ones((n, n)) - np.eye(n)
+        star = [(0, j) for j in range(2, n)] + [(n - 1, 1)]
+        with pytest.raises(ValueError) as given:
+            FiniteMetricSpace(dist, order=star)
+        with pytest.raises(ValueError) as as_array:
+            FiniteMetricSpace(dist, order=np.array(star, dtype=np.int64))
+        assert str(as_array.value) == str(given.value)
+        assert str(given.value) == (f"order is not transitive: "
+                                    f"(0,{n - 1}),({n - 1},1)")
 
     def test_order_keeps_python_int_pairs_once(self):
         space = FiniteMetricSpace([[0, 1], [1, 0]],
@@ -147,6 +163,85 @@ class TestFiniteMetricSpace:
         for table in (dist, dist.tolist()):
             with pytest.raises(ValueError, match=message):
                 FiniteMetricSpace(table)
+
+
+def order_message(order, n=3):
+    """The message with which a path space on n points refuses ``order``,
+    or None if it accepts it."""
+    dist = [[abs(i - j) for j in range(n)] for i in range(n)]
+    try:
+        FiniteMetricSpace(dist, order=order)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+# The orders of the rejection and validation tests that int64 holds, and
+# three it accepts.
+REJECTED_ORDERS = [order for order, _ in ORDER_REJECTIONS
+                   if order != [(0, 10**30)]] + [
+    [(0, 0)], [(0, 1), (1, 0)], [(0, 1), (1, 2)],
+]
+ACCEPTED_ORDERS = [[(0, 1), (1, 2), (0, 2)], [], [(2, 0), (1, 0), (2, 1)]]
+
+
+class TestArrayOrders:
+    """An (m, 2) array of a signed integer dtype skips the per-pair type
+    scan; every other check, and every message, is that of its pairs."""
+
+    @pytest.mark.parametrize("order", REJECTED_ORDERS)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8])
+    def test_same_message_as_the_pairs(self, order, dtype):
+        given = np.array(order, dtype=dtype)
+        assert order_message(order) is not None
+        assert order_message(given) == order_message(order)
+
+    @pytest.mark.parametrize("order", ACCEPTED_ORDERS)
+    def test_same_relation_as_the_pairs(self, order):
+        d3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        want = FiniteMetricSpace(d3, order=order).order
+        given = np.array(order, dtype=np.int64).reshape(-1, 2)
+        got = FiniteMetricSpace(d3, order=given)
+        assert np.array_equal(got.order, want)
+
+    def test_signed_arrays_skip_the_pair_scan(self, monkeypatch):
+        def scanned(given):
+            raise AssertionError("the pairs were scanned one by one")
+
+        monkeypatch.setattr(qa, "_pair_array", scanned)
+        d3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        order = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int32)
+        assert FiniteMetricSpace(d3, order=order).order[0, 2]
+        tl.map_table(TreeToGraphMap(TreeSpace(2, 3), build_laakso(1, 2)))
+
+    @pytest.mark.parametrize("given,message", [
+        (np.array([[0, 1], [1, 2]], dtype=np.uint8),
+         "order is not transitive: (0,1),(1,2)"),
+        (np.array([[0, 3]], dtype=np.uint32), "order pair (0,3) out of range"),
+        (np.array([[0, 1], [0, 2**63]], dtype=np.uint64),
+         "order pair (0,9223372036854775808) out of range"),
+        (np.array([[0, 1], [0, 2**64 - 1]], dtype=np.uint64),
+         "order pair (0,18446744073709551615) out of range"),
+        (np.array([[0., 1.]]),
+         "order pair [np.float64(0.0), np.float64(1.0)] holds "
+         "np.float64(0.0), not an integer index"),
+        (np.array([[True, False]]),
+         "order pair [np.True_, np.False_] holds np.True_, not an integer "
+         "index"),
+    ], ids=["uint8", "uint32", "uint64-2**63", "uint64-max", "float", "bool"])
+    def test_other_dtypes_take_the_pair_path(self, given, message):
+        assert order_message(given) == message
+
+    def test_map_table_orders_equal_the_ancestor_pair_lists(self):
+        pm = TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))
+        m = tl.map_table(pm)
+        for space, levels in ((m.source, pm.tree.levels),
+                              (m.target, pm.graph.levels)):
+            pairs = tl.ancestor_pairs(space.dist, levels)
+            want = FiniteMetricSpace(space.dist, order=pairs).order
+            assert np.array_equal(space.order, want)
+            assert np.argwhere(space.order).tolist() == pairs
+        assert m.source.order.sum() == 8_194
 
 
 BAD_TABLES = [
@@ -216,6 +311,51 @@ class TestFiniteMetricSpaceFromArray:
             list(map(type, row)) for row in eager]
         assert space.dist is space.dist
         assert space.to_dict() == {"n": 3, "dist": [list(r) for r in eager]}
+
+
+INTEGER_BAD_TABLES = [(table, message) for table, message in BAD_TABLES
+                      if np.array(table).dtype.kind == "i"]
+
+
+class TestExactIntegerTables:
+    """An integer array is validated on its integers; float arrays and
+    lists on float64, as before."""
+
+    @pytest.mark.parametrize("table", [
+        np.array([[0, 2**53], [2**53 + 1, 0]]),
+        np.array([[0, 2**64 - 1], [2**64 - 2, 0]], dtype=np.uint64),
+    ], ids=["int64", "uint64"])
+    def test_asymmetry_that_float64_rounds_away_is_refused(self, table):
+        assert np.array_equal(table.astype(float), table.T.astype(float))
+        with pytest.raises(ValueError, match="not symmetric"):
+            FiniteMetricSpace(table)
+
+    @pytest.mark.parametrize("table,message", INTEGER_BAD_TABLES)
+    def test_integer_arrays_give_the_list_message(self, table, message):
+        dtypes = [np.int8, np.int32, np.int64]
+        if np.min(table) >= 0:
+            dtypes.append(np.uint64)
+        for dtype in dtypes:
+            with pytest.raises(ValueError, match=message):
+                FiniteMetricSpace(np.array(table, dtype=dtype))
+
+    @pytest.mark.parametrize("table,message", BAD_TABLES)
+    def test_float_arrays_give_the_list_message(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(np.array(table, dtype=float))
+
+    @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2)])
+    def test_map_table_tree_matrix(self, n, b):
+        pm = TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b))
+        m = tl.map_table(pm)
+        assert m.source._given.dtype == pm.tree.distance_dtype
+        assert m.target._given.dtype == np.int32
+        size = len(pm.tree.levels)
+        i, j = np.indices((size, size))
+        want = pm.tree.rank_distance(i, j).tolist()
+        assert m.source.dist == tuple(map(tuple, want))
+        assert {type(d) for row in m.source.dist for d in row} == {int}
+        assert m.source.array.tolist() == want
 
 
 NON_INDICES = [True, False, 1.0, 1.5, "1", None]
