@@ -132,6 +132,26 @@ def _pair_array(given: list) -> np.ndarray:
         raise ValueError(f"order pair ({i},{j}) out of range") from None
 
 
+def _integer_table(dist) -> Optional[np.ndarray]:
+    """A list or tuple table that numpy reads as a 2-D signed integer
+    array, in the smallest signed dtype that holds its least and greatest
+    entry; None for any other table."""
+    if not isinstance(dist, (list, tuple)):
+        return None
+    try:
+        table = np.array(dist)
+    except ValueError:  # ragged
+        return None
+    if table.ndim != 2 or not np.issubdtype(table.dtype, np.signedinteger):
+        return None
+    if table.size:
+        lo, hi = table.min(), table.max()
+        for dtype in (np.int8, np.int16, np.int32):
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+                return table.astype(dtype)
+    return table
+
+
 class FiniteMetricSpace:
     """Indexed points 0..n-1 with a full distance table and an optional
     strict partial order ("ancestor of"), kept as its read-only boolean
@@ -140,18 +160,22 @@ class FiniteMetricSpace:
     diagonal, positivity off the diagonal, the triangle inequality, and
     strictness of the order, whose pairs must be two-element lists of
     integer indices or the rows of an (m, 2) array of a signed integer
-    dtype.  An integer array is checked for its zero diagonal, symmetry
-    and positivity on its own integers, exactly, and is finite by type;
-    every other table, and the triangle inequality, is checked on the
-    float64 `array`.  The triangle inequality is checked exhaustively up
-    to 256 points; above that, on 20000 triples (i, j, k) compared in one
-    vector step, and the first failing triple in sample order is reported.
-    The triples are 60000 little-endian 32-bit words of
-    `random.Random(0).randbytes`, reduced mod n (a bias below n / 2**32),
-    i the first third, j the second, k the last.
-    The table is nested sequences or a 2-D numpy array.  `dist` keeps the
-    entries as given (an array's through one `tolist()` on first read, so
-    an integer array gives Python ints); `array` is a read-only float64
+    dtype.  The table is nested sequences or a 2-D numpy array.  Nested
+    lists that numpy reads as signed integers (bools among ints read as 1
+    and 0) are kept as an array of the smallest signed dtype that holds
+    them; every other list table (floats, mixed ints and floats, ints past
+    int64, all bools) is kept as nested tuples.  An integer array is
+    checked on its own integers, exactly, and is finite by type; every
+    other table is checked on the float64 `array`, and its triangle
+    inequality with a tolerance of 1e-12.  The triangle inequality is
+    checked exhaustively up to 256 points; above that, on 20000 triples
+    (i, j, k) compared in one vector step, and the first failing triple in
+    sample order is reported.  The triples are 60000 little-endian 32-bit
+    words of `random.Random(0).randbytes`, reduced mod n (a bias below
+    n / 2**32), i the first third, j the second, k the last.
+    `dist` keeps the entries as given (an array's through one `tolist()`
+    on first read, so an integer array gives Python ints); `entry` reads
+    one of them without building `dist`; `array` is a read-only float64
     copy.
     """
 
@@ -161,12 +185,15 @@ class FiniteMetricSpace:
         order: Optional[Sequence[tuple[int, int]] | np.ndarray] = None,
     ):
         if isinstance(dist, np.ndarray):
-            if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-                raise ValueError("distance table is not square")
             given = dist.copy()
+        else:
+            given = _integer_table(dist)
+        if given is not None:
+            if given.ndim != 2 or given.shape[0] != given.shape[1]:
+                raise ValueError("distance table is not square")
             given.flags.writeable = False
             self._given, self._dist = given, None
-            arr = dist.astype(float)
+            arr = given.astype(float)
             # An integer table is checked on its own integers, exactly.
             exact = given if np.issubdtype(given.dtype, np.integer) else arr
         else:
@@ -194,7 +221,7 @@ class FiniteMetricSpace:
         # The diagonal is zero, so any entry <= 0 past its n lies off it.
         if np.count_nonzero(exact <= 0) > n:
             raise ValueError("non-positive distance between distinct points")
-        self._validate_triangle(arr)
+        self._validate_triangle(exact)
         arr.flags.writeable = False
         self.array = arr
         self.order: Optional[np.ndarray] = (
@@ -209,23 +236,40 @@ class FiniteMetricSpace:
             self._dist = tuple(map(tuple, self._given.tolist()))
         return self._dist
 
-    def _validate_triangle(self, arr: np.ndarray) -> None:
+    def entry(self, i: int, j: int):
+        """``dist[i][j]``, read without building `dist`."""
+        if self._dist is None:
+            return self._given[i, j].item()
+        return self._dist[i][j]
+
+    def _validate_triangle(self, table: np.ndarray) -> None:
+        """Refuse a triple with d(i,j) > d(i,k) + d(k,j).  A float table
+        allows 1e-12 of slack.  An integer table, its entries non-negative
+        once positivity has passed, is compared exactly as
+        d(i,j) - d(i,k) > d(k,j), where the difference is taken only when
+        d(i,j) > d(i,k): it neither overflows nor, unsigned, wraps."""
+        if np.issubdtype(table.dtype, np.integer):
+            def over(ij, ik, kj):
+                return (ij > ik) & (ij - ik > kj)
+        else:
+            def over(ij, ik, kj):
+                return ij > ik + kj + 1e-12
         n = self.n
         if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
             for k in range(n):
-                over = arr > arr[:, k : k + 1] + arr[k : k + 1, :] + 1e-12
-                if over.any():
-                    bad = np.argwhere(over)[0]
+                bad = over(table, table[:, k : k + 1], table[k : k + 1, :])
+                if bad.any():
+                    i, j = np.argwhere(bad)[0]
                     raise ValueError(
                         f"triangle inequality fails via {k} "
-                        f"for pair ({bad[0]},{bad[1]})"
+                        f"for pair ({i},{j})"
                     )
             return
         draw = random.Random(0).randbytes(12 * TRIANGLE_SAMPLES)
         i, j, k = np.frombuffer(draw, dtype="<u4").reshape(3, -1) % n
-        over = arr[i, j] > arr[i, k] + arr[k, j] + 1e-12
-        if over.any():
-            s = int(np.argmax(over))
+        bad = over(table[i, j], table[i, k], table[k, j])
+        if bad.any():
+            s = int(np.argmax(bad))
             raise ValueError(f"triangle inequality fails via {k[s]} "
                              f"for pair ({i[s]},{j[s]})")
 
@@ -305,10 +349,13 @@ class MetricMapTable:
     def _pairs(self) -> tuple[np.ndarray, ...]:
         """The pairs i < j of source points, in row-major order: their
         source distances, image distances, and image over source
-        distance."""
-        i, j = np.triu_indices(self.source.n, 1)
-        sdist = self.source.array[i, j]
-        tdist = self.target.array[self._assign_array[i], self._assign_array[j]]
+        distance.  Each is read through one upper-triangle mask; the
+        image distances come first, so that the other two reuse the room
+        of the n-by-n image table they are masked from."""
+        points = np.arange(self.source.n)
+        upper = points[:, None] < points
+        tdist = np.take(self._image_gap, self._assign_array, axis=1)[upper]
+        sdist = self.source.array[upper]
         return sdist, tdist, tdist / sdist
 
     @cached_property
@@ -599,7 +646,7 @@ class ForkWitness:
         """Re-verify every defining inequality straight from the tables;
         returns the list of violations (empty when sound)."""
         problems = []
-        td, sd = m.target.dist, m.source.dist
+        td, sd = m.target.dist, m.source.entry
         r = self.r
         if td[self.mu0][self.mu1] != r:
             problems.append("head-to-center distance is not r")
@@ -616,12 +663,12 @@ class ForkWitness:
         c = c_atd_infinity(m)
         arm_bound = (1 + 3 * self.eps) * r / c
         spread_bound = (1 - 80 * self.eps) * r / c
-        if sd[self.sigma0][self.sigma1] > arm_bound:
+        if sd(self.sigma0, self.sigma1) > arm_bound:
             problems.append("head preimage arm too long")
         for s in self.sigma2:
-            if sd[self.sigma1][s] > arm_bound:
+            if sd(self.sigma1, s) > arm_bound:
                 problems.append(f"arm preimage {s} too long")
-            if sd[self.sigma0][s] / 2 < spread_bound:
+            if sd(self.sigma0, s) / 2 < spread_bound:
                 problems.append(f"arm preimage {s} spread too narrow")
         return problems
 
@@ -658,7 +705,7 @@ def fork_search(
     c = c_atd_infinity(m)
     if c == inf:
         return None
-    td, sd = m.target.dist, m.source.dist
+    td, sd = m.target.dist, m.source.entry
     torder, sorder = m.target.order, m.source.order
     radii = sorted(
         {td[i][j] for i in range(m.target.n) for j in range(m.target.n)
@@ -695,7 +742,7 @@ def fork_search(
 def _lift_fork(m, r, mu0, mu1, arms, arm_bound, spread_bound, eps, sd, sorder):
     for s0 in m.preimages(mu0):
         for s1 in m.preimages(mu1):
-            if not sorder[s0, s1] or sd[s0][s1] > arm_bound:
+            if not sorder[s0, s1] or sd(s0, s1) > arm_bound:
                 continue
             chosen = []
             for mu2 in arms:
@@ -703,9 +750,9 @@ def _lift_fork(m, r, mu0, mu1, arms, arm_bound, spread_bound, eps, sd, sorder):
                 for s2 in m.preimages(mu2):
                     if not sorder[s1, s2]:
                         continue
-                    if sd[s1][s2] > arm_bound:
+                    if sd(s1, s2) > arm_bound:
                         continue
-                    if sd[s0][s2] / 2 < spread_bound:
+                    if sd(s0, s2) / 2 < spread_bound:
                         continue
                     pick = s2
                     break

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from laakso_lab import cli
@@ -331,6 +332,71 @@ class TestAnalyze:
         )
         assert code == 2
         assert err
+
+
+PHI_SIZES = [(1, 2), (1, 3), (2, 2)]
+MAP_COMMANDS = [
+    ["analyze", "map", "--delta-grid", "1,2,3,4,5,6,7,8"],
+    ["fork", "--eps", "0"],
+]
+
+
+def phi_map(n: int, b: int) -> TreeToGraphMap:
+    return TreeToGraphMap(TreeSpace(b, 3**n), build_laakso(n, b))
+
+
+@pytest.fixture(scope="module")
+def phi_files(tmp_path_factory) -> dict:
+    """phi(n, b)'s map table written as JSON lists, for each PHI_SIZES."""
+    root = tmp_path_factory.mktemp("phi")
+    files = {}
+    for n, b in PHI_SIZES:
+        path = root / f"phi{n}{b}.json"
+        path.write_text(json.dumps(as_map_table(phi_map(n, b))))
+        files[n, b] = str(path)
+    return files
+
+
+class TestJsonMapTables:
+    """A JSON map table of integers is read as narrow integer arrays: the
+    reports equal those of the table built in memory, and neither
+    `analyze map` nor `fork` builds the source's nested-tuple table."""
+
+    def test_phi_2_2_source_is_int8(self, phi_files):
+        with open(phi_files[2, 2], encoding="utf-8") as fh:
+            m = cli.qa.MetricMapTable.from_dict(json.loads(fh.read()))
+        assert m.source._given.dtype == np.int8
+        assert m.source._dist is None
+
+    @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])
+    def test_source_dist_is_not_built(self, capsys, monkeypatch, phi_files,
+                                      command):
+        loaded = []
+        real = cli._load_table
+
+        def load(path):
+            loaded.append(real(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_table", load)
+        code, _, _ = run(capsys, *command[:-2], "--input", phi_files[2, 2],
+                         *command[-2:])
+        assert code == 0
+        [table] = loaded
+        assert table.source.n == 1023
+        assert table.source._dist is None
+
+    @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])
+    @pytest.mark.parametrize("n,b", PHI_SIZES)
+    def test_json_reports_equal_in_memory_reports(self, capsys, monkeypatch,
+                                                  phi_files, command, n, b):
+        argv = [*command[:-2], "--input", phi_files[n, b], *command[-2:]]
+        from_json = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_load_table",
+                            lambda path: cli.tl.map_table(phi_map(n, b)))
+        in_memory = run(capsys, *argv)
+        assert from_json == in_memory
+        assert from_json[1].startswith("{")
 
 
 def non_integer_index_tables(map_file: str) -> list[dict]:

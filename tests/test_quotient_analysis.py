@@ -313,21 +313,111 @@ class TestFiniteMetricSpaceFromArray:
         assert space.to_dict() == {"n": 3, "dist": [list(r) for r in eager]}
 
 
+# Three points whose triangle inequality fails by 1 near 2**60.
+NEAR_2_60 = [[0, 2**60, 2**61 + 1], [2**60, 0, 2**60],
+             [2**61 + 1, 2**60, 0]]
+
 INTEGER_BAD_TABLES = [(table, message) for table, message in BAD_TABLES
                       if np.array(table).dtype.kind == "i"]
 
 
 class TestExactIntegerTables:
-    """An integer array is validated on its integers; float arrays and
-    lists on float64, as before."""
+    """An integer table is validated on its own integers, exactly: an
+    integer array, and nested lists that numpy reads as signed integers,
+    which are kept in the smallest signed dtype that holds them.  Float
+    tables and every other list (mixed ints and floats, ints past int64,
+    all bools) are validated on float64, as before, and their triangle
+    inequality with a tolerance of 1e-12."""
 
     @pytest.mark.parametrize("table", [
         np.array([[0, 2**53], [2**53 + 1, 0]]),
         np.array([[0, 2**64 - 1], [2**64 - 2, 0]], dtype=np.uint64),
-    ], ids=["int64", "uint64"])
+        [[0, 2**53], [2**53 + 1, 0]],
+    ], ids=["int64", "uint64", "list"])
     def test_asymmetry_that_float64_rounds_away_is_refused(self, table):
-        assert np.array_equal(table.astype(float), table.T.astype(float))
+        as_float = np.array(table, dtype=float)
+        assert np.array_equal(as_float, as_float.T)
         with pytest.raises(ValueError, match="not symmetric"):
+            FiniteMetricSpace(table)
+
+    @pytest.mark.parametrize("table", [
+        np.array(NEAR_2_60, dtype=np.int64),
+        np.array(NEAR_2_60, dtype=np.uint64),
+        NEAR_2_60,
+    ], ids=["int64", "uint64", "list"])
+    def test_triangle_violation_that_float64_rounds_away_is_refused(
+            self, table):
+        # d(0,2) exceeds d(0,1) + d(1,2) by 1, which float64 rounds away.
+        as_float = np.array(table, dtype=float)
+        assert as_float[0, 2] == as_float[0, 1] + as_float[1, 2]
+        assert len(NEAR_2_60) <= qa.TRIANGLE_EXHAUSTIVE_LIMIT
+        with pytest.raises(ValueError,
+                           match=r"fails via 1 for pair \(0,2\)"):
+            FiniteMetricSpace(table)
+        FiniteMetricSpace(as_float)  # the float table passes
+
+    def test_float_tables_keep_the_tolerance(self):
+        slack = [[0, 1, 2 + 1e-13], [1, 0, 1], [2 + 1e-13, 1, 0]]
+        for table in (slack, np.array(slack)):
+            assert FiniteMetricSpace(table).n == 3
+        over = [[0, 1, 2 + 1e-9], [1, 0, 1], [2 + 1e-9, 1, 0]]
+        with pytest.raises(ValueError, match="triangle inequality fails"):
+            FiniteMetricSpace(over)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int8])
+    def test_unsigned_tables_do_not_wrap(self, dtype):
+        # A path metric truncated at 100: d(i,k) > d(i,j) on many triples,
+        # where an unsigned d(i,j) - d(i,k) would wrap to a huge value.
+        for k in (10, 300):
+            path = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+            table = np.minimum(path, 100).astype(dtype)
+            assert FiniteMetricSpace(table).n == k
+
+    @pytest.mark.parametrize("top,dtype", [
+        (1, np.int8), (127, np.int8), (128, np.int16), (2**15, np.int32),
+        (2**31, np.int64), (2**63 - 1, np.int64),
+    ])
+    def test_integer_lists_take_the_smallest_signed_dtype(self, top, dtype):
+        space = FiniteMetricSpace([[0, top], [top, 0]])
+        assert space._given.dtype == dtype
+        assert space.entry(0, 1) == top and type(space.entry(0, 1)) is int
+        assert space._dist is None  # built on first read of dist
+        assert space.dist == ((0, top), (top, 0))
+        assert {type(d) for row in space.dist for d in row} == {int}
+        assert space.array.tolist() == [[0.0, float(top)], [float(top), 0.0]]
+
+    def test_bools_among_ints_read_as_ints(self):
+        # numpy reads True among ints as 1, so dist shows 1 where the
+        # list held True.
+        space = FiniteMetricSpace([[0, True], [1, 0]])
+        assert space._given.dtype == np.int8
+        assert space.dist == ((0, 1), (1, 0))
+        assert {type(d) for row in space.dist for d in row} == {int}
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1.5], [1.5, 0]],
+        [[0, 1], [1.0, 0]],
+        [[0, 2**63], [2**63, 0]],
+        [[0, 2**64], [2**64, 0]],
+        [[False, True], [True, False]],
+    ], ids=["floats", "mixed", "past-int64", "past-uint64", "bools"])
+    def test_other_lists_keep_the_list_path(self, table):
+        space = FiniteMetricSpace(table)
+        assert isinstance(space._given, tuple)
+        assert space.dist == tuple(map(tuple, table))
+        assert [list(map(type, row)) for row in space.dist] == [
+            list(map(type, row)) for row in table]
+        assert space.entry(0, 1) is space.dist[0][1]
+
+    def test_stored_entry_keeps_the_stored_type(self):
+        space = FiniteMetricSpace([[0, 1, 2.0], [1, 0, 1.0], [2.0, 1.0, 0]])
+        assert type(qa._stored_entry(space, 1.0)) is int
+        assert type(qa._stored_entry(space, 2.0)) is float
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], 1]],
+                             ids=["ragged", "int-row"])
+    def test_ragged_lists_are_not_square(self, table):
+        with pytest.raises(ValueError, match="not square"):
             FiniteMetricSpace(table)
 
     @pytest.mark.parametrize("table,message", INTEGER_BAD_TABLES)
@@ -488,6 +578,23 @@ class TestMetricMapTable:
                 quotient_moduli(m, r)
             lipschitz_constant(m)
         assert built == [floor_by_3, identity_path]
+
+    def test_pair_arrays_equal_the_triu_index_route(self, floor_by_3,
+                                                    identity_path):
+        mixed = MetricMapTable(
+            FiniteMetricSpace([[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]),
+            path_space(2), [0, 0, 1])
+        phi = MetricMapTable.from_dict(json.loads(json.dumps(
+            as_map_table(TreeToGraphMap(TreeSpace(2, 9), build_laakso(2, 2))))))
+        for m in (floor_by_3, identity_path, mixed, phi):
+            i, j = np.triu_indices(m.source.n, 1)
+            a = np.array(m.assign)
+            sdist = m.source.array[i, j]
+            tdist = m.target.array[a[i], a[j]]
+            want = (sdist, tdist, tdist / sdist)
+            for got, expected in zip(m._pairs, want, strict=True):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
 
 class TestQuotientModuli:
