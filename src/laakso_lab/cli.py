@@ -331,7 +331,7 @@ def cmd_verify_all(args) -> int:
 
 def _load_table(path: str) -> qa.MetricMapTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return qa.MetricMapTable.from_dict(json.load(fh))
+        return qa.MetricMapTable.from_json(fh.read())
 
 
 def cmd_analyze_map(args) -> int:

@@ -6,9 +6,11 @@ fork search with the bound arithmetic it feeds.
 Everything here is table-driven and space-agnostic: nothing here imports
 the tree or graph modules.  The built-in projections arrive as tables that
 `tree_to_laakso.map_table` builds straight from their distance arrays;
-stored tables arrive through `MetricMapTable.from_dict`.  Two deliberately
-independent routes compute the relation-restricted constant, and they
-share only the input table:
+stored tables arrive through `MetricMapTable.from_json`, which reads a
+`dist` written as `json.dump` writes integers straight from the text into
+an integer array, and otherwise equals `from_dict` over `json.loads`.
+Two deliberately independent routes compute the relation-restricted
+constant, and they share only the input table:
 
 - the profile route (`lipschitz_constant`, `coarse_profile`,
   `restricted_profile`, `c_atd_infinity`, `quotient_moduli`) reads numpy
@@ -33,10 +35,12 @@ a float quotient equal to c as a Fraction.
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import inf
 from typing import Optional, Sequence
@@ -49,6 +53,13 @@ TRIANGLE_EXHAUSTIVE_LIMIT = 256
 TRIANGLE_SAMPLES = 20_000
 # Relation cells compared in one transitivity step of an order check.
 ORDER_CHUNK_CELLS = 1 << 18
+# Characters of a stored `dist` decoded in one numpy step, a whole number
+# of rows at a time: the step's temporaries stay small beside the table.
+DIST_BLOCK_CHARS = 1 << 18
+# A `dist` key and its colon, just before a value; a key whose opening
+# quote might be escaped is left to `json`.
+_DIST_KEY = re.compile(r'(?<!\\)"dist"[ \t\n\r]*:[ \t\n\r]*\Z')
+_JSON_SCAN = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _is_index(value) -> bool:
@@ -144,12 +155,114 @@ def _integer_table(dist) -> Optional[np.ndarray]:
         return None
     if table.ndim != 2 or not np.issubdtype(table.dtype, np.signedinteger):
         return None
+    return _narrow(table)
+
+
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """A signed integer ``table`` in the smallest signed dtype that holds
+    its least and greatest entry."""
     if table.size:
         lo, hi = table.min(), table.max()
         for dtype in (np.int8, np.int16, np.int32):
             if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
                 return table.astype(dtype)
     return table
+
+
+def _dist_rows(text: str, sep: str, m: int) -> Optional[np.ndarray]:
+    """The entries of ``text`` as an (r, m) int64 array when ``text`` is r
+    rows ``[d, ..., d]`` joined by ``sep``, each of m non-negative integers
+    of at most 18 digits without leading zeros; None otherwise.  The
+    characters that are not digits must spell the rows' brackets and
+    separators, there must be r * m runs of digits, and each run must
+    follow "[" or a separator and precede "," or "]": then each run fills
+    one entry, in order."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    r = text.count("[")
+    if raw.translate(None, b"0123456789") != sep.join(
+            ["[" + sep * (m - 1) + "]"] * r).encode("ascii"):
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digits = chars - ord("0")
+    numeral = digits < 10
+    # The text opens with "[" and closes with "]", so every run of digits
+    # has a character before it and after it.
+    starts = np.flatnonzero(numeral[1:] & ~numeral[:-1]) + 1
+    if len(starts) != r * m:
+        return None
+    value = digits[starts].astype(np.int64)
+    ends = starts + 1
+    more = numeral[ends]
+    if (more & (value == 0)).any():  # a leading zero
+        return None
+    length = 1
+    while more.any():
+        if length == 18:
+            return None
+        value = np.where(more, value * 10 + digits[ends], value)
+        ends += more
+        more &= numeral[ends]
+        length += 1
+    before, after = chars[starts - 1], chars[ends]
+    if not (((before == ord("[")) | (before == ord(sep[-1])))
+            & ((after == ord(",")) | (after == ord("]")))).all():
+        return None
+    return value.reshape(r, m)
+
+
+def _dist_table(s: str, idx: int) -> Optional[tuple[np.ndarray, int]]:
+    """(table, end) for the JSON array at ``s[idx]`` when it is laid out as
+    `json.dump` writes a rectangular table of non-negative integers: ", "
+    or "," between entries and between rows, no other whitespace, no
+    leading zeros, at most 18 digits an entry.  The table is the array
+    that `_integer_table` gives for the list `json` would read, decoded
+    `DIST_BLOCK_CHARS` of text at a time; None for any other text."""
+    end = s.find("]]", idx)
+    if end < 0 or not s.startswith("[[", idx):
+        return None
+    comma = s.find(",", idx, end)
+    sep = ", " if comma >= 0 and s.startswith(", ", comma) else ","
+    m = s.count(sep, idx, s.find("]", idx)) + 1
+    blocks = []
+    pos = idx + 1
+    while pos <= end:
+        cut = s.find("]" + sep + "[", pos + DIST_BLOCK_CHARS, end)
+        cut = end + 1 if cut < 0 else cut + 1
+        rows = _dist_rows(s[pos:cut], sep, m)
+        if rows is None:
+            return None
+        blocks.append(_narrow(rows))
+        pos = cut + len(sep)
+    # Each block is narrowed on its own; the widest of their dtypes is the
+    # smallest that holds the whole table.
+    return np.concatenate(blocks), end + 2
+
+
+def _scan(s: str, idx: int, depth: int):
+    """(value, end) of the JSON value at ``s[idx]``, at ``depth`` objects
+    down, as `json.loads` reads it.  The document's object and the objects
+    in it are walked here, by `json`'s own object parser, so that an array
+    that is the value of a `dist` key in them comes from `_dist_table`
+    where its layout allows; every other value is `json`'s C scanner's."""
+    if depth < 2 and s.startswith("{", idx):
+        return json.decoder.JSONObject((s, idx + 1), True,
+                                       partial(_scan, depth=depth + 1),
+                                       None, None)
+    if s.startswith("[", idx) and _DIST_KEY.search(s, max(0, idx - 64), idx):
+        table = _dist_table(s, idx)
+        if table is not None:
+            return table
+    return _JSON_SCAN(s, idx)
+
+
+class _TableDecoder(json.JSONDecoder):
+    """`json.loads`'s decoder, reading values through `_scan`."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = partial(_scan, depth=0)
 
 
 class FiniteMetricSpace:
@@ -164,7 +277,8 @@ class FiniteMetricSpace:
     lists that numpy reads as signed integers (bools among ints read as 1
     and 0) are kept as an array of the smallest signed dtype that holds
     them; every other list table (floats, mixed ints and floats, ints past
-    int64, all bools) is kept as nested tuples.  An integer array is
+    int64) is kept as nested tuples, once no entry is a string or a bool
+    (the first one is named with its (i, j)).  An integer array is
     checked on its own integers, exactly, and is finite by type; every
     other table is checked on the float64 `array`, and its triangle
     inequality with a tolerance of 1e-12.  The triangle inequality is
@@ -203,6 +317,13 @@ class FiniteMetricSpace:
                 raise ValueError("distance table is not square") from None
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError("distance table is not square")
+            if any(issubclass(kind, (str, bool, np.bool_))
+                   for kind in set(map(type, chain.from_iterable(rows)))):
+                i, j = next((i, j) for i, row in enumerate(rows)
+                            for j, v in enumerate(row)
+                            if isinstance(v, (str, bool, np.bool_)))
+                raise ValueError(f"distance {rows[i][j]!r} at ({i},{j}) "
+                                 f"is not a number")
             self._given, self._dist = rows, rows
             arr = np.asarray(rows, dtype=float).reshape(len(rows), len(rows))
             exact = arr
@@ -235,6 +356,11 @@ class FiniteMetricSpace:
         if self._dist is None:
             self._dist = tuple(map(tuple, self._given.tolist()))
         return self._dist
+
+    def rows(self) -> Sequence[Sequence]:
+        """The rows of `dist`: `dist` itself once built, else the lists of
+        one `tolist()` of the array, which is not kept."""
+        return self._given.tolist() if self._dist is None else self._dist
 
     def entry(self, i: int, j: int):
         """``dist[i][j]``, read without building `dist`."""
@@ -362,7 +488,7 @@ class MetricMapTable:
     def _atd_pairs(self) -> tuple[tuple[int, int, float, float], ...]:
         """The rows that ``atd_pairs`` returns."""
         out = []
-        sdist, tdist = self.source.dist, self.target.dist
+        sdist, tdist = self.source.rows(), self.target.rows()
         below = [np.flatnonzero(row).tolist() for row in self.target.order]
         for x in range(self.source.n):
             fx = self.assign[x]
@@ -403,6 +529,16 @@ class MetricMapTable:
         if d["target"].get("n", target.n) != target.n:
             raise ValueError("declared target size disagrees with table")
         return cls(source, target, d["assign"])
+
+    @classmethod
+    def from_json(cls, text: str) -> "MetricMapTable":
+        """``from_dict(json.loads(text))``, without the Python ints of a
+        `dist` laid out as `json.dump` writes a rectangular table of
+        non-negative integers: numpy decodes such a table from the text,
+        a block of rows at a time, into the array `_integer_table` gives.
+        Every other value, and every error with its position, is
+        `json`'s."""
+        return cls.from_dict(json.loads(text, cls=_TableDecoder))
 
     def to_dict(self) -> dict:
         out = {

@@ -2,6 +2,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from laakso_lab import cli
@@ -55,3 +56,97 @@ def collapse_pair() -> qa.MetricMapTable:
     two = qa.FiniteMetricSpace([[0, 1], [1, 0]], order=[(0, 1)])
     one = qa.FiniteMetricSpace([[0]], order=[])
     return qa.MetricMapTable(two, one, [0, 0])
+
+
+# json.dump's default layout and its compact one, which the map-table
+# reader decodes with numpy, and indent=2, which it leaves to json.
+LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")},
+           "indent": {"indent": 2}}
+
+
+def _attempt(read, text):
+    """What ``read(text)`` returns, or the exception it raises."""
+    try:
+        return read(text)
+    except Exception as exc:  # every failure is compared, type and message
+        return exc
+
+
+def _value_difference(got, want, path: str):
+    """None when ``got``, a value the map-table reader decoded, is what
+    `json.loads` read as ``want``: the same value, or the same exception,
+    or for a numpy-decoded `dist` the array `_integer_table` gives for
+    ``want``; else the first difference, naming its path and cell."""
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        if type(got) is type(want) and str(got) == str(want):
+            return None
+        return f"{path} gives {got!r}, json gives {want!r}"
+    if isinstance(got, np.ndarray):
+        expected = qa._integer_table(want)
+        if expected is None or expected.shape != got.shape:
+            return f"{path} is a {got.shape} array, json gives {want!r:.80}"
+        if expected.dtype != got.dtype:
+            return f"{path} is {got.dtype}, json's list is {expected.dtype}"
+        cells = np.argwhere(got != expected)
+        if len(cells):
+            i, j = cells[0]
+            return (f"{path}[{i}][{j}] is {got[i, j]}, "
+                    f"json gives {expected[i, j]}")
+        return None
+    if isinstance(got, dict) and isinstance(want, dict):
+        if list(got) != list(want):
+            return f"{path} has keys {list(got)}, json gives {list(want)}"
+        for key in got:
+            problem = _value_difference(got[key], want[key], f"{path}[{key!r}]")
+            if problem:
+                return problem
+        return None
+    return None if repr(got) == repr(want) else (
+        f"{path} is {got!r:.80}, json gives {want!r:.80}")
+
+
+def _space_difference(got: qa.FiniteMetricSpace, want: qa.FiniteMetricSpace,
+                      side: str):
+    a, b = got._given, want._given
+    if type(a) is not type(b) or getattr(a, "dtype", None) != getattr(
+            b, "dtype", None):
+        return (f"{side} table is {type(a).__name__} "
+                f"{getattr(a, 'dtype', '')}, expected {type(b).__name__} "
+                f"{getattr(b, 'dtype', '')}")
+    if isinstance(a, np.ndarray) and not np.array_equal(a, b):
+        i, j = np.argwhere(a != b)[0]
+        return f"{side} table ({i},{j}) is {a[i, j]}, expected {b[i, j]}"
+    if not isinstance(a, np.ndarray) and repr(a) != repr(b):
+        return f"{side} table is {a!r:.80}, expected {b!r:.80}"
+    if (got.order is None) != (want.order is None) or (
+            got.order is not None
+            and not np.array_equal(got.order, want.order)):
+        return f"{side} order differs"
+    return None
+
+
+def first_difference(text: str):
+    """None when `MetricMapTable.from_json(text)` reads ``text`` as
+    `from_dict(json.loads(text))` does; else the first difference.  The
+    decoded documents are compared first, value by value and cell by cell,
+    so a wrong decoded entry is named by its key path and (i, j); then
+    the tables: each side's stored table, with its type and dtype, its
+    order and the assignment, or the exception, type and message."""
+    problem = _value_difference(
+        _attempt(lambda s: json.loads(s, cls=qa._TableDecoder), text),
+        _attempt(json.loads, text), "document")
+    if problem:
+        return problem
+    got = _attempt(qa.MetricMapTable.from_json, text)
+    want = _attempt(lambda s: qa.MetricMapTable.from_dict(json.loads(s)),
+                    text)
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        return _value_difference(got, want, "table")
+    for side in ("source", "target"):
+        problem = _space_difference(getattr(got, side), getattr(want, side),
+                                    side)
+        if problem:
+            return problem
+    if got.assign != want.assign:
+        return f"assign is {got.assign!r:.80}, expected {want.assign!r:.80}"
+    return None

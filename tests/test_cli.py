@@ -12,7 +12,7 @@ from laakso_lab.tree_to_laakso import TreeToGraphMap, as_map_table
 from laakso_lab.laakso_graph import build_laakso
 from laakso_lab.tree_space import TreeSpace
 
-from conftest import check_verify_all_runs
+from conftest import LAYOUTS, check_verify_all_runs
 
 
 def run(capsys, *argv):
@@ -347,26 +347,60 @@ def phi_map(n: int, b: int) -> TreeToGraphMap:
 
 @pytest.fixture(scope="module")
 def phi_files(tmp_path_factory) -> dict:
-    """phi(n, b)'s map table written as JSON lists, for each PHI_SIZES."""
+    """phi(n, b)'s map table written as JSON lists in each of LAYOUTS, for
+    each PHI_SIZES, keyed (n, b, layout)."""
     root = tmp_path_factory.mktemp("phi")
     files = {}
     for n, b in PHI_SIZES:
-        path = root / f"phi{n}{b}.json"
-        path.write_text(json.dumps(as_map_table(phi_map(n, b))))
-        files[n, b] = str(path)
+        table = as_map_table(phi_map(n, b))
+        for layout, options in LAYOUTS.items():
+            path = root / f"phi{n}{b}-{layout}.json"
+            path.write_text(json.dumps(table, **options))
+            files[n, b, layout] = str(path)
     return files
 
 
 class TestJsonMapTables:
     """A JSON map table of integers is read as narrow integer arrays: the
-    reports equal those of the table built in memory, and neither
-    `analyze map` nor `fork` builds the source's nested-tuple table."""
+    reports equal those of the table built in memory, in every layout, and
+    neither `analyze map` nor `fork` builds the source's nested-tuple
+    table."""
 
-    def test_phi_2_2_source_is_int8(self, phi_files):
-        with open(phi_files[2, 2], encoding="utf-8") as fh:
-            m = cli.qa.MetricMapTable.from_dict(json.loads(fh.read()))
-        assert m.source._given.dtype == np.int8
-        assert m.source._dist is None
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_phi_2_2_source_is_int8(self, phi_files, layout):
+        with open(phi_files[2, 2, layout], encoding="utf-8") as fh:
+            text = fh.read()
+        for m in (cli.qa.MetricMapTable.from_dict(json.loads(text)),
+                  cli.qa.MetricMapTable.from_json(text)):
+            assert m.source._given.dtype == np.int8
+            assert m.source._dist is None
+
+    @pytest.mark.parametrize("layout,given", [
+        ("default", np.ndarray), ("compact", np.ndarray), ("indent", list)])
+    def test_dist_reaches_the_space_as_an_array(self, capsys, monkeypatch,
+                                                phi_files, layout, given):
+        seen = []
+        real = cli.qa.FiniteMetricSpace.__init__
+
+        def init(self, dist, order=None):
+            seen.append(type(dist))
+            real(self, dist, order)
+
+        monkeypatch.setattr(cli.qa.FiniteMetricSpace, "__init__", init)
+        code, _, _ = run(capsys, *MAP_COMMANDS[0][:-2], "--input",
+                         phi_files[2, 2, layout], *MAP_COMMANDS[0][-2:])
+        assert code == 0
+        assert seen == [given, given]  # source, then target
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_phi_2_2_reports_are_golden(self, tmp_path, phi_files, layout):
+        for name, command in zip(["analyze_map", "fork"], MAP_COMMANDS):
+            out = tmp_path / f"{name}.json"
+            assert cli.main([*command, "--input", phi_files[2, 2, layout],
+                             "--out", str(out)]) == 0
+            golden = Path(__file__).parent / "data" / \
+                f"{name}_phi_T2_9_G2_2.json"
+            assert out.read_bytes() == golden.read_bytes(), name
 
     @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])
     def test_source_dist_is_not_built(self, capsys, monkeypatch, phi_files,
@@ -379,18 +413,21 @@ class TestJsonMapTables:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "_load_table", load)
-        code, _, _ = run(capsys, *command[:-2], "--input", phi_files[2, 2],
-                         *command[-2:])
+        code, _, _ = run(capsys, *command[:-2], "--input",
+                         phi_files[2, 2, "default"], *command[-2:])
         assert code == 0
         [table] = loaded
         assert table.source.n == 1023
         assert table.source._dist is None
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])
     @pytest.mark.parametrize("n,b", PHI_SIZES)
     def test_json_reports_equal_in_memory_reports(self, capsys, monkeypatch,
-                                                  phi_files, command, n, b):
-        argv = [*command[:-2], "--input", phi_files[n, b], *command[-2:]]
+                                                  phi_files, command, n, b,
+                                                  layout):
+        argv = [*command[:-2], "--input", phi_files[n, b, layout],
+                *command[-2:]]
         from_json = run(capsys, *argv)
         monkeypatch.setattr(cli, "_load_table",
                             lambda path: cli.tl.map_table(phi_map(n, b)))
@@ -446,6 +483,12 @@ MALFORMED_TABLES = {
                        "'source' must be an object holding 'dist'"),
     "top_level_list": (lambda t: [1, 2],
                        "a map table must be a JSON object, got list"),
+    "string_distances": (lambda t: {**t, "target": {**t["target"], "dist": [
+        [str(d) for d in row] for row in t["target"]["dist"]]}},
+        "distance '0' at (0,0) is not a number"),
+    "bool_distances": (lambda t: {**t, "source": {**t["source"], "dist": [
+        [d > 0 for d in row] for row in t["source"]["dist"]]}},
+        "distance False at (0,0) is not a number"),
 }
 
 

@@ -48,6 +48,13 @@ does not.  ``cross_validate_atd`` must then disagree on the phi tables of
 the atd suite of ``verify all``, and that suite's check of c_atd on
 phi(2,2) must fail.
 
+The reader row plants an off-by-one in one cell that the numpy route of
+``MetricMapTable.from_json`` decodes: entry (0, 1) of the source of the
+stored phi(2,2) table, in ``_dist_rows`` only.  The differential check of
+the reader against ``json.loads`` must name that cell, and ``analyze map``
+on the stored table must refuse it as bad input (exit 2): the source is no
+longer symmetric.
+
 Known gaps, not rows:
 
 - The pair half of the profile route (the Lipschitz constant, L(delta)
@@ -61,12 +68,14 @@ Known gaps, not rows:
   ``rank_images`` before any check runs (the child-ranks row above).
 """
 
+import json
 import types
 
 import numpy as np
 import pytest
 
 import loop_reference as ref
+from conftest import first_difference
 from laakso_lab import cli
 from laakso_lab import laakso_graph as lg
 from laakso_lab import quotient_analysis as qa
@@ -330,3 +339,36 @@ def test_atd_suite_catches_shifted_rho_column(monkeypatch):
     assert not suite["phi_c_atd_all_one"]["pass"]
     assert suite["phi_c_atd_all_one"]["c_atd_inf"] == 0.1
     assert not suite["pass"]
+
+
+def decoded_cell_off_by_one(monkeypatch, width):
+    """Entry (0, 1) of a table ``width`` entries wide reads one too high in
+    ``_dist_rows``, the numpy route's decode of a block of rows: in the
+    block that holds row 0, the one row that opens with a zero."""
+    real = qa._dist_rows
+
+    def faulty(text, sep, m):
+        rows = real(text, sep, m)
+        if rows is not None and m == width and rows[0, 0] == 0:
+            rows[0, 1] += 1
+        return rows
+
+    monkeypatch.setattr(qa, "_dist_rows", faulty)
+
+
+def test_reader_check_catches_a_decoded_cell_off_by_one(tmp_path, capsys,
+                                                        monkeypatch):
+    path = tmp_path / "phi_T2_9_G2_2.json"
+    path.write_text(json.dumps(tl.as_map_table(_phi(2, 2))))
+    text = path.read_text()
+    argv = ["analyze", "map", "--input", str(path), "--delta-grid", "1,2"]
+    assert first_difference(text) is None
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    decoded_cell_off_by_one(monkeypatch, 1023)
+    assert first_difference(text) == (
+        "document['source']['dist'][0][1] is 2, json gives 1")
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: distance table is not symmetric\n"

@@ -399,8 +399,7 @@ class TestExactIntegerTables:
         [[0, 1], [1.0, 0]],
         [[0, 2**63], [2**63, 0]],
         [[0, 2**64], [2**64, 0]],
-        [[False, True], [True, False]],
-    ], ids=["floats", "mixed", "past-int64", "past-uint64", "bools"])
+    ], ids=["floats", "mixed", "past-int64", "past-uint64"])
     def test_other_lists_keep_the_list_path(self, table):
         space = FiniteMetricSpace(table)
         assert isinstance(space._given, tuple)
@@ -408,6 +407,24 @@ class TestExactIntegerTables:
         assert [list(map(type, row)) for row in space.dist] == [
             list(map(type, row)) for row in table]
         assert space.entry(0, 1) is space.dist[0][1]
+
+    @pytest.mark.parametrize("table,message", [
+        ([[False, True], [True, False]], "distance False at (0,0)"),
+        ([["0", "1"], ["1", "0"]], "distance '0' at (0,0)"),
+        ([[0, "1"], [1, 0]], "distance '1' at (0,1)"),
+        ([[0, 1.5], [True, 0]], "distance True at (1,0)"),
+        ([[0.0, np.bool_(True)], [1, 0]], "distance np.True_ at (0,1)"),
+        ([[0, 1, 2], [1, 0, 1], [2, 1, np.str_("0")]],
+         "distance np.str_('0') at (2,2)"),
+    ], ids=["bools", "strings", "string-among-ints", "bool-among-floats",
+            "numpy-bool", "numpy-string"])
+    def test_strings_and_bools_off_the_integer_path_are_refused(
+            self, table, message):
+        # Through np.asarray(..., dtype=float), "1" would read as 1.0 and
+        # True as 1.0; the list path names the first such entry instead.
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace(table)
+        assert str(err.value) == f"{message} is not a number"
 
     def test_stored_entry_keeps_the_stored_type(self):
         space = FiniteMetricSpace([[0, 1, 2.0], [1, 0, 1.0], [2.0, 1.0, 0]])
