@@ -40,19 +40,23 @@ one ``(word, pos, level)`` tuple per vertex, built with the graph.
 independent of addresses and levels so the two can be cross-checked pair
 by pair; ``bfs_levels_from`` is its one-row view.  Its search advances a
 whole number of 64-bit words of sources per pass, one bit per source, and
-its decode turns the pass's bit planes into int32 rows a block at a time
-(``bfs_blocks``).  A block holds the rows of consecutive sources to every
-vertex: at most ``BLOCK_CELLS`` = 2**15 cells, or one row where a row
-alone is longer (``source_blocks``), so what an all-pairs walk holds at
-once does not grow with |V|**2.  Each route gives rows for any sources
-(``distance_rows``, ``bfs_rows``) and the rows of every block in turn
-(``distance_blocks``, ``bfs_blocks``).  Whatever needs the metric on all
-pairs reads it a block at a time from ``LaaksoGraph.distance_blocks``:
-the structure report over each block's cells past the diagonal, and the
-oracle report against the same block of ``bfs_blocks``.  A graph of one
-block (|V|**2 <= BLOCK_CELLS, so |V| <= 181) walks its pairs through
-``distance`` and the memo, filling it once and then rereading it; a
-graph of more than one block reads its blocks from ``distance_rows``.
+its decode turns the pass's bit planes into int32 rows a block at a time.
+A block of ``source_blocks`` is a run of consecutive sources whose rows
+to every vertex hold at most ``BLOCK_CELLS`` = 2**15 cells, or one row
+where a row alone is longer, so what an all-pairs walk holds at once does
+not grow with |V|**2.  Each route gives full rows for any sources
+(``distance_rows``, ``bfs_rows``) and, for every block in turn, its band
+(``distance_blocks``, ``bfs_blocks``): the block's rows from the column
+of its first source on, which holds every pair of the block past the
+diagonal.  A band is computed or decoded over its own columns only, so
+later blocks cost less.  Whatever needs the metric on all pairs reads it
+a band at a time from ``LaaksoGraph.distance_blocks``: the structure
+report over each band's cells past the diagonal, and the oracle report
+against the same band of ``bfs_blocks``.  A graph of one block (|V|**2
+<= BLOCK_CELLS, so |V| <= 181) has its band start at column 0 and walks
+its pairs through ``distance`` and the memo, filling it once and then
+rereading it; a graph of more than one block computes its bands with the
+rule of ``distance_rows``.
 
 The down-degree of every vertex is 1 or b.  Branch vertices sit exactly at
 the levels whose lowest nonzero base-3 digit is 1: at the finest scale these
@@ -343,31 +347,42 @@ class LaaksoGraph:
     def bfs_rows(self, sources) -> np.ndarray:
         """BFS distance from each of ``sources`` (vertex indices) to every
         vertex, an int32 array of shape (len(sources), len(vertices)), -1
-        where a vertex cannot be reached: ``bfs_blocks`` of the one block
-        ``sources``."""
-        return next(self.bfs_blocks([sources]))
+        where a vertex cannot be reached."""
+        sources = np.asarray(sources, dtype=np.intp)
+        return next(self._bfs_bands(sources, [(range(len(sources)), 0)]))
 
-    def bfs_blocks(self, blocks) -> Iterator[np.ndarray]:
-        """The ``bfs_rows`` of each of ``blocks`` (sequences of vertex
-        indices) in turn.  The search runs over the blocks' sources in
-        order, in passes of ``_bfs_width`` sources, and decodes each
-        block's rows from the bit planes of every pass it spans: one or
-        two for a block of ``source_blocks``."""
+    def bfs_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
+        """(sources, band) for each block of ``source_blocks``, where
+        band[r, c] is the BFS distance from vertex sources[r] to vertex
+        sources.start + c: the block's ``bfs_rows`` from its first source's
+        column on, the BFS twin of ``distance_blocks``."""
+        bands = self._bfs_bands(range(len(self.vertices)),
+                                ((s, s.start) for s in self.source_blocks()))
+        return zip(self.source_blocks(), bands)
+
+    def _bfs_bands(self, sources, blocks) -> Iterator[np.ndarray]:
+        """For each (span, first) of ``blocks`` in turn, the int32 BFS rows
+        of the vertices sources[span] to the vertices first..
+        len(vertices) - 1, where ``sources`` is a sequence of vertex
+        indices and the spans are consecutive ranges of positions in it.
+        The search runs over ``sources`` in order, in passes of
+        ``_bfs_width`` sources, and decodes each block's band from the bit
+        planes of every pass it spans: one or two for a block of
+        ``source_blocks``."""
         width = self._bfs_width
-        blocks = [np.asarray(s, dtype=np.intp) for s in blocks]
-        sources = np.concatenate([np.empty(0, dtype=np.intp), *blocks])
         base, planes = -width, []
-        at = 0
-        for block in blocks:
-            rows = np.empty((len(block), len(self.vertices)), dtype=np.int32)
-            first = at
-            while at < first + len(block):
+        for span, first in blocks:
+            rows = np.empty((len(span), len(self.vertices) - first),
+                            dtype=np.int32)
+            at = span.start
+            while at < span.stop:
                 if at >= base + width:
                     base = at - at % width
-                    planes = self._bfs_planes(sources[base:base + width])
-                end = min(first + len(block), base + width)
-                _bfs_decode(planes, at - base, end - base,
-                            rows[at - first:end - first])
+                    planes = self._bfs_planes(np.asarray(
+                        sources[base:base + width], dtype=np.intp))
+                end = min(span.stop, base + width)
+                _bfs_decode(planes, at - base, end - base, first,
+                            rows[at - span.start:end - span.start])
                 at = end
             yield rows
 
@@ -493,23 +508,28 @@ class LaaksoGraph:
         time.  Each pair's distance is ``_copy_distance`` of the two
         vertices' places at the length k of the prefix their words share.
         It reads addresses and levels only, never the adjacency."""
+        return self._distance_band(sources, 0)
+
+    def _distance_band(self, sources, first: int) -> np.ndarray:
+        # The columns first.. len(vertices) - 1 of ``distance_rows``: every
+        # step reads only those columns of the letters, heights and arms.
         letters, lengths, heights, arms, units = self._row_arrays
         sources = np.asarray(sources, dtype=np.intp)
         own = lengths[sources]
         deepest = int(own.max(initial=0))
         # k counts the leading letters each pair shares; -2 past a source's
         # word matches no letter and no pad, so k <= the source's length.
-        k = np.zeros((len(sources), letters.shape[1]), dtype=np.int8)
+        k = np.zeros((len(sources), letters.shape[1] - first), dtype=np.int8)
         shared = np.ones(k.shape, dtype=bool)
         for j in range(deepest):
             letter = np.where(j < own, letters[j, sources], -2)
-            shared &= letters[j] == letter[:, None]
+            shared &= letters[j, first:] == letter[:, None]
             k += shared
         out = np.empty(k.shape, dtype=heights.dtype)
         for kk in range(deepest + 1):
             h, a = heights[kk], arms[kk]
             np.copyto(out, _copy_distance(h[sources, None], a[sources, None],
-                                          h, a, units[kk]),
+                                          h[first:], a[first:], units[kk]),
                       where=k == kk)
         return out
 
@@ -519,19 +539,21 @@ class LaaksoGraph:
         return self.distance_rows([self.index(u)])[0].astype(np.int64)
 
     def distance_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
-        """(sources, rows) for each block of ``source_blocks``, where
-        rows[r, j] is the exact distance from vertex sources[r] to vertex j
-        in ``distance_rows``' dtype: the analytic twin of
-        ``bfs_blocks(source_blocks())``.  A graph of one block (|V|**2 <=
-        BLOCK_CELLS, so |V| <= 181) walks each unordered pair once, in
-        row-major order, through ``distance`` and its ``_dist`` memo, and
-        mirrors the result; a graph of more than one block yields the
-        ``distance_rows`` of each block, with no call per pair.  Both
-        routes read ``_place`` and ``_copy_distance``."""
+        """(sources, band) for each block of ``source_blocks``, where
+        band[r, c] is the exact distance from vertex sources[r] to vertex
+        sources.start + c in ``distance_rows``' dtype: the block's rows
+        from its first source's column on, so every pair past the
+        diagonal, and the analytic twin of ``bfs_blocks``.  A graph of one
+        block (|V|**2 <= BLOCK_CELLS, so |V| <= 181) walks each unordered
+        pair once, in row-major order, through ``distance`` and its
+        ``_dist`` memo, and mirrors the result into its full rows; a graph
+        of more than one block computes each band with the rule of
+        ``distance_rows`` over the band's columns only, with no call per
+        pair.  Both routes read ``_place`` and ``_copy_distance``."""
         verts = self.vertices
         if len(verts) > self._block_rows:
             for sources in self.source_blocks():
-                yield sources, self.distance_rows(sources)
+                yield sources, self._distance_band(sources, sources.start)
             return
         rows = np.zeros((len(verts), len(verts)),
                         dtype=np.min_scalar_type(-2 * 3 ** self.n))
@@ -540,12 +562,13 @@ class LaaksoGraph:
         yield range(len(verts)), rows + rows.T
 
     def distance_matrix(self) -> np.ndarray:
-        """The full symmetric int32 distance matrix, filled from
-        ``distance_blocks``."""
+        """The full symmetric int32 distance matrix, filled from the bands
+        of ``distance_blocks`` and their transposes."""
         size = len(self.vertices)
         out = np.empty((size, size), dtype=np.int32)
-        for sources, rows in self.distance_blocks():
-            out[sources.start:sources.stop] = rows
+        for sources, band in self.distance_blocks():
+            out[sources.start:sources.stop, sources.start:] = band
+            out[sources.start:, sources.start:sources.stop] = band.T
         return out
 
 
@@ -597,19 +620,19 @@ def _copy_distance(hu, au, hv, av, unit):
 
 
 def _bfs_decode(planes: list[np.ndarray], start: int, stop: int,
-                out: np.ndarray) -> None:
+                first: int, out: np.ndarray) -> None:
     """Writes to the int32 rows ``out`` the BFS rows of the sources in
     slots start..stop - 1 of a pass's bit ``planes``
-    (``LaaksoGraph._bfs_planes``), -1 where a vertex cannot be reached.
-    Slot s is bit s % 8 of byte row s // 8, so each plane gives the
-    block's bits as one gather of rows, a shift and a mask, already in
-    (source, vertex) order."""
+    (``LaaksoGraph._bfs_planes``) to the vertices from ``first`` on, -1
+    where a vertex cannot be reached.  Slot s is bit s % 8 of byte row
+    s // 8, so each plane gives the block's bits as one gather of rows, a
+    shift and a mask, already in (source, vertex) order."""
     slots = np.arange(start, stop)
     rows, shift = slots // 8, (slots % 8).astype(np.uint8)[:, None]
-    cells = np.zeros((len(slots), planes[0].shape[1]),
+    cells = np.zeros((len(slots), planes[0].shape[1] - first),
                      dtype=np.min_scalar_type((1 << len(planes)) - 1))
     for k, plane in enumerate(planes):
-        bits = plane[rows].astype(cells.dtype, copy=False)
+        bits = plane[rows, first:].astype(cells.dtype, copy=False)
         bits >>= shift
         bits &= 1
         bits <<= k
@@ -619,7 +642,8 @@ def _bfs_decode(planes: list[np.ndarray], start: int, stop: int,
 
 # The memo's size.  Only point queries and the all-pairs walks of graphs
 # of one source block read the memo; a graph of more than one block reads
-# its walks from ``distance_rows`` (see ``LaaksoGraph.distance_blocks``).
+# its walks from bands computed by the rule of ``distance_rows`` (see
+# ``LaaksoGraph.distance_blocks``).
 _MEMO_PAIRS = 1 << 18
 
 
@@ -649,9 +673,9 @@ def _dist(n: int, b: int, u: tuple, v: tuple) -> int:
 def structure_report(g: LaaksoGraph) -> dict:
     """Counts, diameter, level grading, and the branch-level law, all checked
     against first principles (recurrence, BFS, down-degrees).  The diameter
-    and the count of pairs that attain it are read from each block of
-    ``distance_blocks`` over its cells later[r, j], j > sources[r], so
-    every unordered pair once."""
+    and the count of pairs that attain it are read from each band of
+    ``distance_blocks`` over its cells later[r, c], sources.start + c >
+    sources[r], so every unordered pair once."""
     problems: list[str] = []
     vcount = len(g.vertices)
     expected_v = expected_vertex_count(g.n, g.b)
@@ -675,13 +699,13 @@ def structure_report(g: LaaksoGraph) -> dict:
     diameter = 0
     extremal = 0
     targets = np.arange(vcount)
-    for sources, rows in g.distance_blocks():
-        later = targets > np.array(sources)[:, None]
-        top_block = int(rows.max(initial=0, where=later))
+    for sources, band in g.distance_blocks():
+        later = targets[sources.start:] > np.array(sources)[:, None]
+        top_block = int(band.max(initial=0, where=later))
         if top_block > diameter:
             diameter, extremal = top_block, 0
         if top_block == diameter:
-            extremal += int(np.count_nonzero((rows == diameter) & later))
+            extremal += int(np.count_nonzero((band == diameter) & later))
     if diameter != top:
         problems.append(f"diameter {diameter} != 3^n = {top}")
     elif extremal != 1:
@@ -719,24 +743,26 @@ def structure_report(g: LaaksoGraph) -> dict:
 
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with BFS on every pair, one block of
-    ``source_blocks`` at a time: each block of ``distance_blocks`` against
-    its block of ``bfs_blocks``, over the cells later[r, j], j >
-    sources[r], so every unordered pair once.  Mismatches are counted per
-    block, and the first 10 in row-major order are recorded."""
+    ``source_blocks`` at a time: each band of ``distance_blocks`` against
+    its band of ``bfs_blocks``, over the cells later[r, c], sources.start
+    + c > sources[r], so every unordered pair once.  Mismatches are
+    counted per block, and the first 10 in row-major order are
+    recorded."""
     labels = g.labels
     targets = np.arange(len(labels))
     mismatches = []
     count = 0
-    for (sources, analytic), bfs in zip(g.distance_blocks(),
-                                        g.bfs_blocks(g.source_blocks())):
-        later = targets > np.array(sources)[:, None]
+    for (sources, analytic), (_, bfs) in zip(g.distance_blocks(),
+                                             g.bfs_blocks()):
+        later = targets[sources.start:] > np.array(sources)[:, None]
         wrong = (analytic != bfs) & later
         found = int(np.count_nonzero(wrong))
         if found and len(mismatches) < 10:
-            for r, j in np.argwhere(wrong)[:10 - len(mismatches)].tolist():
+            for r, c in np.argwhere(wrong)[:10 - len(mismatches)].tolist():
                 mismatches.append(
-                    {"u": labels[sources[r]], "v": labels[j],
-                     "analytic": int(analytic[r, j]), "bfs": int(bfs[r, j])}
+                    {"u": labels[sources[r]],
+                     "v": labels[sources.start + c],
+                     "analytic": int(analytic[r, c]), "bfs": int(bfs[r, c])}
                 )
         count += found
     total = len(labels) * (len(labels) - 1) // 2

@@ -60,8 +60,9 @@ advanced together as bits over a CSR adjacency: `bfs_levels` walks a
 vertex is not reached.  `oracle_agreement_report` is the oracle report as
 it was before it compared whole blocks: it runs that BFS once per row of
 the package's `distance_blocks`, so a fault planted in the analytic rows
-shows in both reports, compares the row's later vertices one by one, and
-appends a record for every mismatching pair before keeping the first 10.
+shows in both reports, compares the row's later vertices one by one,
+reading vertex j of a band at column j - sources.start, and appends a
+record for every mismatching pair before keeping the first 10.
 
 The tree metric rows of `tree_space`, as they were before a run of ranks
 came from one block of running minima over the levels: `distance_rows`
@@ -671,14 +672,15 @@ def bfs_levels(g, v) -> list[int]:
 def oracle_agreement_report(g) -> dict:
     verts, labels = g.vertices, g.labels
     mismatches = []
-    for sources, rows in g.distance_blocks():
-        for i, row in zip(sources, rows.tolist()):
+    for sources, band in g.distance_blocks():
+        first = sources.start
+        for i, row in zip(sources, band.tolist()):
             bfs = bfs_levels(g, verts[i])
             for j in range(i + 1, len(verts)):
-                if row[j] != bfs[j]:
+                if row[j - first] != bfs[j]:
                     mismatches.append(
                         {"u": labels[i], "v": labels[j],
-                         "analytic": row[j], "bfs": bfs[j]}
+                         "analytic": row[j - first], "bfs": bfs[j]}
                     )
     total = len(verts) * (len(verts) - 1) // 2
     return {

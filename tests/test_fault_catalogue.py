@@ -14,6 +14,12 @@ loop's report, record for record.  The two rows that plant a fault in the
 place rule plant it once, so a row that failed on only some of the graphs
 would show a second copy of the rule.
 
+Those rows record only mismatches of the first source block.  The
+late-arms row plants a fault in ``_copy_distance`` that lengthens only
+pairs of the last level on the top copy's last two arms, so on G(2,9)
+and G(2,19) every recorded mismatch lies past the first block, and its
+``u`` and ``v`` labels are read through the offset of the block's band.
+
 The structure rows plant a fault in ``_copy_distance`` at the top copy
 only, the copy of span 3**n that the whole graph is, on G(2,3), whose
 report walks the pairs, and on G(2,9), whose report reads blocks.
@@ -145,6 +151,48 @@ def test_oracle_agreement_catches(fault, n, b, walks, monkeypatch,
     rep = lg.oracle_agreement_report(g)
     assert not rep["pass"]
     assert rep["mismatch_count"] > 0
+    assert rep == ref.oracle_agreement_report(g)
+
+
+def last_arms_apart_one_more(monkeypatch, g):
+    """In the top copy, two vertices one step above the sink on its last
+    two arms, b - 1 and b, read one step further apart in
+    ``_copy_distance``.  They are the last level's vertices but the sink,
+    so every such pair lies past the first source block."""
+    real, top, b = lg._copy_distance, 3 ** (g.n - 1), g.b
+
+    def faulty(hu, au, hv, av, unit):
+        d = real(hu, au, hv, av, unit)
+        if unit != top:
+            return d
+        low = 3 * unit - 1
+        return d + ((au != av) & (au >= b - 1) & (av >= b - 1)
+                    & (hu == low) & (hv == low))
+
+    monkeypatch.setattr(lg, "_copy_distance", faulty)
+
+
+@pytest.mark.parametrize("n,b,first", [(2, 9, 162), (2, 19, 760)])
+def test_oracle_agreement_records_mismatches_past_the_first_block(
+        n, b, first, monkeypatch, clear_memos):
+    # Each of the b vertices one step above the sink on arm b - 1 is one
+    # step too far from each on arm b.  Every recorded pair lies in a
+    # block that starts at ``first``, past the first block, so its labels
+    # are read through the band's column offset.
+    control = lg.build_laakso(n, b)
+    assert lg.oracle_agreement_report(control)["pass"]
+    clear_memos()
+    g = lg.build_laakso(n, b)
+    last_arms_apart_one_more(monkeypatch, g)
+    rep = lg.oracle_agreement_report(g)
+    assert rep["mismatch_count"] == b * b
+    assert len(rep["mismatches"]) == 10
+    starts = [s.start for s in g.source_blocks()]
+    assert first in starts[1:]
+    for m in rep["mismatches"]:
+        u, v = g.index(g.by_label(m["u"])), g.index(g.by_label(m["v"]))
+        assert first <= u < v
+        assert (m["analytic"], m["bfs"]) == (3, 2)
     assert rep == ref.oracle_agreement_report(g)
 
 

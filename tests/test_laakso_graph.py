@@ -298,9 +298,11 @@ class TestDistanceOracle:
                 assert g.distance(u, v) == sp[i][j]
 
     @pytest.mark.parametrize("n,b", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
-                                     (3, 4), (4, 2)])
+                                     (3, 4), (4, 2), (2, 9), (3, 5)])
     def test_distance_matrix_is_the_bfs_rows(self, n, b):
-        # every graph that verify all builds, and G(4,2)
+        # every graph that verify all builds, G(4,2), G(2,9), whose bands
+        # are a 162-source block and a short 40-source one, and G(3,5):
+        # the bands and their transposes fill every cell.
         g = build_laakso(n, b)
         mat = g.distance_matrix()
         assert mat.dtype == np.int32
@@ -414,10 +416,11 @@ class TestDistanceOracle:
         before = lg._dist.cache_info()
         blocks = g.distance_blocks()
         next(blocks)
-        sources, rows = next(blocks)
+        sources, band = next(blocks)
         assert lg._dist.cache_info() == before
         assert sources == range(40, 80)
-        assert rows.tolist() == g.bfs_rows(sources).tolist()
+        assert band.tolist() == g.bfs_rows(sources)[:, 40:].tolist()
+        assert band.tolist() == g.distance_rows(sources)[:, 40:].tolist()
         path = replay_descent(g, g.root, g.sink)
         from_root = g.bfs_levels_from(g.root)
         from_sink = g.bfs_levels_from(g.sink)
@@ -430,8 +433,8 @@ class TestDistanceOracle:
 
     def test_blocks_past_the_memo_skip_the_point_formula(self, monkeypatch):
         # G(2,19)'s pairs overflow the memo, so its all-pairs walks read
-        # ``distance_rows`` blocks: no ``distance`` call and no memo
-        # traffic.
+        # bands of ``distance_rows`` blocks, from each block's first
+        # source's column on: no ``distance`` call and no memo traffic.
         g = _graph(2, 19)
         calls = 0
         real = LaaksoGraph.distance
@@ -445,11 +448,12 @@ class TestDistanceOracle:
         lg._dist.cache_clear()
         size = len(g.vertices)
         covered = 0
-        for sources, rows in g.distance_blocks():
+        for sources, band in g.distance_blocks():
             assert sources.start == covered
-            assert rows.dtype == np.min_scalar_type(-2 * 3**g.n)
-            assert rows.shape == (len(sources), size)
-            assert (rows == g.bfs_rows(sources)).all()
+            assert band.dtype == np.min_scalar_type(-2 * 3**g.n)
+            assert band.shape == (len(sources), size - sources.start)
+            assert (band == g.bfs_rows(sources)[:, covered:]).all()
+            assert (band == g.distance_rows(sources)[:, covered:]).all()
             covered = sources.stop
         assert covered == size
         assert structure_report(g)["pass"]
@@ -541,16 +545,23 @@ class TestBlockKernels:
                                      (3, 4), (2, 9), (4, 2), (3, 5)])
     def test_distance_blocks_are_the_bfs_blocks(self, n, b):
         # every graph that verify all builds, and G(2,9), G(4,2) and G(3,5):
-        # the analytic blocks are the BFS blocks, with the same sources.
+        # the analytic bands are the BFS bands, with the same sources, and
+        # each is its block's rows from the block's first source's column
+        # on (all of them on a graph of one block).
         g = _graph(n, b)
+        size = len(g.vertices)
         blocks = list(g.source_blocks())
         analytic = list(g.distance_blocks())
-        assert [sources for sources, _ in analytic] == blocks
-        for (_, rows), bfs in zip(analytic, g.bfs_blocks(blocks),
-                                  strict=True):
-            assert rows.dtype == np.min_scalar_type(-2 * 3**n)
-            assert rows.shape == bfs.shape
-            assert (rows == bfs).all()
+        bfs = list(g.bfs_blocks())
+        assert [s for s, _ in analytic] == [s for s, _ in bfs] == blocks
+        for (sources, band), (_, bfs_band) in zip(analytic, bfs, strict=True):
+            first = sources.start
+            assert band.dtype == np.min_scalar_type(-2 * 3**n)
+            assert bfs_band.dtype == np.int32
+            assert band.shape == bfs_band.shape == (len(sources), size - first)
+            assert (band == bfs_band).all()
+            assert (band == g.distance_rows(sources)[:, first:]).all()
+            assert (bfs_band == g.bfs_rows(sources)[:, first:]).all()
 
     @pytest.mark.parametrize("n,b,block,width", [(4, 2, 69, 128),
                                                  (3, 5, 40, 64)])
@@ -560,8 +571,9 @@ class TestBlockKernels:
         # a block: at G(4,2) one pass of 128 covers a 69-source block, and at
         # G(3,5) 40-source blocks straddle 64-source passes.  Each pass is
         # searched once, over consecutive sources, and every block, whole
-        # or straddling, decodes to the reference BFS rows; so do unsorted
-        # and repeated sources that straddle passes.
+        # or straddling, decodes its band to the reference BFS rows from
+        # the block's first source's column on; unsorted and repeated
+        # sources that straddle passes decode to the full reference rows.
         g = _graph(n, b)
         size = len(g.vertices)
         blocks = list(g.source_blocks())
@@ -576,13 +588,43 @@ class TestBlockKernels:
 
         monkeypatch.setattr(LaaksoGraph, "_bfs_planes", counted)
         want = [ref.bfs_levels(g, v) for v in g.vertices]
-        for sources, rows in zip(blocks, g.bfs_blocks(blocks)):
-            assert rows.dtype == np.int32
-            assert rows.tolist() == [want[i] for i in sources]
+        bands = list(g.bfs_blocks())
+        assert [sources for sources, _ in bands] == blocks
+        for sources, band in bands:
+            assert band.dtype == np.int32
+            assert band.tolist() == [want[i][sources.start:] for i in sources]
         assert passes == [list(range(s, min(s + width, size)))
                           for s in range(0, size, width)]
         sources = list(range(size - 1, size - 200, -1)) + [5, 5, size - 1]
         assert g.bfs_rows(sources).tolist() == [want[i] for i in sources]
+        for sources, band in bands:
+            assert (band == g.bfs_rows(sources)[:, sources.start:]).all()
+
+    def test_structure_report_evaluates_only_the_bands(self, monkeypatch):
+        # G(3,5) is 20 blocks of 40 sources over 800 vertices, and every
+        # block holds a vertex of the deepest word, two letters: so each
+        # block evaluates ``_copy_distance`` three times, once per
+        # shared-prefix length, on its band of 40 * (800 - start) cells.
+        # That is 1,008,000 cells, where full rows would be 1,920,000.
+        g = _graph(3, 5)
+        size = len(g.vertices)
+        blocks = list(g.source_blocks())
+        assert [len(s) for s in blocks] == [40] * 20
+        assert all(max(len(g.vertices[i].word) for i in s) == 2
+                   for s in blocks)
+        cells = []
+        real = lg._copy_distance
+
+        def counted(hu, au, hv, av, unit):
+            cells.append(np.broadcast(hu, hv).size)
+            return real(hu, au, hv, av, unit)
+
+        monkeypatch.setattr(lg, "_copy_distance", counted)
+        assert structure_report(g)["pass"]
+        assert len(cells) == 3 * len(blocks)
+        band = sum(3 * len(s) * (size - s.start) for s in blocks)
+        assert sum(cells) == band == 1_008_000
+        assert band / (3 * size * size) == 0.525
 
     def test_bfs_levels_from_is_a_list(self):
         g = _graph(3, 2)
