@@ -674,8 +674,8 @@ def structure_report(g: LaaksoGraph) -> dict:
     """Counts, diameter, level grading, and the branch-level law, all checked
     against first principles (recurrence, BFS, down-degrees).  The diameter
     and the count of pairs that attain it are read from each band of
-    ``distance_blocks`` over its cells later[r, c], sources.start + c >
-    sources[r], so every unordered pair once."""
+    ``distance_blocks`` over its cells later[r, c], c > r (a band starts
+    at its first source's column), so every unordered pair once."""
     problems: list[str] = []
     vcount = len(g.vertices)
     expected_v = expected_vertex_count(g.n, g.b)
@@ -698,9 +698,8 @@ def structure_report(g: LaaksoGraph) -> dict:
     # Diameter over all pairs, and uniqueness of the extremal pair.
     diameter = 0
     extremal = 0
-    targets = np.arange(vcount)
-    for sources, band in g.distance_blocks():
-        later = targets[sources.start:] > np.array(sources)[:, None]
+    for _, band in g.distance_blocks():
+        later = ~np.tri(*band.shape, dtype=bool)
         top_block = int(band.max(initial=0, where=later))
         if top_block > diameter:
             diameter, extremal = top_block, 0
@@ -744,17 +743,16 @@ def structure_report(g: LaaksoGraph) -> dict:
 def oracle_agreement_report(g: LaaksoGraph) -> dict:
     """Compare the analytic metric with BFS on every pair, one block of
     ``source_blocks`` at a time: each band of ``distance_blocks`` against
-    its band of ``bfs_blocks``, over the cells later[r, c], sources.start
-    + c > sources[r], so every unordered pair once.  Mismatches are
-    counted per block, and the first 10 in row-major order are
-    recorded."""
+    its band of ``bfs_blocks``, over the cells later[r, c], c > r (a
+    band starts at its first source's column), so every unordered pair
+    once.  Mismatches are counted per block, and the first 10 in
+    row-major order are recorded."""
     labels = g.labels
-    targets = np.arange(len(labels))
     mismatches = []
     count = 0
     for (sources, analytic), (_, bfs) in zip(g.distance_blocks(),
                                              g.bfs_blocks()):
-        later = targets[sources.start:] > np.array(sources)[:, None]
+        later = ~np.tri(*analytic.shape, dtype=bool)
         wrong = (analytic != bfs) & later
         found = int(np.count_nonzero(wrong))
         if found and len(mismatches) < 10:

@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import inf
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -273,24 +274,24 @@ class FiniteMetricSpace:
     diagonal, positivity off the diagonal, the triangle inequality, and
     strictness of the order, whose pairs must be two-element lists of
     integer indices or the rows of an (m, 2) array of a signed integer
-    dtype.  The table is nested sequences or a 2-D numpy array.  Nested
-    lists that numpy reads as signed integers (bools among ints read as 1
-    and 0) are kept as an array of the smallest signed dtype that holds
-    them; every other list table (floats, mixed ints and floats, ints past
-    int64) is kept as nested tuples, once no entry is a string or a bool
-    (the first one is named with its (i, j)).  An integer array is
-    checked on its own integers, exactly, and is finite by type; every
-    other table is checked on the float64 `array`, and its triangle
-    inequality with a tolerance of 1e-12.  The triangle inequality is
-    checked exhaustively up to 256 points; above that, on 20000 triples
-    (i, j, k) compared in one vector step, and the first failing triple in
-    sample order is reported.  The triples are 60000 little-endian 32-bit
-    words of `random.Random(0).randbytes`, reduced mod n (a bias below
-    n / 2**32), i the first third, j the second, k the last.
-    `dist` keeps the entries as given (an array's through one `tolist()`
-    on first read, so an integer array gives Python ints); `entry` reads
-    one of them without building `dist`; `array` is a read-only float64
-    copy.
+    dtype.  The table is nested sequences or a 2-D numpy array, kept as
+    one read-only array: an integer or float array as a copy, nested lists
+    that numpy reads as signed integers (bools among ints read as 1 and 0)
+    in the smallest signed dtype that holds them, and every other table as
+    an object array of its entries as given, each of which must be a real
+    number and not a bool (the first that is not is named with its
+    (i, j)).  An integer array is checked on its own integers, exactly,
+    and is finite by type; every other table is checked on the float64
+    `array`, and its triangle inequality with a tolerance of 1e-12.  The
+    triangle inequality is checked exhaustively up to 256 points; above
+    that, on 20000 triples (i, j, k) compared in one vector step, and the
+    first failing triple in sample order is reported.  The triples are
+    60000 little-endian 32-bit words of `random.Random(0).randbytes`,
+    reduced mod n (a bias below n / 2**32), i the first third, j the
+    second, k the last.  `dist`, `rows` and `entry` read the entries
+    through `tolist()` and `item()`, so an integer array gives Python ints
+    and an object array its entries as given; `array` is a read-only
+    float64 copy.
     """
 
     def __init__(
@@ -299,41 +300,41 @@ class FiniteMetricSpace:
         order: Optional[Sequence[tuple[int, int]] | np.ndarray] = None,
     ):
         if isinstance(dist, np.ndarray):
-            given = dist.copy()
-        else:
-            given = _integer_table(dist)
-        if given is not None:
-            if given.ndim != 2 or given.shape[0] != given.shape[1]:
-                raise ValueError("distance table is not square")
-            given.flags.writeable = False
-            self._given, self._dist = given, None
-            arr = given.astype(float)
-            # An integer table is checked on its own integers, exactly.
-            exact = given if np.issubdtype(given.dtype, np.integer) else arr
-        else:
+            dtype = dist.dtype if dist.dtype.kind in "iuf" else object
+            given = dist.astype(dtype)  # a copy
+        elif (given := _integer_table(dist)) is None:
             try:
                 rows = tuple(map(tuple, dist))
             except TypeError:
                 raise ValueError("distance table is not square") from None
-            if any(len(row) != len(rows) for row in rows):
+            n = len(rows)
+            if any(len(row) != n for row in rows):
                 raise ValueError("distance table is not square")
-            if any(issubclass(kind, (str, bool, np.bool_))
-                   for kind in set(map(type, chain.from_iterable(rows)))):
-                i, j = next((i, j) for i, row in enumerate(rows)
-                            for j, v in enumerate(row)
-                            if isinstance(v, (str, bool, np.bool_)))
-                raise ValueError(f"distance {rows[i][j]!r} at ({i},{j}) "
-                                 f"is not a number")
-            self._given, self._dist = rows, rows
-            arr = np.asarray(rows, dtype=float).reshape(len(rows), len(rows))
-            exact = arr
-        n = self.n = len(arr)
+            given = np.fromiter(chain.from_iterable(rows), dtype=object,
+                                count=n * n).reshape(n, n)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
+            raise ValueError("distance table is not square")
+        given.flags.writeable = False
+        self._given, self._dist = given, None
+        n = self.n = len(given)
+        if given.dtype == object:
+            # Real numbers, not bools, decided on the set of types first.
+            odd = {kind for kind in set(map(type, given.flat))
+                   if not issubclass(kind, Real) or issubclass(kind, bool)}
+            if odd:
+                i, j = divmod(next(f for f, v in enumerate(given.flat)
+                                   if type(v) in odd), n)
+                raise ValueError(f"distance {given.item(i, j)!r} at "
+                                 f"({i},{j}) is not a number")
+        arr = given.astype(float)
+        # An integer table is checked on its own integers, exactly.
+        exact = given if given.dtype.kind in "iu" else arr
         if exact is arr:  # an integer table is finite by type
             finite = np.isfinite(arr)
             if not finite.all():
                 i, j = np.argwhere(~finite)[0]
                 raise ValueError(
-                    f"non-finite distance {self.dist[i][j]!r} at ({i},{j})"
+                    f"non-finite distance {self.entry(i, j)!r} at ({i},{j})"
                 )
         if n and (np.diag(exact) != 0).any():
             raise ValueError("nonzero diagonal in distance table")
@@ -351,22 +352,20 @@ class FiniteMetricSpace:
 
     @property
     def dist(self) -> tuple[tuple, ...]:
-        """The table as nested tuples of its entries as given; from an
-        array it is built on first read, through one `tolist()`."""
+        """The table as nested tuples of its entries as given, built on
+        first read through one `tolist()`."""
         if self._dist is None:
-            self._dist = tuple(map(tuple, self._given.tolist()))
+            self._dist = tuple(map(tuple, self.rows()))
         return self._dist
 
-    def rows(self) -> Sequence[Sequence]:
-        """The rows of `dist`: `dist` itself once built, else the lists of
-        one `tolist()` of the array, which is not kept."""
-        return self._given.tolist() if self._dist is None else self._dist
+    def rows(self) -> list[list]:
+        """The rows of the table as lists of its entries as given, from one
+        `tolist()` that is not kept."""
+        return self._given.tolist()
 
     def entry(self, i: int, j: int):
         """``dist[i][j]``, read without building `dist`."""
-        if self._dist is None:
-            return self._given[i, j].item()
-        return self._dist[i][j]
+        return self._given.item(i, j)
 
     def _validate_triangle(self, table: np.ndarray) -> None:
         """Refuse a triple with d(i,j) > d(i,k) + d(k,j).  A float table
@@ -400,7 +399,7 @@ class FiniteMetricSpace:
                              f"for pair ({i[s]},{j[s]})")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "dist": [list(row) for row in self.dist]}
+        return {"n": self.n, "dist": self.rows()}
 
 
 def path_space(k: int) -> FiniteMetricSpace:
@@ -584,7 +583,7 @@ def _stored_entry(space: FiniteMetricSpace, value: float):
     """The first entry of the space's table equal to value in row-major
     order, as stored."""
     i, j = divmod(int(np.flatnonzero(space.array == value)[0]), space.n)
-    return space.dist[i][j]
+    return space.entry(i, j)
 
 
 def _require_orders(m: MetricMapTable) -> None:

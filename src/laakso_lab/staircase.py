@@ -84,6 +84,8 @@ def step_vector(k: int, theta: Fraction = THETA_DEFAULT) -> StaircaseVector:
 
 
 def v_of(J: IndexSet, theta: Fraction) -> StaircaseVector:
+    """v_J, coordinate by coordinate: the vector route, which the staircase
+    tests compare with the counting route of `diff_norm`."""
     els = _elements(J)
     if not els:
         return StaircaseVector(coords=())
@@ -94,6 +96,7 @@ def v_of(J: IndexSet, theta: Fraction) -> StaircaseVector:
 
 
 def sup_norm(v: StaircaseVector) -> Fraction:
+    """The sup norm of a vector of the vector route (`v_of`)."""
     return max((abs(c) for c in v.coords), default=Fraction(0))
 
 
@@ -110,7 +113,8 @@ def _max_count_diff(J: tuple[int, ...], K: tuple[int, ...]) -> int:
 
 def diff_norm(J: IndexSet, K: IndexSet) -> Fraction:
     """Exact sup norm of v_J - v_K at THETA_DEFAULT by the counting route
-    (no vectors built)."""
+    (no vectors built); the staircase tests compare it with the vector
+    route, `v_of` subtracted coordinate by coordinate."""
     return THETA_DEFAULT * _max_count_diff(_elements(J), _elements(K))
 
 

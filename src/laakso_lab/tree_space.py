@@ -38,7 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -92,13 +92,6 @@ class TreeNode:
 
 
 ROOT = TreeNode()
-
-
-def tree_parent(node: TreeNode) -> Optional[TreeNode]:
-    """Drop the largest element; the root has no parent."""
-    if node.is_root:
-        return None
-    return TreeNode(node.elements[:-1])
 
 
 def tree_distance(a: TreeNode, b: TreeNode) -> int:

@@ -108,16 +108,16 @@ def _value_difference(got, want, path: str):
 def _space_difference(got: qa.FiniteMetricSpace, want: qa.FiniteMetricSpace,
                       side: str):
     a, b = got._given, want._given
-    if type(a) is not type(b) or getattr(a, "dtype", None) != getattr(
-            b, "dtype", None):
-        return (f"{side} table is {type(a).__name__} "
-                f"{getattr(a, 'dtype', '')}, expected {type(b).__name__} "
-                f"{getattr(b, 'dtype', '')}")
-    if isinstance(a, np.ndarray) and not np.array_equal(a, b):
+    if a.dtype != b.dtype:
+        return f"{side} table is {a.dtype}, expected {b.dtype}"
+    # An object table is compared by the repr of its entries, so that an
+    # int and a float of one value still differ.
+    if a.dtype == object and repr(a.tolist()) != repr(b.tolist()):
+        return (f"{side} table is {a.tolist()!r:.80}, "
+                f"expected {b.tolist()!r:.80}")
+    if a.dtype != object and not np.array_equal(a, b):
         i, j = np.argwhere(a != b)[0]
         return f"{side} table ({i},{j}) is {a[i, j]}, expected {b[i, j]}"
-    if not isinstance(a, np.ndarray) and repr(a) != repr(b):
-        return f"{side} table is {a!r:.80}, expected {b!r:.80}"
     if (got.order is None) != (want.order is None) or (
             got.order is not None
             and not np.array_equal(got.order, want.order)):

@@ -467,6 +467,13 @@ def test_non_integer_indices_are_usage_errors(capsys, tmp_path, map_file,
     assert "not an integer index" in err
 
 
+def _with_target_entry(table: dict, value) -> dict:
+    """The table with the target's distance at (0,1) replaced by value."""
+    dist = [list(row) for row in table["target"]["dist"]]
+    dist[0][1] = value
+    return {**table, "target": {**table["target"], "dist": dist}}
+
+
 MALFORMED_TABLES = {
     "order_of_ints": (lambda t: {**t, "source_order": [5]},
                       "order pair 5 is not a two-element list"),
@@ -489,6 +496,12 @@ MALFORMED_TABLES = {
     "bool_distances": (lambda t: {**t, "source": {**t["source"], "dist": [
         [d > 0 for d in row] for row in t["source"]["dist"]]}},
         "distance False at (0,0) is not a number"),
+    "dict_distance": (lambda t: _with_target_entry(t, {}),
+                      "distance {} at (0,1) is not a number"),
+    "list_distance": (lambda t: _with_target_entry(t, [1]),
+                      "distance [1] at (0,1) is not a number"),
+    "null_distance": (lambda t: _with_target_entry(t, None),
+                      "distance None at (0,1) is not a number"),
 }
 
 

@@ -5,7 +5,8 @@ caller leaves alone.  The package `__init__` is exempt from the first two:
 its imports are the re-exported public API, and the names it re-exports
 count as used.  Callers are the package and the benchmark harness, not the
 tests; `beta_oracle`'s `sign` is the one default only tests pass, as the
-reference for the sign convention."""
+reference for the sign convention.  The `__init__`'s `__all__` lists
+exactly the names it imports, in sorted order."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def exports(source: str) -> tuple[list[str], list[str]]:
+    """(the names a module imports, its ``__all__``), each in file order."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets
+                       if isinstance(t, ast.Name)] == ["__all__"])
+    return imported, listed
+
+
+def test_detects_export_mismatch():
+    source = ("from .a import f, g\nfrom .b import H as K\n"
+              "__all__ = ['K', 'g']\n")
+    imported, listed = exports(source)
+    assert (imported, listed) == (["f", "g", "K"], ["K", "g"])
+    assert listed != sorted(imported)
+
+
+def test_all_lists_the_imports_in_sorted_order():
+    imported, listed = exports((SRC / "__init__.py").read_text(
+        encoding="utf-8"))
+    assert listed == sorted(imported)
+
+
 def test_detects_unused_definition():
     source = (
         "class A:\n"
@@ -94,12 +122,8 @@ def test_detects_unused_definition():
 
 
 def test_no_unused_definitions():
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     exported = frozenset(
-        alias.asname or alias.name
-        for node in init.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    )
+        exports((SRC / "__init__.py").read_text(encoding="utf-8"))[0])
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     assert unused_definitions(modules, tests, exported) == []

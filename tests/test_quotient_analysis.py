@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -260,12 +262,21 @@ BAD_TABLES = [
     ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "triangle inequality fails via 1"),
 ]
 
+# Tables whose entries are not numbers, and whose numpy array holds the
+# same entries: a <U1 array and a bool array.
+NOT_NUMBER_TABLES = [
+    ([["0", "1"], ["1", "0"]], "distance '0' at (0,0) is not a number"),
+    ([[False, True], [True, False]],
+     "distance False at (0,0) is not a number"),
+]
+
 
 class TestFiniteMetricSpaceFromArray:
-    @pytest.mark.parametrize("table,message", BAD_TABLES)
+    @pytest.mark.parametrize("table,message",
+                             BAD_TABLES + NOT_NUMBER_TABLES)
     def test_rejects_what_a_list_rejects(self, table, message):
-        for given in (table, np.array(table)):
-            with pytest.raises(ValueError, match=message):
+        for given in (table, np.array(table), np.array(table, dtype=object)):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 FiniteMetricSpace(given)
 
     @pytest.mark.parametrize("shape", [(), (2, 2, 2), (0, 3)])
@@ -305,7 +316,7 @@ class TestFiniteMetricSpaceFromArray:
         is_array = isinstance(given, np.ndarray)
         eager = tuple(map(tuple, given.tolist() if is_array else given))
         space = FiniteMetricSpace(given)
-        assert (space._dist is None) == is_array  # an array's is lazy
+        assert space._dist is None  # built on first read, for every table
         assert space.dist == eager
         assert [list(map(type, row)) for row in space.dist] == [
             list(map(type, row)) for row in eager]
@@ -325,9 +336,9 @@ class TestExactIntegerTables:
     """An integer table is validated on its own integers, exactly: an
     integer array, and nested lists that numpy reads as signed integers,
     which are kept in the smallest signed dtype that holds them.  Float
-    tables and every other list (mixed ints and floats, ints past int64,
-    all bools) are validated on float64, as before, and their triangle
-    inequality with a tolerance of 1e-12."""
+    tables and every other list (floats, mixed ints and floats, ints past
+    int64), kept as an object array of real numbers, are validated on
+    float64, and their triangle inequality with a tolerance of 1e-12."""
 
     @pytest.mark.parametrize("table", [
         np.array([[0, 2**53], [2**53 + 1, 0]]),
@@ -402,7 +413,8 @@ class TestExactIntegerTables:
     ], ids=["floats", "mixed", "past-int64", "past-uint64"])
     def test_other_lists_keep_the_list_path(self, table):
         space = FiniteMetricSpace(table)
-        assert isinstance(space._given, tuple)
+        assert space._given.dtype == object
+        assert not space._given.flags.writeable
         assert space.dist == tuple(map(tuple, table))
         assert [list(map(type, row)) for row in space.dist] == [
             list(map(type, row)) for row in table]
@@ -421,10 +433,37 @@ class TestExactIntegerTables:
     def test_strings_and_bools_off_the_integer_path_are_refused(
             self, table, message):
         # Through np.asarray(..., dtype=float), "1" would read as 1.0 and
-        # True as 1.0; the list path names the first such entry instead.
+        # True as 1.0; the number rule names the first such entry instead.
         with pytest.raises(ValueError) as err:
             FiniteMetricSpace(table)
         assert str(err.value) == f"{message} is not a number"
+
+    @pytest.mark.parametrize("value", [
+        "1", np.str_("1"), True, np.bool_(True), None, [1], {}, Decimal(1),
+        1j, np.complex128(1),
+    ], ids=["string", "numpy-string", "bool", "numpy-bool", "none", "list",
+            "dict", "decimal", "complex", "numpy-complex"])
+    def test_entries_that_are_not_real_numbers_are_refused(self, value):
+        # The same rule for every container: a list, a tuple, and an
+        # object array holding the entry as given.
+        rows = [[0.0, value], [value, 0.0]]
+        boxed = np.empty((2, 2), dtype=object)
+        for i, j in np.ndindex(2, 2):
+            boxed[i, j] = rows[i][j]
+        for given in (rows, tuple(map(tuple, rows)), boxed):
+            with pytest.raises(ValueError) as err:
+                FiniteMetricSpace(given)
+            assert str(err.value) == (f"distance {value!r} at (0,1) "
+                                      f"is not a number")
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), np.float32(0.5), np.int8(1), 2**70,
+    ], ids=["fraction", "float32", "int8", "past-int64"])
+    def test_real_numbers_of_any_type_are_kept_as_given(self, value):
+        space = FiniteMetricSpace([[0.0, value], [value, 0.0]])
+        assert space.entry(0, 1) is space.dist[0][1] is space.rows()[0][1]
+        assert space.entry(0, 1) == value
+        assert space.array[0, 1] == float(value)
 
     def test_stored_entry_keeps_the_stored_type(self):
         space = FiniteMetricSpace([[0, 1, 2.0], [1, 0, 1.0], [2.0, 1.0, 0]])

@@ -15,9 +15,13 @@ from laakso_lab.tree_space import (
     TreeNode,
     TreeSpace,
     tree_distance,
-    tree_parent,
     to_json_vertices,
 )
+
+
+def tree_parent(node: TreeNode) -> TreeNode | None:
+    """Drop the largest element; the root has no parent."""
+    return None if node.is_root else TreeNode(node.elements[:-1])
 
 
 def incr_tuples(max_val=12, max_len=6):
