@@ -16,7 +16,9 @@ constant, and they share only the input table:
   `restricted_profile`, `c_atd_infinity`, `quotient_moduli`) reads numpy
   arrays that each `MetricMapTable` builds once, on first use: the
   nearest-preimage matrix rho, the image-to-target distances D, and the
-  source pairs i < j with their source and image distances.  Every
+  source pairs i < j with their source and image distances.  They are
+  read off the tables each space validates on, so an integer table is
+  read as its integers, with no float64 copy of it.  Every
   constant is a masked minimum or maximum over them: the pair half
   (Lipschitz, L, Omega) over the pairs, the cell half (c, c_atd, omega)
   over rho and D.  `restricted_profile` is the restricted half of
@@ -40,7 +42,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain
 from math import inf
 from numbers import Real
@@ -52,8 +54,10 @@ from .errors import DomainError
 
 TRIANGLE_EXHAUSTIVE_LIMIT = 256
 TRIANGLE_SAMPLES = 20_000
-# Relation cells compared in one transitivity step of an order check.
-ORDER_CHUNK_CELLS = 1 << 18
+# Cells in one array step of a chunked pass: relation cells compared in
+# one transitivity step of an order check, or entries of a list table read
+# in one block of rows.
+CHUNK_CELLS = 1 << 18
 # Characters of a stored `dist` decoded in one numpy step, a whole number
 # of rows at a time: the step's temporaries stay small beside the table.
 DIST_BLOCK_CHARS = 1 << 18
@@ -103,7 +107,7 @@ def _strict_order(order, n: int) -> np.ndarray:
         i, j = pairs[np.argmax(back)].tolist()
         raise ValueError(f"order is not antisymmetric on ({i},{j})")
     packed = np.packbits(rel, axis=1)
-    step = max(1, ORDER_CHUNK_CELLS // max(n, 1))
+    step = max(1, CHUNK_CELLS // max(n, 1))
     for s in range(0, len(pairs), step):
         i, j = first[s:s + step], second[s:s + step]
         gap = packed[j] & ~packed[i]
@@ -147,27 +151,50 @@ def _pair_array(given: list) -> np.ndarray:
 def _integer_table(dist) -> Optional[np.ndarray]:
     """A list or tuple table that numpy reads as a 2-D signed integer
     array, in the smallest signed dtype that holds its least and greatest
-    entry; None for any other table."""
+    entry; None for any other table.  It is read `CHUNK_CELLS` entries at
+    a time, a whole number of rows, and each block is narrowed on its own.
+    A block may read as bool or unsigned and still join a signed table, so
+    the table is signed when the blocks' dtypes promote to a signed one,
+    as they do when numpy reads the whole list."""
     if not isinstance(dist, (list, tuple)):
         return None
-    try:
-        table = np.array(dist)
-    except ValueError:  # ragged
+    step = max(1, CHUNK_CELLS // max(len(dist), 1))
+    blocks, dtypes = [], set()
+    for s in range(0, len(dist), step):
+        try:
+            block = np.array(dist[s:s + step])
+        except ValueError:  # ragged
+            return None
+        if (block.ndim != 2 or block.dtype.kind not in "biu"
+                or blocks and block.shape[1] != blocks[0].shape[1]):
+            return None
+        dtypes.add(block.dtype)
+        blocks.append(_narrow(block))
+        del block  # freed before the next block is read
+    if not blocks or reduce(np.promote_types, dtypes).kind != "i":
         return None
-    if table.ndim != 2 or not np.issubdtype(table.dtype, np.signedinteger):
-        return None
-    return _narrow(table)
+    return np.concatenate(blocks)
 
 
 def _narrow(table: np.ndarray) -> np.ndarray:
-    """A signed integer ``table`` in the smallest signed dtype that holds
-    its least and greatest entry."""
+    """An integer or bool ``table`` in the smallest signed dtype up to
+    int32 that holds its least and greatest entry; unchanged when int32
+    does not hold them."""
     if table.size:
         lo, hi = table.min(), table.max()
         for dtype in (np.int8, np.int16, np.int32):
             if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
                 return table.astype(dtype)
     return table
+
+
+def _overflows(value) -> bool:
+    """Whether ``value``, a real number, lies past the float range."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def _dist_rows(text: str, sep: str, m: int) -> Optional[np.ndarray]:
@@ -277,21 +304,24 @@ class FiniteMetricSpace:
     dtype.  The table is nested sequences or a 2-D numpy array, kept as
     one read-only array: an integer or float array as a copy, nested lists
     that numpy reads as signed integers (bools among ints read as 1 and 0)
-    in the smallest signed dtype that holds them, and every other table as
-    an object array of its entries as given, each of which must be a real
-    number and not a bool (the first that is not is named with its
-    (i, j)).  An integer array is checked on its own integers, exactly,
-    and is finite by type; every other table is checked on the float64
-    `array`, and its triangle inequality with a tolerance of 1e-12.  The
-    triangle inequality is checked exhaustively up to 256 points; above
-    that, on 20000 triples (i, j, k) compared in one vector step, and the
-    first failing triple in sample order is reported.  The triples are
-    60000 little-endian 32-bit words of `random.Random(0).randbytes`,
-    reduced mod n (a bias below n / 2**32), i the first third, j the
-    second, k the last.  `dist`, `rows` and `entry` read the entries
-    through `tolist()` and `item()`, so an integer array gives Python ints
-    and an object array its entries as given; `array` is a read-only
-    float64 copy.
+    in the smallest signed dtype that holds them (read a block of rows at
+    a time, each block narrowed on its own), and every other table as an
+    object array of its entries as given, each of which must be a real
+    number, not a bool, inside the float range (the first that is not is
+    named with its (i, j)).  The checks and the profile route of
+    `MetricMapTable` read one table: an integer table as it is kept,
+    checked on its own integers, exactly, and finite by type; every other
+    table as the float64 `array`, its triangle inequality with a tolerance
+    of 1e-12.  The triangle inequality is checked exhaustively up to 256
+    points; above that, on 20000 triples (i, j, k) compared in one vector
+    step, and the first failing triple in sample order is reported.  The
+    triples are 60000 little-endian 32-bit words of
+    `random.Random(0).randbytes`, reduced mod n (a bias below n / 2**32),
+    i the first third, j the second, k the last.  `dist`, `rows` and
+    `entry` read the entries through `tolist()` and `item()`, so an
+    integer array gives Python ints and an object array its entries as
+    given; `array` is a read-only float64 copy, which an integer table
+    builds only on first read.
     """
 
     def __init__(
@@ -326,29 +356,44 @@ class FiniteMetricSpace:
                                    if type(v) in odd), n)
                 raise ValueError(f"distance {given.item(i, j)!r} at "
                                  f"({i},{j}) is not a number")
-        arr = given.astype(float)
-        # An integer table is checked on its own integers, exactly.
-        exact = given if given.dtype.kind in "iu" else arr
-        if exact is arr:  # an integer table is finite by type
-            finite = np.isfinite(arr)
+        if given.dtype.kind in "iu":
+            # An integer table is checked on its own integers, exactly, and
+            # is finite by type; its float64 copy is built on first read.
+            table = given
+        else:
+            try:
+                table = self.array
+            except OverflowError:  # an int or Fraction past the float range
+                i, j = divmod(next(f for f, v in enumerate(given.flat)
+                                   if _overflows(v)), n)
+                raise ValueError(f"distance {given.item(i, j)!r} at "
+                                 f"({i},{j}) is outside the float range"
+                                 ) from None
+            finite = np.isfinite(table)
             if not finite.all():
                 i, j = np.argwhere(~finite)[0]
                 raise ValueError(
                     f"non-finite distance {self.entry(i, j)!r} at ({i},{j})"
                 )
-        if n and (np.diag(exact) != 0).any():
+        if n and (np.diag(table) != 0).any():
             raise ValueError("nonzero diagonal in distance table")
-        if not np.array_equal(exact, exact.T):
+        if not np.array_equal(table, table.T):
             raise ValueError("distance table is not symmetric")
         # The diagonal is zero, so any entry <= 0 past its n lies off it.
-        if np.count_nonzero(exact <= 0) > n:
+        if np.count_nonzero(table <= 0) > n:
             raise ValueError("non-positive distance between distinct points")
-        self._validate_triangle(exact)
-        arr.flags.writeable = False
-        self.array = arr
+        self._validate_triangle(table)
+        self._table = table
         self.order: Optional[np.ndarray] = (
             None if order is None else _strict_order(order, n)
         )
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only float64 array, built on first read."""
+        arr = self._given.astype(float)
+        arr.flags.writeable = False
+        return arr
 
     @property
     def dist(self) -> tuple[tuple, ...]:
@@ -453,16 +498,18 @@ class MetricMapTable:
         """rho[x, y]: source distance from x to the nearest preimage of y,
         inf where y has none.  Filled one target column at a time; the
         source table is symmetric, so the column is a minimum over rows."""
-        sarr = self.source.array
+        table = self.source._table
         rho = np.full((self.source.n, self.target.n), inf)
         for y, pre in self._preimages.items():
-            rho[:, y] = sarr[list(pre)].min(axis=0)
+            rho[:, y] = table[list(pre)].min(axis=0)
         return rho
 
     @cached_property
     def _image_gap(self) -> np.ndarray:
-        """D[x, y]: target distance from the image of x to y."""
-        return self.target.array[self._assign_array]
+        """D[x, y]: target distance from the image of x to y, in float64,
+        as rho is."""
+        return self.target._table[self._assign_array].astype(float,
+                                                             copy=False)
 
     @cached_property
     def _related(self) -> np.ndarray:
@@ -473,14 +520,16 @@ class MetricMapTable:
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, ...]:
         """The pairs i < j of source points, in row-major order: their
-        source distances, image distances, and image over source
-        distance.  Each is read through one upper-triangle mask; the
-        image distances come first, so that the other two reuse the room
-        of the n-by-n image table they are masked from."""
+        source distances and image distances, each in its table's dtype,
+        and image over source distance in float64.  Each is read through
+        one upper-triangle mask; the image distances come first, so that
+        the other two reuse the room of the n-by-n image table they are
+        masked from."""
         points = np.arange(self.source.n)
         upper = points[:, None] < points
-        tdist = np.take(self._image_gap, self._assign_array, axis=1)[upper]
-        sdist = self.source.array[upper]
+        a = self._assign_array
+        tdist = np.take(self.target._table[a], a, axis=1)[upper]
+        sdist = self.source._table[upper]
         return sdist, tdist, tdist / sdist
 
     @cached_property
@@ -575,14 +624,14 @@ def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
     omega_big = _stored_entry(m.target, top) if top > 0 else 0.0
     far = m._nearest_preimage > r
     threshold = m._image_gap[far].min() if far.any() else inf
-    tarr = m.target.array
-    return _stored_entry(m.target, tarr[tarr < threshold].max()), omega_big
+    table = m.target._table
+    return _stored_entry(m.target, table[table < threshold].max()), omega_big
 
 
 def _stored_entry(space: FiniteMetricSpace, value: float):
     """The first entry of the space's table equal to value in row-major
     order, as stored."""
-    i, j = divmod(int(np.flatnonzero(space.array == value)[0]), space.n)
+    i, j = divmod(int(np.flatnonzero(space._table == value)[0]), space.n)
     return space.entry(i, j)
 
 

@@ -69,6 +69,12 @@ came from one block of running minima over the levels: `distance_rows`
 yields one row per rank, the lcp depths written as the level of each
 ancestor over its subtree's rank range, root first, one slice write per
 ancestor.
+
+The integer list reader of `quotient_analysis`, as it was before it read
+a list a block of rows at a time: `integer_table` reads the whole list
+with one `np.array` call, keeps it only when numpy reads it as a 2-D
+signed integer array, and narrows it once, on its least and greatest
+entry.
 """
 
 import random
@@ -712,3 +718,23 @@ def distance_rows(space) -> Iterator[tuple[int, np.ndarray]]:
         row += levels
         row += lv
         yield i, row
+
+
+def integer_table(dist) -> Optional[np.ndarray]:
+    """A list or tuple table that numpy reads, whole, as a 2-D signed
+    integer array, in the smallest signed dtype that holds its least and
+    greatest entry; None for any other table."""
+    if not isinstance(dist, (list, tuple)):
+        return None
+    try:
+        table = np.array(dist)
+    except ValueError:  # ragged
+        return None
+    if table.ndim != 2 or not np.issubdtype(table.dtype, np.signedinteger):
+        return None
+    if table.size:
+        lo, hi = table.min(), table.max()
+        for dtype in (np.int8, np.int16, np.int32):
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+                return table.astype(dtype)
+    return table

@@ -502,6 +502,9 @@ MALFORMED_TABLES = {
                       "distance [1] at (0,1) is not a number"),
     "null_distance": (lambda t: _with_target_entry(t, None),
                       "distance None at (0,1) is not a number"),
+    "huge_distance": (lambda t: _with_target_entry(t, 10**400),
+                      f"distance {10**400} at (0,1) is outside the float "
+                      f"range"),
 }
 
 

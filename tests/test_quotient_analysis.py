@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,7 @@ from laakso_lab.quotient_analysis import (
     quotient_moduli,
 )
 
+import loop_reference as ref
 from conftest import path_space
 
 
@@ -101,7 +103,7 @@ class TestFiniteMetricSpace:
         # The star 0 -> 2..n-1 is transitive; (n-1, 1) breaks it, and the
         # pair (0, n-1) that it completes lies in a later chunk.
         n = 1100
-        assert n - 3 >= qa.ORDER_CHUNK_CELLS // n
+        assert n - 3 >= qa.CHUNK_CELLS // n
         dist = np.ones((n, n)) - np.eye(n)
         star = [(0, j) for j in range(2, n)]
         space = FiniteMetricSpace(dist, order=star)
@@ -465,6 +467,32 @@ class TestExactIntegerTables:
         assert space.entry(0, 1) == value
         assert space.array[0, 1] == float(value)
 
+    @pytest.mark.parametrize("value", [
+        10**400, -10**400, Fraction(10**400, 3),
+    ], ids=["int", "negative-int", "fraction"])
+    def test_entries_past_the_float_range_are_refused(self, value):
+        # The first such entry is named in any container, past the float
+        # entries before it.
+        rows = [[0, 1.5, 2], [1.5, 0, value], [2, value, 0]]
+        boxed = np.empty((3, 3), dtype=object)
+        for i, j in np.ndindex(3, 3):
+            boxed[i, j] = rows[i][j]
+        for given in (rows, tuple(map(tuple, rows)), boxed):
+            with pytest.raises(ValueError) as err:
+                FiniteMetricSpace(given)
+            assert str(err.value) == (f"distance {value!r} at (1,2) "
+                                      f"is outside the float range")
+
+    def test_json_entry_past_the_float_range_is_refused(self):
+        d = path_space(3)
+        doc = {"source": d.to_dict(), "target": d.to_dict(),
+               "assign": [0, 1, 2]}
+        doc["target"]["dist"][0][1] = 10**400
+        with pytest.raises(ValueError,
+                           match=rf"distance {10**400} at \(0,1\) is "
+                                 rf"outside the float range"):
+            MetricMapTable.from_json(json.dumps(doc))
+
     def test_stored_entry_keeps_the_stored_type(self):
         space = FiniteMetricSpace([[0, 1, 2.0], [1, 0, 1.0], [2.0, 1.0, 0]])
         assert type(qa._stored_entry(space, 1.0)) is int
@@ -502,6 +530,167 @@ class TestExactIntegerTables:
         assert m.source.dist == tuple(map(tuple, want))
         assert {type(d) for row in m.source.dist for d in row} == {int}
         assert m.source.array.tolist() == want
+
+
+def _odd_rows(row):
+    """Rows that change what numpy reads a table of int rows as, each
+    with the int ``row`` it replaces."""
+    return {
+        "bool-only": [bool(d % 2) for d in row],
+        "float": [float(d) for d in row],
+        "ragged": row[:-1],
+        "wider": row + [7],
+        "wide-int": [d + 2**40 for d in row],
+        "past-int64": [d + 2**63 for d in row],
+        "past-uint64": [d + 2**64 for d in row],
+        "numpy-uint8": [np.uint8(d + 200) for d in row],
+        "string": [str(d) for d in row],
+    }
+
+
+# Six rows of the path metric, read two rows a block at 12 cells.
+SIX = [[abs(i - j) for j in range(6)] for i in range(6)]
+ODD_KINDS = list(_odd_rows(SIX[0]))
+
+
+def _traced_peak(run) -> float:
+    """The peak, in MiB, of the memory that `run()` holds past what was
+    held when it started, by `tracemalloc`."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def phi_document():
+    """The phi map table T(2,9) -> G(2,2) as `json.dump` writes it."""
+    return json.dumps(as_map_table(TreeToGraphMap(TreeSpace(2, 9),
+                                                  build_laakso(2, 2))))
+
+
+class TestIntegerTableBlocks:
+    """`_integer_table` reads a list a block of rows at a time and gives
+    the array, dtype and None that numpy's read of the whole list gives
+    (`loop_reference.integer_table`)."""
+
+    @staticmethod
+    def assert_same(table):
+        got, want = qa._integer_table(table), ref.integer_table(table)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    @pytest.mark.parametrize("at", [2, 3, 5], ids=lambda at: f"row{at}")
+    @pytest.mark.parametrize("cells", [6, 12], ids=["row-blocks",
+                                                    "two-row-blocks"])
+    def test_odd_row_in_a_later_block(self, monkeypatch, kind, at, cells):
+        # At 12 cells the blocks are rows 0-1, 2-3 and 4-5: row 2 opens a
+        # later block, row 3 closes one, and row 5 closes the table.  At 6
+        # cells each row is a block of its own.
+        monkeypatch.setattr(qa, "CHUNK_CELLS", cells)
+        table = [list(row) for row in SIX]
+        table[at] = _odd_rows(table[at])[kind]
+        self.assert_same(table)
+        self.assert_same(tuple(table))
+
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_a_table_of_odd_rows(self, monkeypatch, kind):
+        monkeypatch.setattr(qa, "CHUNK_CELLS", 12)
+        self.assert_same([_odd_rows(row)[kind] for row in SIX])
+
+    @pytest.mark.parametrize("cells", [1, 6, 12, 18, 36, 1 << 18])
+    def test_each_block_is_narrowed_on_its_own(self, monkeypatch, cells):
+        # The widest block sets the dtype, wherever it lies.
+        monkeypatch.setattr(qa, "CHUNK_CELLS", cells)
+        for top, dtype in [(100, np.int8), (300, np.int16),
+                           (2**20, np.int32), (2**40, np.int64)]:
+            for at in range(6):
+                table = [list(row) for row in SIX]
+                table[at] = [top] * 6
+                assert self.assert_same(table).dtype == dtype
+
+    @pytest.mark.parametrize("table", [
+        [], [[]], [[], []], [[True, False], [False, True]], [[0]], [1, 2],
+        [[[0]]], "01",
+    ], ids=["empty", "empty-row", "empty-rows", "bools", "one", "flat",
+            "three-d", "string"])
+    def test_tables_that_are_not_int_rows(self, table):
+        self.assert_same(table)
+
+    def test_phi_table_crosses_blocks(self, phi_document):
+        dist = json.loads(phi_document)["source"]["dist"]
+        assert qa.CHUNK_CELLS // len(dist) < len(dist)
+        assert self.assert_same(dist).dtype == np.int8
+        # One int64 block (2 MiB) at a time beside the int8 table (1 MiB);
+        # the whole list read as int64 would take 8 MiB.
+        assert _traced_peak(lambda: qa._integer_table(dist)) < 3.5
+
+
+class TestIntegerTablesStayNarrow:
+    """An integer table keeps only its integer array: the checks and the
+    profile route read it, and its float64 `array` is built on first
+    read."""
+
+    def test_from_dict_and_coarse_profile_hold_little_memory(
+            self, phi_document):
+        # 1023 points: the int8 table is 1 MiB, its float64 copy 8 MiB.
+        doc = json.loads(phi_document)
+        peak = _traced_peak(lambda: coarse_profile(
+            MetricMapTable.from_dict(doc), range(1, 9)))
+        assert peak < 12
+
+    def test_from_json_and_fork_search_hold_little_memory(self,
+                                                          phi_document):
+        peak = _traced_peak(lambda: fork_search(
+            MetricMapTable.from_json(phi_document), 0, 1))
+        assert peak < 8
+
+    @pytest.mark.parametrize("run", [
+        lambda m: coarse_profile(m, range(1, 9)),
+        lambda m: qa.restricted_profile(m, range(1, 9)),
+        lambda m: cross_validate_atd(m, [0.5, 1, 2], range(1, 9)),
+        lambda m: fork_search(m, 0, 1),
+        lambda m: [quotient_moduli(m, r) for r in range(1, 9)],
+        lipschitz_constant,
+    ], ids=["coarse_profile", "restricted_profile", "cross_validate_atd",
+            "fork_search", "quotient_moduli", "lipschitz_constant"])
+    @pytest.mark.parametrize("read", ["from_json", "map_table"])
+    def test_analysis_builds_no_float_copy(self, phi_document, run, read):
+        if read == "from_json":
+            m = MetricMapTable.from_json(phi_document)
+        else:
+            m = tl.map_table(TreeToGraphMap(TreeSpace(2, 3),
+                                            build_laakso(1, 2)))
+        run(m)
+        for space in (m.source, m.target):
+            assert space._given.dtype.kind == "i"
+            assert "array" not in vars(space)
+            # A later read gives the read-only float64 table, once.
+            array = space.array
+            assert array.dtype == np.float64
+            assert not array.flags.writeable
+            assert np.array_equal(array, np.array(space.rows(), dtype=float))
+            assert space.array is array
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1.5], [1.5, 0]], np.array([[0, 0.5], [0.5, 0]]),
+        [[0, Fraction(1, 2)], [Fraction(1, 2), 0]],
+    ], ids=["float-list", "float-array", "fraction-list"])
+    def test_other_tables_are_checked_on_their_float_copy(self, table):
+        space = FiniteMetricSpace(table)
+        assert "array" in vars(space)
+        assert space._table is space.array
+        assert space.array.dtype == np.float64
+        assert not space.array.flags.writeable
 
 
 NON_INDICES = [True, False, 1.0, 1.5, "1", None]
@@ -649,8 +838,13 @@ class TestMetricMapTable:
             tdist = m.target.array[a[i], a[j]]
             want = (sdist, tdist, tdist / sdist)
             for got, expected in zip(m._pairs, want, strict=True):
-                assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected)
+            # The distances keep their table's own dtype; the ratio is
+            # float64.
+            assert [got.dtype for got in m._pairs] == [
+                m.source._table.dtype, m.target._table.dtype, np.float64]
+        assert [d.dtype for d in phi._pairs[:2]] == [np.int8, np.int8]
+        assert [d.dtype for d in mixed._pairs[:2]] == [np.float64, np.int8]
 
 
 class TestQuotientModuli:
