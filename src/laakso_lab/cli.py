@@ -161,7 +161,7 @@ def _suite_atd() -> dict:
     c_grid = [0.05, 0.15, 0.25, 1 / 3, 0.45, 0.55, 0.7, 0.85, 1.0, 1.25]
     for name, table in tables.items():
         deltas = sorted(
-            {d for row in table.source.dist for d in row if d > 0}
+            {d for row in table.source.rows() for d in row if d > 0}
         )[:10] or [1.0]
         out[f"grid_agreement_{name}"] = qa.cross_validate_atd(
             table, c_grid, deltas

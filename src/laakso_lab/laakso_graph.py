@@ -32,9 +32,9 @@ heights, except between distinct arms, which meet at the mid vertex or the
 sink, whichever is nearer: 2 * unit - |hu + hv - 4 * unit|
 (``_copy_distance``).  ``LaaksoGraph.distance_rows`` applies the same two
 helpers in numpy to a block of sources at once, giving their distances to
-every vertex; ``distance_row`` is its one-row view.  Every point query
-reads the rule through ``_dist``, an LRU memo of 2**18 entries keyed by
-one ``(word, pos, level)`` tuple per vertex, built with the graph.
+every vertex.  Every point query reads the rule through ``_dist``, an
+LRU memo of 2**18 entries keyed by one ``(word, pos, level)`` tuple per
+vertex, built with the graph.
 
 ``bfs_rows`` runs BFS over the explicit adjacency and is kept strictly
 independent of addresses and levels so the two can be cross-checked pair
@@ -532,11 +532,6 @@ class LaaksoGraph:
                                           h[first:], a[first:], units[kk]),
                       where=k == kk)
         return out
-
-    def distance_row(self, u: VertexId) -> np.ndarray:
-        """Exact int64 distance from u to every vertex, indexed like
-        ``vertices``: the one row of ``distance_rows`` for u."""
-        return self.distance_rows([self.index(u)])[0].astype(np.int64)
 
     def distance_blocks(self) -> Iterator[tuple[range, np.ndarray]]:
         """(sources, band) for each block of ``source_blocks``, where

@@ -317,8 +317,8 @@ class FiniteMetricSpace:
     step, and the first failing triple in sample order is reported.  The
     triples are 60000 little-endian 32-bit words of
     `random.Random(0).randbytes`, reduced mod n (a bias below n / 2**32),
-    i the first third, j the second, k the last.  `dist`, `rows` and
-    `entry` read the entries through `tolist()` and `item()`, so an
+    i the first third, j the second, k the last.  The entries are read
+    by `rows` (one `tolist()`, not kept) and `entry` (one `item()`), so an
     integer array gives Python ints and an object array its entries as
     given; `array` is a read-only float64 copy, which an integer table
     builds only on first read.
@@ -345,7 +345,7 @@ class FiniteMetricSpace:
         if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise ValueError("distance table is not square")
         given.flags.writeable = False
-        self._given, self._dist = given, None
+        self._given = given
         n = self.n = len(given)
         if given.dtype == object:
             # Real numbers, not bools, decided on the set of types first.
@@ -395,21 +395,13 @@ class FiniteMetricSpace:
         arr.flags.writeable = False
         return arr
 
-    @property
-    def dist(self) -> tuple[tuple, ...]:
-        """The table as nested tuples of its entries as given, built on
-        first read through one `tolist()`."""
-        if self._dist is None:
-            self._dist = tuple(map(tuple, self.rows()))
-        return self._dist
-
     def rows(self) -> list[list]:
         """The rows of the table as lists of its entries as given, from one
         `tolist()` that is not kept."""
         return self._given.tolist()
 
     def entry(self, i: int, j: int):
-        """``dist[i][j]``, read without building `dist`."""
+        """The entry at (i, j) as given, read without building `rows()`."""
         return self._given.item(i, j)
 
     def _validate_triangle(self, table: np.ndarray) -> None:
@@ -768,10 +760,6 @@ def atd_violation(
     return None
 
 
-def check_atd_colip(m: MetricMapTable, c: float, delta: float) -> bool:
-    return atd_violation(m, c, delta) is None
-
-
 def cross_validate_atd(
     m: MetricMapTable, c_grid: Sequence[float], delta_grid: Sequence[float]
 ) -> dict:
@@ -787,7 +775,7 @@ def cross_validate_atd(
     for d in delta_grid:
         for c in c_grid:
             checked += 1
-            direct = check_atd_colip(m, c, d)
+            direct = atd_violation(m, c, d) is None
             tabulated = c <= exact[float(d)]
             if direct != tabulated:
                 disagreements.append(
@@ -830,7 +818,7 @@ class ForkWitness:
         """Re-verify every defining inequality straight from the tables;
         returns the list of violations (empty when sound)."""
         problems = []
-        td, sd = m.target.dist, m.source.entry
+        td, sd = m.target.rows(), m.source.entry
         r = self.r
         if td[self.mu0][self.mu1] != r:
             problems.append("head-to-center distance is not r")
@@ -889,7 +877,7 @@ def fork_search(
     c = c_atd_infinity(m)
     if c == inf:
         return None
-    td, sd = m.target.dist, m.source.entry
+    td, sd = m.target.rows(), m.source.entry
     torder, sorder = m.target.order, m.source.order
     radii = sorted(
         {td[i][j] for i in range(m.target.n) for j in range(m.target.n)

@@ -146,13 +146,13 @@ class TreeSpace:
         """All nodes in lexicographic (depth-first preorder) order."""
         self._require_enumerable()
         out: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
+        # Explicit stack, children pushed last-first so the first pops next:
+        # a depth-first walk needs no Python frame per level.
+        stack = [ROOT]
+        while stack:
+            node = stack.pop()
             out.append(node)
-            for c in self.children(node):
-                walk(c)
-
-        walk(ROOT)
+            stack.extend(reversed(self.children(node)))
         return tuple(out)
 
     @cached_property

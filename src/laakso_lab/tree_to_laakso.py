@@ -253,7 +253,7 @@ def verify_projection(
     lift_bad: list[dict] = []
     lifts_done = 0
     ancestors = ancestor_pairs(garr, graph.levels)
-    for iu, iv in ancestors:
+    for iu, iv in ancestors.tolist():
         pool = pools[iu]
         if not exhaustive and len(pool) > PREIMAGE_SAMPLE:
             pool = np.array(rng.sample(pool.tolist(), PREIMAGE_SAMPLE))
@@ -505,17 +505,13 @@ def sibling_lift_separation(pm: TreeToGraphMap) -> dict:
     return {"checked": checked, "counterexamples": bad[:5], "pass": not bad}
 
 
-def ancestor_pairs(dist, levels) -> list[list[int]]:
-    """The strict ancestor pairs [i, j] of a graded space, in row-major
-    order: i is an ancestor of j iff dist[i][j] == levels[j] - levels[i].
-    `dist` is a square table (nested lists, a list of rows or one array)
-    and `levels` a sequence of the same length.  The level gaps are formed
-    in the table's dtype."""
-    return _ancestor_array(dist, levels).tolist()
-
-
-def _ancestor_array(dist, levels) -> np.ndarray:
-    """``ancestor_pairs`` as the (m, 2) int64 array of ``np.argwhere``."""
+def ancestor_pairs(dist, levels) -> np.ndarray:
+    """The strict ancestor pairs (i, j) of a graded space, in row-major
+    order, as the (m, 2) int64 array of ``np.argwhere``: i is an ancestor
+    of j iff dist[i][j] == levels[j] - levels[i].  `dist` is a square
+    table (nested lists, a list of rows or one array) and `levels` a
+    sequence of the same length.  The level gaps are formed in the
+    table's dtype."""
     d = np.asarray(dist).reshape(len(levels), len(levels))
     lv = np.asarray(levels, dtype=d.dtype)
     below = d == lv[None, :] - lv[:, None]
@@ -529,11 +525,11 @@ def map_table(pm: TreeToGraphMap) -> MetricMapTable:
     ``TreeSpace.rank_blocks``, each block and its transpose, in the blocks'
     ``TreeSpace.distance_dtype``; the graph matrix is
     ``LaaksoGraph.distance_matrix``, int32.  Both strict ancestor relations
-    are read off them by the rule of ``ancestor_pairs``, with the tree
-    levels from ``TreeSpace.levels``, and given as (m, 2) arrays; the
-    assignment is ``pm.rank_images``.  Every input check of
-    ``FiniteMetricSpace`` and ``MetricMapTable`` runs.  Only feasible at
-    desk scale; the tree levels enforce the enumeration cap."""
+    are read off them as the (m, 2) arrays of ``ancestor_pairs``, with the
+    tree levels from ``TreeSpace.levels``; the assignment is
+    ``pm.rank_images``.  Every input check of ``FiniteMetricSpace`` and
+    ``MetricMapTable`` runs.  Only feasible at desk scale; the tree levels
+    enforce the enumeration cap."""
     tree = pm.tree
     levels = tree.levels
     sdist = np.empty((len(levels), len(levels)), dtype=tree.distance_dtype)
@@ -542,9 +538,9 @@ def map_table(pm: TreeToGraphMap) -> MetricMapTable:
         sdist[start:stop, start:] = block
         sdist[start:, start:stop] = block.T
     tdist = pm.graph.distance_matrix()
-    source = FiniteMetricSpace(sdist, order=_ancestor_array(sdist, levels))
+    source = FiniteMetricSpace(sdist, order=ancestor_pairs(sdist, levels))
     target = FiniteMetricSpace(
-        tdist, order=_ancestor_array(tdist, pm.graph.levels)
+        tdist, order=ancestor_pairs(tdist, pm.graph.levels)
     )
     return MetricMapTable(source, target, pm.rank_images().tolist())
 

@@ -113,7 +113,7 @@ from laakso_lab.tree_to_laakso import (
 def lipschitz_constant(m):
     if m.source.n < 2:
         raise DomainError("need at least two source points")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    sdist, tdist, assign = m.source.rows(), m.target.rows(), m.assign
     best = 0.0
     for i in range(m.source.n):
         for j in range(i + 1, m.source.n):
@@ -126,7 +126,7 @@ def lipschitz_constant(m):
 def quotient_moduli(m, r):
     if not m.surjective:
         raise DomainError("moduli require a surjective assignment")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    sdist, tdist, assign = m.source.rows(), m.target.rows(), m.assign
     omega_big = 0.0
     for i in range(m.source.n):
         for j in range(i + 1, m.source.n):
@@ -158,7 +158,7 @@ def atd_pairs(m):
         raise DomainError("relation-restricted analysis needs surjectivity")
     order = {tuple(p) for p in m.to_dict()["target_order"]}
     out = []
-    sdist, tdist = m.source.dist, m.target.dist
+    sdist, tdist = m.source.rows(), m.target.rows()
     for x in range(m.source.n):
         fx = m.assign[x]
         for y in range(m.target.n):
@@ -171,7 +171,7 @@ def atd_pairs(m):
 
 def all_pairs(m):
     out = []
-    sdist, tdist = m.source.dist, m.target.dist
+    sdist, tdist = m.source.rows(), m.target.rows()
     for x in range(m.source.n):
         fx = m.assign[x]
         for y in range(m.target.n):
@@ -197,7 +197,7 @@ def coarse_profile(m, delta_grid):
     deltas = sorted(set(float(d) for d in delta_grid))
     if any(d <= 0 for d in deltas):
         raise DomainError("delta grid must be positive")
-    sdist, tdist, assign = m.source.dist, m.target.dist, m.assign
+    sdist, tdist, assign = m.source.rows(), m.target.rows(), m.assign
     lip = lipschitz_constant(m) if m.source.n >= 2 else 0.0
     ratios = []
     for i in range(m.source.n):

@@ -148,7 +148,7 @@ def test_c5_exact_fork_witness_and_bounds():
     w = qa.fork_search(m, eps=0.0, r_min=1.0)
     assert w is not None
     r = w.r
-    src, tgt = m.source.dist, m.target.dist
+    src, tgt = m.source.rows(), m.target.rows()
     for arm, lift in zip(w.mu2, w.sigma2):
         assert tgt[w.mu1][arm] == r
         assert tgt[w.mu0][arm] == 2 * r

@@ -37,6 +37,16 @@ class TestGenerate:
         assert len(rows) == 7
         assert rows[0] == {"elements": [], "level": 0}
 
+    def test_tree_deeper_than_the_recursion_limit(self, capsys):
+        # T(1,1500) is a path of 1,501 nodes; its enumeration holds no
+        # Python frame per level.
+        code, out, _ = run(capsys, "generate", "tree", "--b", "1", "--d",
+                           "1500")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows == [{"elements": list(range(1, k + 1)), "level": k}
+                        for k in range(1501)]
+
     def test_tree_has_no_format_option(self, capsys):
         # The tree is emitted as JSON only, so it takes no --format.
         code, out, err = run(capsys, "generate", "tree", "--b", "2", "--d",
@@ -363,8 +373,8 @@ def phi_files(tmp_path_factory) -> dict:
 class TestJsonMapTables:
     """A JSON map table of integers is read as narrow integer arrays: the
     reports equal those of the table built in memory, in every layout, and
-    neither `analyze map` nor `fork` builds the source's nested-tuple
-    table."""
+    neither `analyze map` nor `fork` reads the source's rows as Python
+    lists."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_phi_2_2_source_is_int8(self, phi_files, layout):
@@ -373,7 +383,9 @@ class TestJsonMapTables:
         for m in (cli.qa.MetricMapTable.from_dict(json.loads(text)),
                   cli.qa.MetricMapTable.from_json(text)):
             assert m.source._given.dtype == np.int8
-            assert m.source._dist is None
+            # One table held: no float64 copy and no Python copy.
+            assert m.source._table is m.source._given
+            assert set(vars(m.source)) == {"_given", "n", "_table", "order"}
 
     @pytest.mark.parametrize("layout,given", [
         ("default", np.ndarray), ("compact", np.ndarray), ("indent", list)])
@@ -403,22 +415,27 @@ class TestJsonMapTables:
             assert out.read_bytes() == golden.read_bytes(), name
 
     @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])
-    def test_source_dist_is_not_built(self, capsys, monkeypatch, phi_files,
+    def test_source_rows_are_not_read(self, capsys, monkeypatch, phi_files,
                                       command):
-        loaded = []
-        real = cli._load_table
+        loaded, read = [], []
+        real_load, real_rows = cli._load_table, cli.qa.FiniteMetricSpace.rows
 
         def load(path):
-            loaded.append(real(path))
+            loaded.append(real_load(path))
             return loaded[-1]
 
+        def rows(self):
+            read.append(self)
+            return real_rows(self)
+
         monkeypatch.setattr(cli, "_load_table", load)
+        monkeypatch.setattr(cli.qa.FiniteMetricSpace, "rows", rows)
         code, _, _ = run(capsys, *command[:-2], "--input",
                          phi_files[2, 2, "default"], *command[-2:])
         assert code == 0
         [table] = loaded
         assert table.source.n == 1023
-        assert table.source._dist is None
+        assert not any(space is table.source for space in read)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("command", MAP_COMMANDS, ids=["analyze", "fork"])

@@ -6,7 +6,9 @@ its imports are the re-exported public API, and the names it re-exports
 count as used.  Callers are the package and the benchmark harness, not the
 tests; `beta_oracle`'s `sign` is the one default only tests pass, as the
 reference for the sign convention.  The `__init__`'s `__all__` lists
-exactly the names it imports, in sorted order."""
+exactly the names it imports, in sorted order, and every name the
+benchmark worker takes from the package is in that `__all__` or is one of
+its modules."""
 
 import ast
 from pathlib import Path
@@ -254,3 +256,34 @@ def test_every_default_is_passed_by_some_caller():
                 if not p.name.startswith("test_")]
     assert unpassed_defaults(modules, callers,
                              frozenset({"beta_oracle.sign"})) == []
+
+
+def unexported(source: str, listed: list[str], modules: set[str]) -> list[str]:
+    """The names a script takes from the package, by ``from laakso_lab
+    import name`` or ``import laakso_lab.module``, that are neither in
+    ``listed`` nor among ``modules``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "laakso_lab":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[2] for alias in node.names
+                      if alias.name.startswith("laakso_lab.")]
+    return [name for name in names if name not in {*listed, *modules}]
+
+
+def test_detects_a_name_the_package_does_not_export():
+    source = ("import laakso_lab\nimport laakso_lab.cli, json\n"
+              "import laakso_lab.gone_module\n"
+              "def step():\n    from laakso_lab import f, gone, cli\n")
+    assert unexported(source, ["f"], {"cli"}) == ["gone_module", "gone"]
+    assert unexported(source, ["f", "gone"], {"cli", "gone_module"}) == []
+
+
+def test_benchmark_worker_imports_only_exported_names():
+    # Read-only: a deletion from the package must not break the worker.
+    listed = exports((SRC / "__init__.py").read_text(encoding="utf-8"))[1]
+    modules = {p.stem for p in MODULES}
+    worker = (PERFBENCH / "worker.py").read_text(encoding="utf-8")
+    assert unexported(worker, listed, modules) == []
+    assert unexported(worker, [], set()) != []  # the guard reads its imports

@@ -189,8 +189,8 @@ class TestDistanceOracle:
         # The row formula gives the same matrix.  The all-pairs walks of
         # G(2,5), G(2,7) and G(3,2), one source block each, never read the
         # rows; those of G(3,3) and G(4,2) read nothing else.
-        rows = [g.distance_row(u) for u in g.vertices]
-        assert {row.dtype for row in rows} == {np.dtype(np.int64)}
+        rows = [g.distance_rows([g.index(u)])[0] for u in g.vertices]
+        assert {row.dtype for row in rows} == {np.min_scalar_type(-2 * 3**n)}
         assert [row.tolist() for row in rows] == got
         # Every kind of pair the place rule meets is among the pairs just
         # checked, at every shared-prefix length k it can take.  Below
@@ -237,14 +237,15 @@ class TestDistanceOracle:
                     assert lg._copy_distance(hu, au, hv, av, unit) == want
 
     @pytest.mark.parametrize("n,b", [(2, 19), (1, 722), (3, 5)])
-    def test_distance_row_is_bfs_past_the_memo(self, n, b):
+    def test_one_source_rows_are_bfs_past_the_memo(self, n, b):
         # G(1,722) is the smallest G(1,b) whose pairs overflow the memo.
         g = _graph(n, b)
         assert len(g.vertices) * (len(g.vertices) - 1) // 2 > lg._MEMO_PAIRS
         for u in g.vertices:
-            assert g.distance_row(u).tolist() == g.bfs_levels_from(u), u
+            row = g.distance_rows([g.index(u)])[0]
+            assert row.tolist() == g.bfs_levels_from(u), u
 
-    def test_distance_row_at_g45(self):
+    def test_one_source_rows_at_g45(self):
         # G(4,5) has 8,786 vertices; three sources of each word length,
         # against BFS and the recursive reference.
         g = build_laakso(4, 5)
@@ -255,7 +256,7 @@ class TestDistanceOracle:
         assert sorted(by_length) == [0, 1, 2, 3]
         for group in by_length.values():
             for u in (group[0], group[len(group) // 2], group[-1]):
-                row = g.distance_row(u).tolist()
+                row = g.distance_rows([g.index(u)])[0].tolist()
                 assert row == g.bfs_levels_from(u), u
                 assert row == [ref._dist(4, 5, (u.word, u.pos),
                                          (v.word, v.pos))
@@ -799,7 +800,9 @@ class TestAddressing:
         # walk over `children`; every other ordered pair is refused by both.
         g = build_laakso(n, b)
         dist = [g.bfs_levels_from(u) for u in g.vertices]
-        ancestors = {tuple(p) for p in ancestor_pairs(dist, g.levels)}
+        pairs = ancestor_pairs(dist, g.levels)
+        assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+        ancestors = set(map(tuple, pairs.tolist()))
         for i, u in enumerate(g.vertices):
             for j, v in enumerate(g.vertices):
                 if i == j or (i, j) in ancestors:

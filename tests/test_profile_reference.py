@@ -36,7 +36,7 @@ def phi_2_2() -> dict:
 def realized_grid(m: qa.MetricMapTable) -> list:
     """Every realized positive source distance, the midpoints between
     consecutive ones, and one value past the diameter."""
-    realized = sorted({d for row in m.source.dist for d in row if d > 0})
+    realized = sorted({d for row in m.source.rows() for d in row if d > 0})
     if not realized:
         return [1.0]
     mids = [(a + b) / 2 for a, b in zip(realized, realized[1:])]

@@ -22,7 +22,6 @@ from laakso_lab.quotient_analysis import (
     atd_violation,
     beta_bound_from_fork,
     c_atd_infinity,
-    check_atd_colip,
     coarse_profile,
     cross_validate_atd,
     fork_search,
@@ -76,7 +75,7 @@ class TestFiniteMetricSpace:
 
     def test_array_is_read_only_copy(self):
         space = path_space(3)
-        assert space.array.tolist() == [list(row) for row in space.dist]
+        assert space.array.tolist() == space.rows()
         with pytest.raises(ValueError):
             space.array[0, 1] = 5.0
 
@@ -241,10 +240,11 @@ class TestArrayOrders:
         m = tl.map_table(pm)
         for space, levels in ((m.source, pm.tree.levels),
                               (m.target, pm.graph.levels)):
-            pairs = tl.ancestor_pairs(space.dist, levels)
-            want = FiniteMetricSpace(space.dist, order=pairs).order
+            pairs = tl.ancestor_pairs(space.rows(), levels)
+            assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+            want = FiniteMetricSpace(space.rows(), order=pairs).order
             assert np.array_equal(space.order, want)
-            assert np.argwhere(space.order).tolist() == pairs
+            assert np.argwhere(space.order).tolist() == pairs.tolist()
         assert m.source.order.sum() == 8_194
 
 
@@ -290,8 +290,8 @@ class TestFiniteMetricSpaceFromArray:
         dist = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
         order = np.array([[0, 1], [1, 2], [0, 2]])
         space = FiniteMetricSpace(dist, order=order)
-        assert space.dist == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
-        assert {type(d) for row in space.dist for d in row} == {int}
+        assert space.rows() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert {type(d) for row in space.rows() for d in row} == {int}
         assert order_pairs(space) == [[0, 1], [0, 2], [1, 2]]
         assert {type(i) for pair in order_pairs(space) for i in pair} == {int}
         assert space.array.dtype == np.float64
@@ -301,29 +301,30 @@ class TestFiniteMetricSpaceFromArray:
         dist = np.array([[0, 1], [1, 0]])
         space = FiniteMetricSpace(dist)
         dist[0, 1] = 7
-        assert space.dist == ((0, 1), (1, 0))
+        assert space.rows() == [[0, 1], [1, 0]]
         assert space.array[0, 1] == 1.0
         assert dist.flags.writeable
 
     def test_empty_and_one_point(self):
         assert FiniteMetricSpace(np.zeros((0, 0), dtype=int)).n == 0
-        assert FiniteMetricSpace(np.zeros((1, 1), dtype=int)).dist == ((0,),)
+        assert FiniteMetricSpace(np.zeros((1, 1), dtype=int)).rows() == [[0]]
 
     @pytest.mark.parametrize("given", [
         [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]],
         np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]], dtype=np.int64),
         np.array([[0, 0.5, 1], [0.5, 0, 0.75], [1, 0.75, 0]]),
     ], ids=["list", "int-array", "float-array"])
-    def test_dist_equals_the_eager_form(self, given):
+    def test_rows_equal_the_eager_form(self, given):
         is_array = isinstance(given, np.ndarray)
-        eager = tuple(map(tuple, given.tolist() if is_array else given))
+        eager = [list(row) for row in (given.tolist() if is_array else given)]
         space = FiniteMetricSpace(given)
-        assert space._dist is None  # built on first read, for every table
-        assert space.dist == eager
-        assert [list(map(type, row)) for row in space.dist] == [
+        assert space.rows() == eager
+        assert [list(map(type, row)) for row in space.rows()] == [
             list(map(type, row)) for row in eager]
-        assert space.dist is space.dist
-        assert space.to_dict() == {"n": 3, "dist": [list(r) for r in eager]}
+        assert space.rows() is not space.rows()  # one tolist(), not kept
+        assert [[space.entry(i, j) for j in range(3)]
+                for i in range(3)] == eager
+        assert space.to_dict() == {"n": 3, "dist": eager}
 
 
 # Three points whose triangle inequality fails by 1 near 2**60.
@@ -394,18 +395,17 @@ class TestExactIntegerTables:
         space = FiniteMetricSpace([[0, top], [top, 0]])
         assert space._given.dtype == dtype
         assert space.entry(0, 1) == top and type(space.entry(0, 1)) is int
-        assert space._dist is None  # built on first read of dist
-        assert space.dist == ((0, top), (top, 0))
-        assert {type(d) for row in space.dist for d in row} == {int}
+        assert space.rows() == [[0, top], [top, 0]]
+        assert {type(d) for row in space.rows() for d in row} == {int}
         assert space.array.tolist() == [[0.0, float(top)], [float(top), 0.0]]
 
     def test_bools_among_ints_read_as_ints(self):
-        # numpy reads True among ints as 1, so dist shows 1 where the
+        # numpy reads True among ints as 1, so rows() shows 1 where the
         # list held True.
         space = FiniteMetricSpace([[0, True], [1, 0]])
         assert space._given.dtype == np.int8
-        assert space.dist == ((0, 1), (1, 0))
-        assert {type(d) for row in space.dist for d in row} == {int}
+        assert space.rows() == [[0, 1], [1, 0]]
+        assert {type(d) for row in space.rows() for d in row} == {int}
 
     @pytest.mark.parametrize("table", [
         [[0, 1.5], [1.5, 0]],
@@ -417,10 +417,10 @@ class TestExactIntegerTables:
         space = FiniteMetricSpace(table)
         assert space._given.dtype == object
         assert not space._given.flags.writeable
-        assert space.dist == tuple(map(tuple, table))
-        assert [list(map(type, row)) for row in space.dist] == [
+        assert space.rows() == table
+        assert [list(map(type, row)) for row in space.rows()] == [
             list(map(type, row)) for row in table]
-        assert space.entry(0, 1) is space.dist[0][1]
+        assert space.entry(0, 1) is space.rows()[0][1]
 
     @pytest.mark.parametrize("table,message", [
         ([[False, True], [True, False]], "distance False at (0,0)"),
@@ -463,7 +463,7 @@ class TestExactIntegerTables:
     ], ids=["fraction", "float32", "int8", "past-int64"])
     def test_real_numbers_of_any_type_are_kept_as_given(self, value):
         space = FiniteMetricSpace([[0.0, value], [value, 0.0]])
-        assert space.entry(0, 1) is space.dist[0][1] is space.rows()[0][1]
+        assert space.entry(0, 1) is space.rows()[0][1] is value
         assert space.entry(0, 1) == value
         assert space.array[0, 1] == float(value)
 
@@ -527,8 +527,8 @@ class TestExactIntegerTables:
         size = len(pm.tree.levels)
         i, j = np.indices((size, size))
         want = pm.tree.rank_distance(i, j).tolist()
-        assert m.source.dist == tuple(map(tuple, want))
-        assert {type(d) for row in m.source.dist for d in row} == {int}
+        assert m.source.rows() == want
+        assert {type(d) for row in m.source.rows() for d in row} == {int}
         assert m.source.array.tolist() == want
 
 
@@ -926,7 +926,7 @@ class TestRestrictedProfile:
                                         (False, True)])
     def test_needs_both_orders(self, floor_by_3, orders):
         spaces = [
-            space if keep else FiniteMetricSpace(space.dist)
+            space if keep else FiniteMetricSpace(space.rows())
             for space, keep in zip((floor_by_3.source, floor_by_3.target),
                                    orders)
         ]
@@ -948,17 +948,15 @@ class TestRestrictedProfile:
 class TestAtdPredicate:
     def test_identity_has_no_violation(self, identity_path):
         assert atd_violation(identity_path, 1.0, 0.5) is None
-        assert check_atd_colip(identity_path, 1.0, 0.5)
 
     def test_violation_found_when_constant_too_large(self, floor_by_3):
         # the floor map only admits the restricted condition up to 1/3;
         # claiming 1/2 pulls the required radius below the true preimage gap
         case = atd_violation(floor_by_3, 0.5, 0.5)
         assert case is not None
-        assert not check_atd_colip(floor_by_3, 0.5, 0.5)
         # while any constant below the profile value is honored
-        assert check_atd_colip(floor_by_3, 0.1, 0.5)
-        assert check_atd_colip(floor_by_3, 1 / 3, 0.5)
+        assert atd_violation(floor_by_3, 0.1, 0.5) is None
+        assert atd_violation(floor_by_3, 1 / 3, 0.5) is None
 
     def test_predicate_matches_optimized_constant(self, floor_by_3,
                                                   identity_path,
@@ -1018,7 +1016,7 @@ class TestAtdBoundary:
             assert case["scale"] == float(case["scale_exact"]), k
 
     def test_cross_validation_needs_both_orders(self, identity_path):
-        bare = MetricMapTable(FiniteMetricSpace(identity_path.source.dist),
+        bare = MetricMapTable(FiniteMetricSpace(identity_path.source.rows()),
                               identity_path.target, identity_path.assign)
         with pytest.raises(DomainError, match="needs both orders"):
             cross_validate_atd(bare, [1.0], [0.5])

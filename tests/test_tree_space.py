@@ -136,6 +136,13 @@ class TestTreeSpace:
         # lexicographic on element tuples coincides with DFS preorder here
         assert labels == sorted(labels)
 
+    def test_enumeration_deeper_than_the_recursion_limit(self):
+        # The path T(1,1500) is 1,501 levels deep, past Python's default
+        # recursion limit of 1,000; the walk is preorder all the same.
+        nodes = TreeSpace(1, 1500).nodes()
+        assert [n.elements for n in nodes] == [
+            tuple(range(1, k + 1)) for k in range(1501)]
+
     def test_children(self):
         space = TreeSpace(3, 2)
         kids = space.children(TreeNode((2,)))

@@ -187,7 +187,7 @@ class TestIndexRoutesMatchReference:
             preimages.setdefault(g.index(pm_mid.image(J)), []).append(J)
         dist = [[g.distance(u, v) for v in g.vertices] for u in g.vertices]
         lifts = 0
-        for iu, iv in ancestor_pairs(dist, g.levels):
+        for iu, iv in pair_list(dist, g.levels):
             v = g.vertices[iv]
             for J in preimages[iu]:
                 assert pm_mid.lift(J, v) == ref.lift(pm_mid, J, v)
@@ -398,7 +398,7 @@ class TestVerifyProjection:
         assert [i // 32 for i, _ in records] == [0, 0, 0, 0, 2]
         # The failing pairs of the fifth record's block, from the tables.
         m = map_table(pm)
-        sdist, tdist = np.array(m.source.dist), np.array(m.target.dist)
+        sdist, tdist = np.array(m.source.rows()), np.array(m.target.rows())
         assign = np.array(m.assign)
         failing = [(i, j) for i in range(64, 96)
                    for j in range(i + 1, tree.size())
@@ -647,6 +647,14 @@ class TestSampledSweepAtTheBoundary:
                                             exhaustive=False)
 
 
+def pair_list(dist, levels) -> list[list[int]]:
+    """``ancestor_pairs`` as a list of [i, j], after checking that it is
+    the (m, 2) int64 array of ``np.argwhere``."""
+    pairs = ancestor_pairs(dist, levels)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return pairs.tolist()
+
+
 class TestAncestorPairs:
     """The ancestor rule read off distance tables, against the relations
     computed without it: prefixes in the tree, `is_ancestor` on BFS rows
@@ -656,7 +664,7 @@ class TestAncestorPairs:
     def test_tree_distances_give_the_prefix_relation(self, b, d):
         nodes = TreeSpace(b, d).nodes()
         dist = [[tree_distance(J, K) for K in nodes] for J in nodes]
-        assert ancestor_pairs(dist, [J.level for J in nodes]) == [
+        assert pair_list(dist, [J.level for J in nodes]) == [
             [i, j]
             for i, J in enumerate(nodes)
             for j, K in enumerate(nodes)
@@ -675,8 +683,8 @@ class TestAncestorPairs:
             for j, K in enumerate(nodes)
             if i != j and J.is_prefix_of(K)
         ]
-        assert ancestor_pairs(rows, levels) == prefix
-        assert ancestor_pairs(np.array(rows), np.array(levels)) == prefix
+        assert pair_list(rows, levels) == prefix
+        assert pair_list(np.array(rows), np.array(levels)) == prefix
 
     @pytest.mark.parametrize("b,d", [(2, 0), (2, 4), (3, 3)])
     def test_matches_the_comprehension(self, b, d):
@@ -686,20 +694,20 @@ class TestAncestorPairs:
         levels = [J.level for J in space.nodes()]
         rows = [row.tolist() for _, row in ref.distance_rows(space)]
         for dist, lv in [(rows, levels), (np.array(rows), np.array(levels))]:
-            assert ancestor_pairs(dist, lv) == ref.ancestor_pairs(dist, lv)
+            assert pair_list(dist, lv) == ref.ancestor_pairs(dist, lv)
 
     def test_empty_and_one_point_spaces(self):
         for dist, levels in [([], []), ([[0]], [0]),
                              (np.zeros((0, 0), int), np.zeros(0, int)),
                              (np.zeros((1, 1), int), [3])]:
-            assert ancestor_pairs(dist, levels) == []
+            assert pair_list(dist, levels) == []
             assert ref.ancestor_pairs(dist, levels) == []
 
     @pytest.mark.parametrize("n,b", [(2, 2), (2, 3), (3, 2)])
     def test_graph_distances_give_is_ancestor(self, n, b):
         g = build_laakso(n, b)
         dist = [g.bfs_levels_from(u) for u in g.vertices]
-        assert ancestor_pairs(dist, g.levels) == [
+        assert pair_list(dist, g.levels) == [
             [i, j]
             for i, u in enumerate(g.vertices)
             for j, v in enumerate(g.vertices)
@@ -734,7 +742,7 @@ class TestMapTable:
         table = m.to_dict()
         for side in ("source", "target"):
             space = getattr(m, side)
-            assert {type(d) for row in space.dist for d in row} == {int}
+            assert {type(d) for row in space.rows() for d in row} == {int}
             pairs = table[f"{side}_order"]
             assert {type(i) for pair in pairs for i in pair} == {int}
         assert {type(a) for a in m.assign} == {int}
