@@ -352,7 +352,7 @@ def cmd_analyze_map(args) -> int:
     )
     report = {
         "schema": 1,
-        "lipschitz": qa.lipschitz_constant(table),
+        "lipschitz": prof.lip,
         "L": {str(k): v for k, v in prof.L.items()},
         "c": {str(k): v for k, v in prof.c.items()},
         "c_atd": {str(k): v for k, v in prof.c_atd.items()}

@@ -17,8 +17,8 @@ constant, and they share only the input table:
   arrays that each `MetricMapTable` builds once, on first use: the
   nearest-preimage matrix rho, the image-to-target distances D, and the
   source pairs i < j with their source and image distances.  They are
-  read off the tables each space validates on, so an integer table is
-  read as its integers, with no float64 copy of it.  Every
+  read off the one table each space validates on, so an integer table is
+  read as its integers and a float64 table as it is given.  Every
   constant is a masked minimum or maximum over them: the pair half
   (Lipschitz, L, Omega) over the pairs, the cell half (c, c_atd, omega)
   over rho and D.  `restricted_profile` is the restricted half of
@@ -26,7 +26,7 @@ constant, and they share only the input table:
   that needs no more than c_atd builds no pair arrays;
 - the predicate route (`atd_violation` over `atd_pairs`) is a pure-Python
   scan of the distance tables and the preimages.  `atd_pairs` is built once
-  per table.
+  per table, reading the source one row at a time.
 
 `cross_validate_atd` checks the two routes against each other on a grid.
 Both decide the boundary D/rho = c exactly, so that they disagree only
@@ -302,26 +302,26 @@ class FiniteMetricSpace:
     strictness of the order, whose pairs must be two-element lists of
     integer indices or the rows of an (m, 2) array of a signed integer
     dtype.  The table is nested sequences or a 2-D numpy array, kept as
-    one read-only array: an integer or float array as a copy, nested lists
-    that numpy reads as signed integers (bools among ints read as 1 and 0)
-    in the smallest signed dtype that holds them (read a block of rows at
-    a time, each block narrowed on its own), and every other table as an
+    one read-only array, `_given`: an integer array as a copy, a float
+    array that float64 holds exactly as a float64 copy, nested lists that
+    numpy reads as signed integers (bools among ints read as 1 and 0) in
+    the smallest signed dtype that holds them (read a block of rows at a
+    time, each block narrowed on its own), and every other table as an
     object array of its entries as given, each of which must be a real
     number, not a bool, inside the float range (the first that is not is
     named with its (i, j)).  The checks and the profile route of
-    `MetricMapTable` read one table: an integer table as it is kept,
-    checked on its own integers, exactly, and finite by type; every other
-    table as the float64 `array`, its triangle inequality with a tolerance
-    of 1e-12.  The triangle inequality is checked exhaustively up to 256
-    points; above that, on 20000 triples (i, j, k) compared in one vector
-    step, and the first failing triple in sample order is reported.  The
-    triples are 60000 little-endian 32-bit words of
-    `random.Random(0).randbytes`, reduced mod n (a bias below n / 2**32),
-    i the first third, j the second, k the last.  The entries are read
-    by `rows` (one `tolist()`, not kept) and `entry` (one `item()`), so an
-    integer array gives Python ints and an object array its entries as
-    given; `array` is a read-only float64 copy, which an integer table
-    builds only on first read.
+    `MetricMapTable` read one table, `_table`: `_given` itself for an
+    integer table (checked exactly, and finite by type) or a float64 one,
+    and for an object table alone its read-only float64 copy.  A float
+    table's triangle inequality has a tolerance of 1e-12.  It is checked
+    exhaustively up to 256 points; above that, on 20000 triples (i, j, k)
+    compared in one vector step, and the first failing triple in sample
+    order is reported.  The triples are 60000 little-endian 32-bit words
+    of `random.Random(0).randbytes`, reduced mod n (a bias below
+    n / 2**32), i the first third, j the second, k the last.  The entries
+    are read by `rows` (one `tolist()`, not kept) and `entry` (one
+    `item()`), so an integer array gives Python ints and an object array
+    its entries as given.
     """
 
     def __init__(
@@ -330,7 +330,9 @@ class FiniteMetricSpace:
         order: Optional[Sequence[tuple[int, int]] | np.ndarray] = None,
     ):
         if isinstance(dist, np.ndarray):
-            dtype = dist.dtype if dist.dtype.kind in "iuf" else object
+            dtype = dist.dtype if dist.dtype.kind in "iu" else object
+            if dist.dtype.kind == "f" and np.can_cast(dist.dtype, float):
+                dtype = float  # float64 holds every such entry exactly
             given = dist.astype(dtype)  # a copy
         elif (given := _integer_table(dist)) is None:
             try:
@@ -347,6 +349,7 @@ class FiniteMetricSpace:
         given.flags.writeable = False
         self._given = given
         n = self.n = len(given)
+        table = given
         if given.dtype == object:
             # Real numbers, not bools, decided on the set of types first.
             odd = {kind for kind in set(map(type, given.flat))
@@ -356,19 +359,16 @@ class FiniteMetricSpace:
                                    if type(v) in odd), n)
                 raise ValueError(f"distance {given.item(i, j)!r} at "
                                  f"({i},{j}) is not a number")
-        if given.dtype.kind in "iu":
-            # An integer table is checked on its own integers, exactly, and
-            # is finite by type; its float64 copy is built on first read.
-            table = given
-        else:
             try:
-                table = self.array
+                table = given.astype(float)
             except OverflowError:  # an int or Fraction past the float range
                 i, j = divmod(next(f for f, v in enumerate(given.flat)
                                    if _overflows(v)), n)
                 raise ValueError(f"distance {given.item(i, j)!r} at "
                                  f"({i},{j}) is outside the float range"
                                  ) from None
+            table.flags.writeable = False
+        if table.dtype.kind == "f":  # an integer table is finite by type
             finite = np.isfinite(table)
             if not finite.all():
                 i, j = np.argwhere(~finite)[0]
@@ -387,13 +387,6 @@ class FiniteMetricSpace:
         self.order: Optional[np.ndarray] = (
             None if order is None else _strict_order(order, n)
         )
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The table as a read-only float64 array, built on first read."""
-        arr = self._given.astype(float)
-        arr.flags.writeable = False
-        return arr
 
     def rows(self) -> list[list]:
         """The rows of the table as lists of its entries as given, from one
@@ -526,15 +519,17 @@ class MetricMapTable:
 
     @cached_property
     def _atd_pairs(self) -> tuple[tuple[int, int, float, float], ...]:
-        """The rows that ``atd_pairs`` returns."""
+        """The rows that ``atd_pairs`` returns.  The source is read one row
+        at a time, only for a point whose image has a point below it."""
         out = []
-        sdist, tdist = self.source.rows(), self.target.rows()
+        tdist = self.target.rows()
         below = [np.flatnonzero(row).tolist() for row in self.target.order]
-        for x in range(self.source.n):
-            fx = self.assign[x]
-            for y in below[fx]:
-                rho = min(sdist[x][p] for p in self.preimages(y))
-                out.append((x, y, tdist[fx][y], rho))
+        for x, fx in enumerate(self.assign):
+            if below[fx]:
+                sdist = self.source._given[x].tolist()
+                for y in below[fx]:
+                    rho = min(sdist[p] for p in self.preimages(y))
+                    out.append((x, y, tdist[fx][y], rho))
         return tuple(out)
 
     @classmethod
@@ -609,6 +604,8 @@ def quotient_moduli(m: MetricMapTable, r: float) -> tuple[float, float]:
     row-major order (Omega is 0.0 when no pair within r moves apart)."""
     if not m.surjective:
         raise DomainError("moduli require a surjective assignment")
+    if not m.target.n:
+        raise DomainError("moduli require a non-empty target")
     if not r >= 0:
         raise DomainError("radius must be non-negative")
     sdist, tdist, _ = m._pairs

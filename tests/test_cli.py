@@ -312,6 +312,8 @@ class TestAnalyze:
         assert code == 0
         rep = json.loads(out)
         assert rep["lipschitz"] == 1.0
+        assert rep["lipschitz"] == cli.qa.lipschitz_constant(
+            cli._load_table(map_file))
         assert rep["c_atd"]["1.0"] == 1.0
         assert rep["pass"]
 
@@ -334,6 +336,32 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    def test_empty_table_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "empty.json"
+        f.write_text('{"source": {"dist": []}, "target": {"dist": []}, '
+                     '"assign": []}')
+        code, out, err = run(capsys, "analyze", "map", "--input", str(f),
+                             "--delta-grid", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: moduli require a non-empty target\n"
+
+    def test_one_point_table_reports_lipschitz_zero(self, capsys, tmp_path):
+        # The report's Lipschitz constant is the profile's, 0.0 below two
+        # points, not a refusal.
+        f = tmp_path / "point.json"
+        f.write_text('{"source": {"dist": [[0]]}, "target": {"dist": [[0]]}, '
+                     '"assign": [0]}')
+        code, out, _ = run(capsys, "analyze", "map", "--input", str(f),
+                           "--delta-grid", "1,2")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["lipschitz"] == 0.0 and type(rep["lipschitz"]) is float
+        assert rep["L"] == {"1.0": 0.0, "2.0": 0.0}
+        assert rep["c"] == {"1.0": "inf", "2.0": "inf"}
+        assert rep["ball_moduli"]["1.0"] == {"omega": 0, "Omega": 0.0}
+        assert rep["pass"]
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(

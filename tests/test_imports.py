@@ -8,9 +8,11 @@ tests; `beta_oracle`'s `sign` is the one default only tests pass, as the
 reference for the sign convention.  The `__init__`'s `__all__` lists
 exactly the names it imports, in sorted order, and every name the
 benchmark worker takes from the package is in that `__all__` or is one of
-its modules."""
+its modules.  Every function the benchmark tracer names resolves in the
+package, except a listed few that were deleted and that it still names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -287,3 +289,66 @@ def test_benchmark_worker_imports_only_exported_names():
     worker = (PERFBENCH / "worker.py").read_text(encoding="utf-8")
     assert unexported(worker, listed, modules) == []
     assert unexported(worker, [], set()) != []  # the guard reads its imports
+
+
+def traced_names(source: str) -> list[str]:
+    """The dotted names, in file order, that a tracer source lists in the
+    values of ``GROUPS`` and ``CALLS`` and as the functions of each
+    ``RESULTS`` entry."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Assign):
+            continue
+        [target] = node.targets
+        if not isinstance(target, ast.Name):
+            continue
+        for value in getattr(node.value, "values", []):
+            if target.id in ("GROUPS", "CALLS"):
+                out += ast.literal_eval(value)
+            elif target.id == "RESULTS":
+                out += ast.literal_eval(value.elts[0])
+    return out
+
+
+def unresolved(names: list[str]) -> list[str]:
+    """The ``names`` (``module.attribute...``) that do not resolve in
+    ``laakso_lab``."""
+    out = []
+    for name in names:
+        module, *attrs = name.split(".")
+        try:
+            obj = importlib.import_module(f"laakso_lab.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            out.append(name)
+    return out
+
+
+def test_detects_an_unresolved_traced_name():
+    source = (
+        "GROUPS = {'a.s': ('cli.main', 'cli.gone')}\n"
+        "CALLS = {'b.calls': ('gone_module.f',)}\n"
+        "RESULTS = {'c.n': (('staircase.verify_james',), len)}\n"
+        "OTHER = {'d': ('cli.also_gone',)}\n"
+    )
+    names = traced_names(source)
+    assert names == ["cli.main", "cli.gone", "gone_module.f",
+                     "staircase.verify_james"]
+    assert unresolved(names) == ["cli.gone", "gone_module.f"]
+
+
+# Names the tracer still lists though the package no longer defines them;
+# each zeroes its per-layer metric until the benchmark drops it.
+STALE_TRACED = [
+    "laakso_graph.LaaksoGraph.distance_oracle",
+    "quotient_analysis.check_atd_colip",
+]
+
+
+def test_traced_names_resolve():
+    # Read-only: a deletion from the package must not silently zero a
+    # per-layer metric of the benchmark.
+    names = traced_names((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    assert len(names) > 10  # the guard reads the tracer's tables
+    assert unresolved(names) == STALE_TRACED

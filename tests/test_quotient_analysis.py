@@ -75,9 +75,10 @@ class TestFiniteMetricSpace:
 
     def test_array_is_read_only_copy(self):
         space = path_space(3)
-        assert space.array.tolist() == space.rows()
+        assert space._table is space._given
+        assert space._table.tolist() == space.rows()
         with pytest.raises(ValueError):
-            space.array[0, 1] = 5.0
+            space._table[0, 1] = 5
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -294,7 +295,8 @@ class TestFiniteMetricSpaceFromArray:
         assert {type(d) for row in space.rows() for d in row} == {int}
         assert order_pairs(space) == [[0, 1], [0, 2], [1, 2]]
         assert {type(i) for pair in order_pairs(space) for i in pair} == {int}
-        assert space.array.dtype == np.float64
+        assert space._table is space._given
+        assert space._table.dtype == np.int32
         assert space.to_dict() == FiniteMetricSpace(dist.tolist()).to_dict()
 
     def test_array_is_copied(self):
@@ -302,7 +304,8 @@ class TestFiniteMetricSpaceFromArray:
         space = FiniteMetricSpace(dist)
         dist[0, 1] = 7
         assert space.rows() == [[0, 1], [1, 0]]
-        assert space.array[0, 1] == 1.0
+        assert space._table[0, 1] == 1
+        assert not np.shares_memory(space._table, dist)
         assert dist.flags.writeable
 
     def test_empty_and_one_point(self):
@@ -397,7 +400,8 @@ class TestExactIntegerTables:
         assert space.entry(0, 1) == top and type(space.entry(0, 1)) is int
         assert space.rows() == [[0, top], [top, 0]]
         assert {type(d) for row in space.rows() for d in row} == {int}
-        assert space.array.tolist() == [[0.0, float(top)], [float(top), 0.0]]
+        assert space._table is space._given
+        assert space._table.tolist() == [[0, top], [top, 0]]
 
     def test_bools_among_ints_read_as_ints(self):
         # numpy reads True among ints as 1, so rows() shows 1 where the
@@ -465,7 +469,8 @@ class TestExactIntegerTables:
         space = FiniteMetricSpace([[0.0, value], [value, 0.0]])
         assert space.entry(0, 1) is space.rows()[0][1] is value
         assert space.entry(0, 1) == value
-        assert space.array[0, 1] == float(value)
+        assert space._table.dtype == np.float64
+        assert space._table[0, 1] == float(value)
 
     @pytest.mark.parametrize("value", [
         10**400, -10**400, Fraction(10**400, 3),
@@ -529,7 +534,8 @@ class TestExactIntegerTables:
         want = pm.tree.rank_distance(i, j).tolist()
         assert m.source.rows() == want
         assert {type(d) for row in m.source.rows() for d in row} == {int}
-        assert m.source.array.tolist() == want
+        assert m.source._table is m.source._given
+        assert m.source._table.tolist() == want
 
 
 def _odd_rows(row):
@@ -636,9 +642,8 @@ class TestIntegerTableBlocks:
 
 
 class TestIntegerTablesStayNarrow:
-    """An integer table keeps only its integer array: the checks and the
-    profile route read it, and its float64 `array` is built on first
-    read."""
+    """An integer table keeps only its integer array, and the checks and
+    the profile route read it; only an object table has a float64 copy."""
 
     def test_from_dict_and_coarse_profile_hold_little_memory(
             self, phi_document):
@@ -673,24 +678,68 @@ class TestIntegerTablesStayNarrow:
         run(m)
         for space in (m.source, m.target):
             assert space._given.dtype.kind == "i"
-            assert "array" not in vars(space)
-            # A later read gives the read-only float64 table, once.
-            array = space.array
-            assert array.dtype == np.float64
-            assert not array.flags.writeable
-            assert np.array_equal(array, np.array(space.rows(), dtype=float))
-            assert space.array is array
+            # One table held after the analysis: no float64
+            # copy and no Python copy.
+            assert set(vars(space)) == {"_given", "n", "_table", "order"}
+            assert space._table is space._given
+            assert not space._table.flags.writeable
+            assert np.array_equal(space._table, np.array(space.rows()))
 
     @pytest.mark.parametrize("table", [
         [[0, 1.5], [1.5, 0]], np.array([[0, 0.5], [0.5, 0]]),
         [[0, Fraction(1, 2)], [Fraction(1, 2), 0]],
     ], ids=["float-list", "float-array", "fraction-list"])
     def test_other_tables_are_checked_on_their_float_copy(self, table):
+        # A float64 array is copied once at ingest and that copy is the
+        # table; a list of floats or Fractions is an object table with a
+        # float64 copy beside it.
         space = FiniteMetricSpace(table)
-        assert "array" in vars(space)
-        assert space._table is space.array
-        assert space.array.dtype == np.float64
-        assert not space.array.flags.writeable
+        assert set(vars(space)) == {"_given", "n", "_table", "order"}
+        assert (space._table is space._given) == isinstance(table,
+                                                            np.ndarray)
+        assert space._table.dtype == np.float64
+        assert not space._table.flags.writeable
+        assert space._table.tolist() == [[float(d) for d in row]
+                                         for row in space.rows()]
+        assert not np.shares_memory(space._table, table)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_float_arrays_are_held_once(self, dtype):
+        # A float array that float64 holds exactly is kept as one float64
+        # array, which the checks read and which gives its entries as
+        # Python floats.
+        table = np.array([[0, 0.5, 1.25], [0.5, 0, 1], [1.25, 1, 0]],
+                         dtype=dtype)
+        space = FiniteMetricSpace(table)
+        assert space._table is space._given
+        assert space._table.dtype == np.float64
+        assert set(vars(space)) == {"_given", "n", "_table", "order"}
+        assert space.rows() == table.tolist()
+        assert type(space.entry(0, 2)) is float
+        with pytest.raises(ValueError, match=r"non-finite distance inf"):
+            FiniteMetricSpace(np.array([[0, np.inf], [np.inf, 0]],
+                                       dtype=dtype))
+
+    def test_cross_validation_reads_the_source_a_row_at_a_time(
+            self, monkeypatch, phi_document):
+        m = MetricMapTable.from_json(phi_document)
+        read = []
+        real = FiniteMetricSpace.rows
+
+        def rows(self):
+            read.append(self)
+            return real(self)
+
+        monkeypatch.setattr(FiniteMetricSpace, "rows", rows)
+        rep = cross_validate_atd(m, [0.5, 1, 2], range(1, 9))
+        assert rep["pass"]
+        assert read == [m.target]
+        monkeypatch.undo()
+        assert list(qa.atd_pairs(m)) == ref.atd_pairs(m)
+        assert len(qa.atd_pairs(m)) == 1407
+        peak = _traced_peak(lambda: MetricMapTable(m.source, m.target,
+                                                   m.assign)._atd_pairs)
+        assert peak < 2  # the source's rows() alone would hold 8 MiB
 
 
 NON_INDICES = [True, False, 1.0, 1.5, "1", None]
@@ -834,8 +883,8 @@ class TestMetricMapTable:
         for m in (floor_by_3, identity_path, mixed, phi):
             i, j = np.triu_indices(m.source.n, 1)
             a = np.array(m.assign)
-            sdist = m.source.array[i, j]
-            tdist = m.target.array[a[i], a[j]]
+            sdist = np.array(m.source.rows(), dtype=float)[i, j]
+            tdist = np.array(m.target.rows(), dtype=float)[a[i], a[j]]
             want = (sdist, tdist, tdist / sdist)
             for got, expected in zip(m._pairs, want, strict=True):
                 assert np.array_equal(got, expected)
@@ -873,6 +922,13 @@ class TestQuotientModuli:
         three, two = path_space(3), path_space(2)
         m = MetricMapTable(three, two, [0, 0, 0])
         with pytest.raises(DomainError):
+            quotient_moduli(m, 1)
+
+    def test_needs_a_non_empty_target(self):
+        empty = FiniteMetricSpace([])
+        m = MetricMapTable(empty, empty, [])
+        assert m.surjective
+        with pytest.raises(DomainError, match="non-empty target"):
             quotient_moduli(m, 1)
 
     def test_rejects_negative_radius(self, floor_by_3):
